@@ -272,6 +272,7 @@ def validate_instance(
     returned.  Checks, with their violation codes:
 
     * "too-few-states", "no-channels": shape floor (K >= 2, n >= 1).
+    * "non-finite": a NaN or infinite reward, probability or cost.
     * "nonzero-base-reward": ``rewards[0] != 0`` unless allowed.
     * "non-increasing-rewards": rewards must be strictly increasing.
     * "reward-out-of-range": rewards outside ``[0, 1]``.
@@ -294,6 +295,8 @@ def validate_instance(
         )
     if instance.n < 1:
         violations.append(Violation("no-channels", None, "need at least one channel"))
+    if not np.all(np.isfinite(r)):
+        violations.append(Violation("non-finite", None, f"rewards = {r.tolist()!r}"))
     if k >= 1:
         if not allow_positive_base_reward and r[0] != 0.0:
             violations.append(
@@ -321,6 +324,8 @@ def validate_instance(
         if ch.name in seen:
             violations.append(Violation("duplicate-name", ch.name, "name reused"))
         seen.add(ch.name)
+        if not math.isfinite(ch.cost):
+            violations.append(Violation("non-finite", ch.name, f"cost = {ch.cost!r}"))
         if ch.cost < 0.0:
             violations.append(
                 Violation("negative-cost", ch.name, f"cost = {ch.cost!r}")
@@ -336,11 +341,16 @@ def validate_instance(
             )
             repaired.append(ch)
             continue
+        total = float(p.sum())
+        # only a non-finite sum can hide a non-finite entry
+        if not math.isfinite(total) and not np.all(np.isfinite(p)):
+            violations.append(
+                Violation("non-finite", ch.name, f"probs = {p.tolist()!r}")
+            )
         if np.any(p < -PROB_TOL) or np.any(p > 1.0 + PROB_TOL):
             violations.append(
                 Violation("prob-out-of-range", ch.name, f"probs = {p.tolist()!r}")
             )
-        total = float(p.sum())
         if abs(total - 1.0) > PROB_TOL:
             if renormalize and total > PROB_TOL:
                 ch = ChannelStats(name=ch.name, cost=ch.cost, probs=p / total)
@@ -519,10 +529,20 @@ def instance_from_dict(data: dict, *, validate: bool = True) -> Instance:
     return inst
 
 
+def _refuse_constant(token: str):
+    raise InstanceValidationError(
+        [Violation("non-finite", None, f"{token} is not a finite number")]
+    )
+
+
 def load_instance(path, *, validate: bool = True) -> Instance:
-    """Read an instance from a JSON document (see README for the layout)."""
+    """Read an instance from a JSON document (see README for the layout).
+
+    The non-standard ``NaN`` and ``Infinity`` tokens are refused with a
+    "non-finite" violation, whatever ``validate`` says.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = json.load(fh, parse_constant=_refuse_constant)
     return instance_from_dict(data, validate=validate)
 
 

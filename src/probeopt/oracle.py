@@ -20,10 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .core import (
     BackupProbed,
@@ -645,72 +644,107 @@ def backup_structure_check(
 class RateConstrainedBound:
     """Upper bound on the gain of any transmission-rate-``rate`` mix.
 
-    ``value = min over charges L of (L * rate + altered optimum at L)``;
-    every evaluation of the right side is itself a valid bound, so the
-    reported minimum is safe even though the scalar search is numeric.
+    ``value`` is the exact minimum over charges L >= 0 of the dual
+    ``g(L) = L * rate + altered optimum at L``, attained at
+    ``multiplier``.  ``tree_hi`` and ``tree_lo`` are optimal there and
+    transmit at least and at most ``rate`` unless the minimum sits at
+    an end of ``[0, max_reward]`` with no tree that reaches the rate.
+    ``evaluations`` counts DP solves.
     """
 
     value: float
     multiplier: float
     rate: float
     evaluations: int
+    tree_hi: DecisionTree = field(repr=False)
+    tree_lo: DecisionTree = field(repr=False)
+
+
+class _Cut(NamedTuple):
+    """One tree's line ``gain + L * (rate - transmit)``; the dual g is
+    the upper envelope of these lines over all trees."""
+
+    tree: DecisionTree
+    gain: float
+    transmit: float
+
+
+def _cut(result: OracleResult) -> _Cut:
+    report = evaluate_policy(result.instance, result.tree)
+    return _Cut(result.tree, report.gain, report.transmit_prob)
 
 
 def rate_constrained_optimum(
-    instance: Instance,
-    rate: float,
-    *,
-    max_channels: int = 14,
-    _cache: dict | None = None,
+    instance: Instance, rate: float, *, max_channels: int = 14
 ) -> RateConstrainedBound:
+    """Minimize the dual exactly by Kelley's cutting-plane method.
+
+    g is convex and piecewise linear with slope ``rate - transmit`` of
+    the optimal tree.  The search keeps one falling cut (transmit above
+    the rate) and one rising cut, solves where they cross, and stops
+    once g there is no higher than the cuts; otherwise the new tree's
+    cut replaces the one on its side.  A cut whose slope points out of
+    ``[0, max_reward]`` at an end, or is flat, marks a minimizer.
+    """
     if not 0.0 < rate < 1.0:
         raise InfeasibleRate(f"rate must lie in (0, 1), got {rate!r}")
     rmax = instance.max_reward
-    cache: dict[float, float] = {} if _cache is None else _cache
+    evaluations = 0
 
-    def dual(L: float) -> float:
-        L = min(max(float(L), 0.0), rmax)
-        if L not in cache:
-            cache[L] = altered_optimum(
-                instance, L, max_channels=max_channels
-            ).value
-        return L * rate + cache[L]
-
-    grid = np.unique(
-        np.concatenate(
-            [[0.0, rmax], instance.rewards, np.asarray(instance.blind_rewards)]
+    def solve(L: float, tie_preference: str = "default") -> OracleResult:
+        nonlocal evaluations
+        evaluations += 1
+        return altered_optimum(
+            instance, L, tie_preference=tie_preference, max_channels=max_channels
         )
-    )
-    grid = grid[(grid >= 0.0) & (grid <= rmax)]
-    for L in grid:
-        dual(L)
-    minimize_scalar(
-        dual, bounds=(0.0, rmax), method="bounded", options={"xatol": 1e-10}
-    )
-    # the argmin among everything actually evaluated; each evaluation is
-    # a valid upper bound on its own, so no bracketing argument is needed
-    best_L = min(cache, key=lambda L: L * rate + cache[L])
-    return RateConstrainedBound(
-        value=dual(best_L),
-        multiplier=float(best_L),
-        rate=float(rate),
-        evaluations=len(cache),
-    )
+
+    def finish(L: float, result: OracleResult, hi: _Cut, lo: _Cut):
+        return RateConstrainedBound(
+            value=float(L * rate + result.value),
+            multiplier=float(L),
+            rate=float(rate),
+            evaluations=evaluations,
+            tree_hi=hi.tree,
+            tree_lo=lo.tree,
+        )
+
+    result = solve(0.0, "prefer-transmit")
+    hi = _cut(result)
+    if hi.transmit <= rate:
+        return finish(0.0, result, hi, hi)
+    result = solve(rmax, "prefer-silent")
+    lo = _cut(result)
+    if lo.transmit >= rate:
+        return finish(rmax, result, lo, lo)
+    while True:
+        L = (hi.gain - lo.gain) / (hi.transmit - lo.transmit)
+        L = min(max(L, 0.0), rmax)
+        result = solve(L)
+        model = max(c.gain + L * (rate - c.transmit) for c in (hi, lo))
+        if L * rate + result.value <= model + TIE_TOL:
+            return finish(L, result, hi, lo)
+        cut = _cut(result)
+        if cut.transmit == rate:
+            return finish(L, result, cut, cut)
+        if cut.transmit > rate:
+            hi = cut
+        else:
+            lo = cut
 
 
 @dataclass(frozen=True, eq=False)
 class MixCertificate:
     """A two-tree mixture meeting the rate, with its achieved gain.
 
-    When ``ok`` is true, the mixture transmits with probability ``rate``
-    exactly and its plain gain sits within ``gap`` of the dual bound,
-    certifying both sides are near-tight.
+    ``alpha`` of ``tree_hi`` and the rest of ``tree_lo`` transmits with
+    probability ``rate`` exactly.  When ``ok`` is true its plain gain
+    sits within ``gap`` of the dual bound, so by weak duality both the
+    mixture and the bound are optimal up to ``gap``.
     """
 
     ok: bool
     bound: RateConstrainedBound
     alpha: float
-    side_step: float
     tree_hi: DecisionTree | None
     tree_lo: DecisionTree | None
     transmit_hi: float
@@ -729,53 +763,39 @@ def dual_certificate(
     max_channels: int = 14,
     gap_tol: float = 1e-6,
 ) -> MixCertificate:
-    """Try to exhibit a primal mixture matching the dual bound.
+    """Exhibit a primal mixture matching the dual bound.
 
-    Solves the charged problem just below and just above the bound's
-    best multiplier (transmit-greedy below, silence-greedy above), and
-    mixes the two trees to hit the rate exactly.  The step widens from
-    1e-7 to 1e-3 until the two transmission probabilities straddle the
-    rate; at a kink of the dual this succeeds immediately.
+    Mixes the bound's two trees, both optimal at its multiplier, so no
+    DP solve happens here unless ``bound`` is omitted.  ``ok`` is false,
+    with NaN fields, when their transmit probabilities do not straddle
+    ``rate``.
     """
     if bound is None:
         bound = rate_constrained_optimum(instance, rate, max_channels=max_channels)
-    rmax = instance.max_reward
-    for step in (1e-7, 1e-6, 1e-5, 1e-4, 1e-3):
-        lo_L = max(0.0, bound.multiplier - step)
-        hi_L = min(rmax, bound.multiplier + step)
-        r_hi = altered_optimum(
-            instance, lo_L, tie_preference="prefer-transmit", max_channels=max_channels
+    g_hi = evaluate_policy(instance, bound.tree_hi)
+    g_lo = evaluate_policy(instance, bound.tree_lo)
+    s_hi, s_lo = g_hi.transmit_prob, g_lo.transmit_prob
+    if s_lo <= rate <= s_hi:
+        alpha = 1.0 if s_hi == s_lo else (rate - s_lo) / (s_hi - s_lo)
+        primal = alpha * g_hi.gain + (1.0 - alpha) * g_lo.gain
+        gap = bound.value - primal
+        return MixCertificate(
+            ok=bool(abs(gap) <= gap_tol),
+            bound=bound,
+            alpha=float(alpha),
+            tree_hi=bound.tree_hi,
+            tree_lo=bound.tree_lo,
+            transmit_hi=float(s_hi),
+            transmit_lo=float(s_lo),
+            gain_hi=float(g_hi.gain),
+            gain_lo=float(g_lo.gain),
+            primal_value=float(primal),
+            gap=float(gap),
         )
-        r_lo = altered_optimum(
-            instance, hi_L, tie_preference="prefer-silent", max_channels=max_channels
-        )
-        g_hi = evaluate_policy(instance, r_hi.tree)
-        g_lo = evaluate_policy(instance, r_lo.tree)
-        s_hi, s_lo = g_hi.transmit_prob, g_lo.transmit_prob
-        if s_lo - 1e-15 <= rate <= s_hi + 1e-15:
-            denom = s_hi - s_lo
-            alpha = 1.0 if denom <= 0 else min(1.0, max(0.0, (rate - s_lo) / denom))
-            primal = alpha * g_hi.gain + (1.0 - alpha) * g_lo.gain
-            gap = bound.value - primal
-            return MixCertificate(
-                ok=bool(abs(gap) <= gap_tol),
-                bound=bound,
-                alpha=float(alpha),
-                side_step=step,
-                tree_hi=r_hi.tree,
-                tree_lo=r_lo.tree,
-                transmit_hi=float(s_hi),
-                transmit_lo=float(s_lo),
-                gain_hi=float(g_hi.gain),
-                gain_lo=float(g_lo.gain),
-                primal_value=float(primal),
-                gap=float(gap),
-            )
     return MixCertificate(
         ok=False,
         bound=bound,
         alpha=float("nan"),
-        side_step=1e-3,
         tree_hi=None,
         tree_lo=None,
         transmit_hi=float("nan"),

@@ -225,3 +225,29 @@ def prefix_class_optimum(instance, backup: int, escape_state: int) -> float:
         for perm in itertools.permutations(others, size):
             best = max(best, backbone_value(perm))
     return best
+
+
+# -- grid reference for the rate-capped dual bound ----------------------
+
+
+def grid_dual_bound(instance, rate: float) -> float:
+    """Smallest ``L * rate + altered optimum at L`` over a fixed grid of
+    charges: 0, the top reward, every reward and blind reward in between,
+    and 64 evenly spaced charges on ``[0, top reward]``.
+
+    Each term is an upper bound by weak duality, so the exact minimum
+    can never lie above this.
+    """
+    rmax = instance.max_reward
+    grid = np.concatenate(
+        [
+            [0.0, rmax],
+            instance.rewards,
+            np.asarray(instance.blind_rewards),
+            np.linspace(0.0, rmax, 64),
+        ]
+    )
+    grid = np.unique(grid[(grid >= 0.0) & (grid <= rmax)])
+    return min(
+        float(L) * rate + po.altered_optimum(instance, float(L)).value for L in grid
+    )

@@ -74,6 +74,16 @@ class TestCheck:
         assert results[0]["ok"] is False
         assert results[0]["violations"]
 
+    def test_non_finite_numbers(self, tmp_path, capsys):
+        path = write_instance(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["channels"][1]["cost"] = float("nan")
+        path.write_text(json.dumps(doc))
+        assert run("check", path) == 2
+        results = json.loads(capsys.readouterr().out)
+        assert [v["code"] for v in results[0]["violations"]] == ["non-finite"]
+        assert run("solve", path) == 2
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("{not json")

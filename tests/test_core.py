@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import probeopt as po
+from helpers import draw_instance
 
 
 def small_instance():
@@ -121,6 +124,26 @@ class TestValidation:
         with pytest.raises(po.InstanceValidationError):
             po.Instance.from_arrays((0.0, 1.0), [[0.2, 0.2], [0.2, 0.2]], (0.0, 0.0))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from(["reward", "prob", "cost"]),
+        st.integers(0, 1_000),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+    )
+    def test_any_non_finite_entry_is_refused(self, seed, field, pick, bad):
+        doc = po.instance_to_dict(draw_instance(seed, n_hi=5))
+        channel = doc["channels"][pick % len(doc["channels"])]
+        if field == "reward":
+            doc["rewards"][pick % len(doc["rewards"])] = bad
+        elif field == "prob":
+            channel["probs"][pick % len(channel["probs"])] = bad
+        else:
+            channel["cost"] = bad
+        with pytest.raises(po.InstanceValidationError) as err:
+            po.instance_from_dict(doc)
+        assert "non-finite" in err.value.codes()
+
 
 class TestTailAlgebra:
     def test_known_values(self):
@@ -199,6 +222,16 @@ class TestSerialization:
         po.save_instance(inst, path)
         back = po.load_instance(path)
         np.testing.assert_allclose(back.probs, inst.probs)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_load_refuses_non_finite_tokens(self, tmp_path, token):
+        path = tmp_path / "inst.json"
+        po.save_instance(small_instance(), path)
+        path.write_text(path.read_text().replace("0.05", token, 1))
+        for validate in (True, False):
+            with pytest.raises(po.InstanceValidationError) as err:
+                po.load_instance(path, validate=validate)
+            assert err.value.codes() == ("non-finite",)
 
     def test_malformed_document(self):
         with pytest.raises(po.InstanceValidationError) as err:

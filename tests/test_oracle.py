@@ -1,11 +1,18 @@
 """Brute-force ground truth: the bitmask table, tree extraction, class
 restrictions, structural diagnostics, and the rate-capped benchmark."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import probeopt as po
-from helpers import draw_instance, slow_report
+import probeopt.oracle as oracle_module
+from helpers import draw_instance, grid_dual_bound, slow_report
 
 
 class TestExactDP:
@@ -221,3 +228,69 @@ class TestRateCappedBenchmark:
             po.rate_constrained_optimum(inst, 0.0)
         with pytest.raises(po.ProbingError):
             po.rate_constrained_optimum(inst, 1.0)
+
+    def test_exact_minimum_against_the_grid_reference(self):
+        for seed in range(12):
+            inst = draw_instance(7000 + seed, n_lo=1, n_hi=6, k_hi=4)
+            for rate in (0.2, 0.5, 0.8):
+                bound = po.rate_constrained_optimum(inst, rate)
+                assert bound.value <= grid_dual_bound(inst, rate) + 1e-12
+                # a primal mixture within 1e-9 proves the bound exact
+                cert = po.dual_certificate(inst, rate, bound)
+                assert cert.gap <= 1e-9, (seed, rate)
+
+    def test_rate_out_of_reach_stops_at_zero_charge(self):
+        # with rewards >= 0 the transmit-greedy optimum at charge 0 always
+        # transmits, so leaving the rate out of reach takes a negative
+        # base reward; the oracle does not require a validated instance
+        inst = po.Instance.from_arrays(
+            (-0.5, 1.0), [[0.5, 0.6], [0.5, 0.4]], (0.05, 0.0), validate=False
+        )
+        greedy = po.altered_optimum(inst, 0.0, tie_preference="prefer-transmit")
+        top = po.evaluate_policy(inst, greedy.tree).transmit_prob
+        rate = (top + 1.0) / 2.0
+        assert top < rate < 1.0
+        bound = po.rate_constrained_optimum(inst, rate)
+        assert bound.multiplier == 0.0
+        assert bound.value == po.exact_dp(inst).value
+        cert = po.dual_certificate(inst, rate, bound)
+        assert cert.ok is False
+        assert np.isnan(cert.alpha)
+
+    def test_evaluations_count_dp_solves(self, monkeypatch):
+        calls = []
+        solve = oracle_module.altered_optimum
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(oracle_module, "altered_optimum", counted)
+        inst = draw_instance(11, n_lo=4, n_hi=6, k_lo=3, k_hi=4)
+        bound = po.rate_constrained_optimum(inst, 0.5)
+        assert len(calls) == bound.evaluations >= 2
+        calls.clear()
+        po.dual_certificate(inst, 0.5, bound)
+        assert calls == []
+
+
+def test_bound_and_certificate_need_no_scipy():
+    script = textwrap.dedent(
+        """
+        import sys
+        sys.modules["scipy"] = None
+        import probeopt as po
+        inst = po.Instance.from_arrays(
+            (0.0, 0.4, 1.0), [[0.5, 0.3], [0.2, 0.5], [0.3, 0.2]], (0.05, 0.02)
+        )
+        bound = po.rate_constrained_optimum(inst, 0.5)
+        assert po.dual_certificate(inst, 0.5, bound).ok
+        """
+    )
+    env = dict(os.environ)
+    src = str(Path(po.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
