@@ -34,7 +34,7 @@ for j, name in enumerate(inst.names):
 
 policy = po.two_state_opt(inst)
 report = po.evaluate_policy(inst, policy)
-print(f"\nwinner: probe {[inst.names[j] for j in policy.probe_order]}, "
+print(f"\nwinner: probe {[inst.names[j] for j in policy.probe_sequence()]}, "
       f"fall back to {inst.names[policy.backup]}")
 print(f"  gain {report.gain:.4f}, transmits with prob {report.transmit_prob:.4f}")
 

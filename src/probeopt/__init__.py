@@ -7,7 +7,8 @@ channels to probe and in what order, then transmits on a probed
 channel, gambles on an unprobed one, or stays quiet.  This package
 builds policies for that slot game and checks them:
 
-* exact closed forms for on/off channels (``two_state_opt``),
+* exact closed forms for on/off channels (``two_state_opt``), returned
+  as one-level threshold policies,
 * fast level-list policies with a constant-factor guarantee for any
   number of states (``best_reserve_backup``),
 * an equal-cost scheme that gets within an additive epsilon of the
@@ -107,8 +108,8 @@ from .simulator import (
 )
 from .two_state import (
     BackupScan,
-    ExhaustPolicy,
     TwoStateRequired,
+    _exhaust_from_dict,
     determine_best_backup,
     probe_set,
     two_state_opt,
@@ -116,19 +117,20 @@ from .two_state import (
 
 __version__ = "0.1.0"
 
+# legacy "exhaust" documents load as one-level threshold policies
 _POLICY_KINDS = {
-    "threshold": ThresholdPolicy,
-    "exhaust": ExhaustPolicy,
-    "prefix-tree": PrefixTreePolicy,
-    "mixed": MixedPolicy,
-    "decision-tree": DecisionTree,
+    "threshold": ThresholdPolicy.from_dict,
+    "exhaust": _exhaust_from_dict,
+    "prefix-tree": PrefixTreePolicy.from_dict,
+    "mixed": MixedPolicy.from_dict,
+    "decision-tree": DecisionTree.from_dict,
 }
 
 
 def policy_from_dict(data: dict, instance: Instance | None = None):
     """Rebuild any serialized policy from its ``kind`` tag."""
     kind = data.get("kind")
-    cls = _POLICY_KINDS.get(kind)
-    if cls is None:
+    load = _POLICY_KINDS.get(kind)
+    if load is None:
         raise ProbingError(f"unknown policy kind {kind!r}")
-    return cls.from_dict(data, instance)
+    return load(data, instance)

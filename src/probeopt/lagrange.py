@@ -98,15 +98,16 @@ def find_rate_bracket(instance: Instance, rate: float) -> RateBracket:
     lo, hi = 0, len(cands) - 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _gated(instance, cands[mid])[1].transmit_prob >= rate:
-            lo = mid
+        s_mid = _gated(instance, cands[mid])[1].transmit_prob
+        if s_mid >= rate:
+            lo, s_lo = mid, s_mid
         else:
-            hi = mid
+            hi, s_hi = mid, s_mid
     return RateBracket(
         threshold_low=float(cands[lo]),
         threshold_high=float(cands[hi]),
-        s_low=float(_gated(instance, cands[lo])[1].transmit_prob),
-        s_high=float(_gated(instance, cands[hi])[1].transmit_prob),
+        s_low=float(s_lo),
+        s_high=float(s_hi),
     )
 
 
@@ -250,10 +251,13 @@ class MixedPolicy:
 
     @classmethod
     def from_dict(cls, data: dict, instance: Instance | None = None) -> "MixedPolicy":
+        alpha = float(data["alpha"])
+        if not 0.0 <= alpha <= 1.0:
+            raise ProbingError(f"mixing weight alpha must be in [0, 1], got {alpha}")
         return cls(
             policy_minus=ThresholdPolicy.from_dict(data["policy_minus"], instance),
             policy_plus=ThresholdPolicy.from_dict(data["policy_plus"], instance),
-            alpha=float(data["alpha"]),
+            alpha=alpha,
             arrival_rate=float(data["arrival_rate"]),
             slack=float(data["slack"]),
             effective_rate=float(data["effective_rate"]),

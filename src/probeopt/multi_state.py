@@ -17,7 +17,6 @@ policy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -53,6 +52,8 @@ class _Workspace:
     conditioned on that.  ``score[v, j]`` is the tail mean net of the
     amortized probing cost, the quantity level membership and probing
     order are decided on; minus infinity where the tail is empty.
+    Holds no reference to the instance itself, so storing it on the
+    instance makes no reference cycle.
     """
 
     def __init__(self, instance: Instance):
@@ -71,7 +72,8 @@ class _Workspace:
             body > 0.0, tail_mean - instance.costs[None, :] / safe, -np.inf
         )
 
-        self.instance = instance
+        self.probs = probs
+        self.costs = instance.costs
         self.tail = tail
         self.tail_mean = tail_mean
         self.score = score
@@ -82,9 +84,14 @@ class _Workspace:
         self.reward_below = np.concatenate([[-1.0], rewards[:-1]])
 
 
-@lru_cache(maxsize=64)
 def _workspace(instance: Instance) -> _Workspace:
-    return _Workspace(instance)
+    """The instance's workspace, built on first use and kept in the
+    instance's own attribute dict (as its cached properties are), so it
+    lives exactly as long as the instance."""
+    ws = instance.__dict__.get("_workspace")
+    if ws is None:
+        ws = instance.__dict__["_workspace"] = _Workspace(instance)
+    return ws
 
 
 # -- construction -------------------------------------------------------
@@ -110,7 +117,7 @@ def probe_floor(
 
 
 def _level_assignment(
-    ws: _Workspace, backup: int | None, threshold: float | None
+    inst: Instance, ws: _Workspace, backup: int | None, threshold: float | None
 ) -> np.ndarray:
     """Per channel, the level it probes at (-1 if it never probes).
 
@@ -118,7 +125,6 @@ def _level_assignment(
     level's gate: the fallback mean, the decision bar, and the reward
     one level down, whichever is largest.
     """
-    inst = ws.instance
     bar = _bar(inst, backup, threshold)
     k = inst.state_count
     floor = int(np.searchsorted(inst.rewards, bar, side="right"))
@@ -139,7 +145,7 @@ def _ordered_levels(
 ) -> list[tuple[int, np.ndarray]]:
     """Nonempty levels, top first, members by descending score."""
     present = np.bincount(
-        assignment[assignment >= 0], minlength=ws.instance.state_count
+        assignment[assignment >= 0], minlength=ws.order.shape[0]
     )
     out = []
     for u in np.flatnonzero(present)[::-1]:
@@ -153,7 +159,7 @@ def probe_levels(
 ) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """The nonempty probe lists, top level first, in probing order."""
     ws = _workspace(instance)
-    assignment = _level_assignment(ws, backup, threshold)
+    assignment = _level_assignment(instance, ws, backup, threshold)
     return tuple(
         (u, tuple(int(j) for j in mem))
         for u, mem in _ordered_levels(ws, assignment)
@@ -188,10 +194,9 @@ def _stop_profile(
     The closing decision is NOT applied here; callers fold ``stopped``
     against whatever end rule their policy uses.
     """
-    inst = ws.instance
     tail = ws.tail
-    probs = inst.probs
-    k = inst.state_count
+    probs = ws.probs
+    k = probs.shape[0]
 
     stopped = np.zeros(k)
     cost = 0.0
@@ -207,7 +212,7 @@ def _stop_profile(
         reach = prods[0] * np.concatenate(
             [[1.0], np.cumprod(1.0 - tail[u, mem])[:-1]]
         )
-        cost += float(reach @ inst.costs[mem])
+        cost += float(reach @ ws.costs[mem])
         stopped[u:] += probs[u:, mem] @ reach
         above = np.concatenate([above, mem])
         prev_u = u
@@ -394,7 +399,7 @@ def _search(
     best_obj = -np.inf
     best_report = None
     for backup in (None, *range(instance.n)):
-        assignment = _level_assignment(ws, backup, x)
+        assignment = _level_assignment(instance, ws, backup, x)
         ordered = _ordered_levels(ws, assignment)
         cost, stopped, none = _stop_profile(ws, ordered)
         report = _close_out(instance, backup, x, cost, stopped, none, x)

@@ -31,7 +31,6 @@ import numpy as np
 from .core import Instance, ProbingError
 from .lagrange import MixedPolicy
 from .multi_state import ThresholdPolicy, _selection_masks
-from .two_state import ExhaustPolicy
 
 __all__ = [
     "BernoulliArrivals",
@@ -189,8 +188,6 @@ def _draw_states(
 def _slot_outcomes(instance: Instance, policy, states: np.ndarray):
     """(transmit, reward, cost, success) per slot, as if every slot
     were played."""
-    if isinstance(policy, ExhaustPolicy):
-        policy = policy.as_threshold_policy()
     if isinstance(policy, ThresholdPolicy):
         return _threshold_outcomes(instance, policy, states)
     if hasattr(policy, "act"):
@@ -283,8 +280,8 @@ def simulate_saturated(
     instance: Instance, policy, config: SimConfig | None = None
 ) -> SimReport:
     """Run ``policy`` every slot and compare against its analytic
-    figures.  Accepts level-list, exhaust, mixed, backbone, and
-    decision-tree policies."""
+    figures.  Accepts level-list, mixed, backbone, and decision-tree
+    policies."""
     if config is None:
         config = SimConfig()
 

@@ -4,31 +4,25 @@ With a single positive reward, an optimal slot looks like: set one
 channel aside as the blind fallback, probe the others that are worth
 their cost in the most cost-effective order, send on the first one found
 on, and send the fallback blind if none is.  This module scores every
-fallback choice in one O(n log n) sweep and returns the winner as an
-executable policy.
+fallback choice in one O(n log n) sweep and returns the winner as a
+level-list policy with a single probe list at level 1.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    BackupProbed,
-    GainReport,
-    Instance,
-    ProbingError,
-    RepeatedProbe,
-    UnknownChannel,
-)
+from .core import Instance, ProbingError, UnknownChannel
+from .multi_state import ThresholdPolicy
 
 __all__ = [
     "TwoStateRequired",
     "probe_set",
     "BackupScan",
     "determine_best_backup",
-    "ExhaustPolicy",
     "two_state_opt",
 ]
 
@@ -172,70 +166,30 @@ def determine_best_backup(instance: Instance) -> BackupScan:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class ExhaustPolicy:
-    """Probe ``probe_order`` until one channel is on, send it; send
-    ``backup`` blind when all are off (or nothing, if no backup)."""
-
-    probe_order: tuple[int, ...]
-    backup: int | None
-
-    def _gain_report(self, instance: Instance, altered_threshold=None) -> GainReport:
-        _require_two_states(instance)
-        seen: set[int] = set()
-        for j in self.probe_order:
-            if not 0 <= j < instance.n:
-                raise UnknownChannel(f"probe index {j}")
-            if j in seen:
-                raise RepeatedProbe(f"channel {j} probed twice")
-            seen.add(j)
-        if self.backup is not None:
-            if not 0 <= self.backup < instance.n:
-                raise UnknownChannel(f"backup index {self.backup}")
-            if self.backup in seen:
-                raise BackupProbed(f"channel {self.backup} both probed and blind")
-
-        p = instance.probs[1]
-        mass = np.zeros(2)
-        cost = 0.0
-        reach = 1.0
-        for j in self.probe_order:
-            cost += reach * instance.costs[j]
-            mass[1] += reach * p[j]
-            reach *= 1.0 - p[j]
-        if self.backup is not None:
-            mass += reach * instance.probs[:, self.backup]
-        return GainReport.assemble(instance, mass, cost, altered_threshold)
-
-    def as_threshold_policy(self):
-        """The same behavior, expressed as a level-list policy."""
-        from .multi_state import ThresholdPolicy
-
-        levels = ((1, self.probe_order),) if self.probe_order else ()
-        return ThresholdPolicy(
-            backup=self.backup, threshold=None, levels=levels
-        )
-
-    def to_dict(self, names: tuple[str, ...] | None = None) -> dict:
-        nm = (lambda j: names[j]) if names else (lambda j: str(j + 1))
-        return {
-            "kind": "exhaust",
-            "probe_order": [nm(j) for j in self.probe_order],
-            "backup": None if self.backup is None else nm(self.backup),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict, instance: Instance | None = None) -> "ExhaustPolicy":
-        idx = instance.index_of if instance is not None else (lambda s: int(s) - 1)
-        backup = data.get("backup")
-        return cls(
-            probe_order=tuple(idx(c) for c in data.get("probe_order", ())),
-            backup=None if backup is None else idx(backup),
-        )
-
-
-def two_state_opt(instance: Instance) -> ExhaustPolicy:
+def two_state_opt(instance: Instance) -> ThresholdPolicy:
     """The optimal two-state policy (best fallback, efficiency-ordered
-    probes of exactly the channels that pay for themselves)."""
+    probes of exactly the channels that pay for themselves), as a
+    level-list policy with one probe list at level 1."""
     scan = determine_best_backup(instance)
-    return ExhaustPolicy(probe_order=scan.best_probe_order, backup=scan.best)
+    probes = scan.best_probe_order
+    return ThresholdPolicy(
+        backup=scan.best, threshold=None, levels=((1, probes),) if probes else ()
+    )
+
+
+def _exhaust_from_dict(data: dict, instance: Instance | None = None) -> ThresholdPolicy:
+    """Load a legacy ``exhaust`` document (probe in order until one
+    channel is on, else send the fallback blind) as a level-list policy.
+
+    Without a fallback, a slot whose probes all come up off stays
+    silent: the smallest positive decision bar refuses the zero-reward
+    close and passes every real reward.
+    """
+    idx = instance.index_of if instance is not None else (lambda s: int(s) - 1)
+    probes = tuple(idx(c) for c in data.get("probe_order", ()))
+    backup = data.get("backup")
+    return ThresholdPolicy(
+        backup=None if backup is None else idx(backup),
+        threshold=math.ulp(0.0) if backup is None else None,
+        levels=((1, probes),) if probes else (),
+    )

@@ -11,6 +11,7 @@ vectorized algebra, so agreement is evidence rather than tautology.
 from __future__ import annotations
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -107,22 +108,27 @@ def run_threshold(instance, policy, states):
     return probed, _close_threshold(instance, policy, best)
 
 
-def run_exhaust(instance, policy, states):
-    """Two-state probe-until-success walk, independent of the
-    level-list conversion."""
-    probed = []
-    for ch in policy.probe_order:
-        probed.append(ch)
-        if states[ch] == 1:
-            return probed, ("transmit", None, 1)
-    return probed, ("backup", policy.backup)
+def run_exhaust(probe_order, backup):
+    """Two-state probe-until-on walker, independent of the level-list
+    evaluator: probe in order, send the first channel found on, else
+    send ``backup`` blind (or stay silent without one).  Returned as an
+    object with the ``act`` hook that slow_report and the simulator's
+    slot-by-slot path drive."""
+
+    def act(states):
+        probed = []
+        for ch in probe_order:
+            probed.append(ch)
+            if states[ch] == 1:
+                return probed, ("transmit", None, 1)
+        return probed, ("silent",) if backup is None else ("backup", backup)
+
+    return SimpleNamespace(act=act)
 
 
 def _run_policy(instance, policy, states):
     if isinstance(policy, po.ThresholdPolicy):
         return run_threshold(instance, policy, states)
-    if isinstance(policy, po.ExhaustPolicy):
-        return run_exhaust(instance, policy, states)
     return policy.act(states)
 
 

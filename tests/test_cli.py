@@ -15,6 +15,7 @@ import sys
 import tarfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import probeopt as po
@@ -55,6 +56,21 @@ class TestGen:
         assert run("gen", "-n", 2, "--seed", 1) == 0
         doc = json.loads(capsys.readouterr().out)
         assert "rewards" in doc
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 8, 16])
+    def test_generated_files_pass_check_and_load_exactly(self, tmp_path, k):
+        # rounding to 12 digits can push a probability sum past PROB_TOL
+        for seed in range(40):
+            out = tmp_path / f"k{k}s{seed}.json"
+            assert run("gen", "-n", 8, "-K", k, "--seed", seed, "-o", out) == 0
+            assert run("check", out, "-o", tmp_path / "check.json") == 0
+            loaded = po.load_instance(out)
+            drawn = po.generate(
+                po.GenSpec(n=8, state_count=k), np.random.default_rng(seed)
+            )
+            assert np.array_equal(loaded.rewards, drawn.rewards)
+            assert np.array_equal(loaded.probs, drawn.probs)
+            assert np.array_equal(loaded.costs, drawn.costs)
 
 
 class TestCheck:
@@ -246,6 +262,19 @@ class TestSimulate:
         assert run(*base, "--arrivals", "markov:0.2,0.3") == 0
         assert run(*base, "--arrivals", "tidal") == 2
         assert run(*base, "--arrivals", "bernoulli:12") == 2
+
+    @pytest.mark.parametrize("alpha", ["NaN", "Infinity", "1.7", "-0.2"])
+    def test_mixing_weight_must_be_a_probability(self, tmp_path, alpha):
+        ipath = write_instance(tmp_path, seed=7)
+        mix = tmp_path / "mix.json"
+        run("solve", ipath, "--mode", "unsaturated", "--rate", 0.5, "-o", mix)
+        doc = json.loads(mix.read_text())
+        doc["policy"]["alpha"] = "ALPHA"
+        mix.write_text(json.dumps(doc).replace('"ALPHA"', alpha))
+        assert run(
+            "simulate", ipath, "--policy", mix, "--slots", 500,
+            "--replications", 2, "-o", tmp_path / "sim.json",
+        ) == 2
 
     def test_unusable_policy_file(self, tmp_path):
         ipath = write_instance(tmp_path)

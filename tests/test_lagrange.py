@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import probeopt as po
+from probeopt import lagrange
 from helpers import draw_instance, slow_report
 
 
@@ -57,6 +58,22 @@ class TestBracket:
         for rate in (0.0, 1.0, -0.2, 1.4):
             with pytest.raises(po.RateOutOfRange):
                 po.find_rate_bracket(inst, rate)
+
+    def test_searches_each_price_once(self, monkeypatch):
+        prices = []
+        search = lagrange.best_reserve_backup
+
+        def counted(instance, threshold=None):
+            prices.append(threshold)
+            return search(instance, threshold)
+
+        monkeypatch.setattr(lagrange, "best_reserve_backup", counted)
+        for seed in range(12):
+            inst = draw_instance(seed, n_lo=2, n_hi=8, k_hi=4)
+            for rate in (0.15, 0.55, 0.95):
+                prices.clear()
+                po.find_rate_bracket(inst, rate)
+                assert len(prices) == len(set(prices)) >= 2
 
 
 class TestPairSelection:
@@ -148,3 +165,12 @@ class TestSolveUnsaturated:
         assert po.evaluate_policy(inst, back).gain == pytest.approx(
             po.evaluate_policy(inst, mix).gain, abs=1e-12
         )
+
+    def test_mixing_weight_outside_unit_interval_refused(self):
+        inst = draw_instance(9, n_lo=2, n_hi=4, k_hi=3)
+        doc = po.solve_unsaturated(inst, 0.4, 0.05).to_dict(inst.names)
+        for alpha in (float("nan"), float("inf"), 1.7, -0.2):
+            with pytest.raises(po.ProbingError):
+                po.policy_from_dict({**doc, "alpha": alpha}, inst)
+        for alpha in (0.0, 1.0):
+            assert po.policy_from_dict({**doc, "alpha": alpha}, inst).alpha == alpha

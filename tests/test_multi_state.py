@@ -6,6 +6,9 @@ never be probed, and only the fallback may be sent blind), and the
 n + 1 way search against explicit per-fallback evaluation.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,6 +60,14 @@ class TestEvaluator:
         assert charged.gain == pytest.approx(
             plain.gain - 0.2 * plain.transmit_prob, abs=1e-14
         )
+
+    def test_cached_arrays_die_with_the_instance(self):
+        inst = draw_instance(3, n_lo=4, n_hi=6)
+        po.evaluate_policy(inst, po.best_reserve_backup(inst))
+        ref = weakref.ref(inst)
+        del inst
+        gc.collect()
+        assert ref() is None
 
     def test_empty_policy_is_silent(self):
         inst = draw_instance(3, n_lo=2, n_hi=4)

@@ -11,7 +11,7 @@ import pytest
 
 import probeopt as po
 
-from helpers import draw_instance, slow_report
+from helpers import draw_instance, run_exhaust, slow_report
 
 
 class TestArrivals:
@@ -114,12 +114,26 @@ class TestSaturated:
             )
 
     def test_exhaust_policy_goes_through_the_fast_path(self):
+        # a legacy "exhaust" document loads as the level-list policy the
+        # two-state solver returns, and the probe-until-on walker, run
+        # slot by slot, sees the same sample paths
         inst = draw_instance(2, n_lo=3, n_hi=6, k_lo=2, k_hi=2)
-        exh = po.two_state_opt(inst)
+        pol = po.two_state_opt(inst)
+        legacy = po.policy_from_dict(
+            {
+                "kind": "exhaust",
+                "probe_order": [inst.names[j] for j in pol.probe_sequence()],
+                "backup": inst.names[pol.backup],
+            },
+            inst,
+        )
         cfg = po.SimConfig(slots=3_000, replications=3, seed=6)
-        direct = po.simulate_saturated(inst, exh, cfg)
-        converted = po.simulate_saturated(inst, exh.as_threshold_policy(), cfg)
-        assert direct.rep_gains == converted.rep_gains
+        fast = po.simulate_saturated(inst, pol, cfg)
+        assert po.simulate_saturated(inst, legacy, cfg).rep_gains == fast.rep_gains
+        walked = po.simulate_saturated(
+            inst, run_exhaust(pol.probe_sequence(), pol.backup), cfg
+        )
+        assert walked.rep_gains == pytest.approx(fast.rep_gains, abs=1e-12)
 
     def test_decision_tree_matches_analytic(self):
         inst = draw_instance(9, n_lo=3, n_hi=3, k_lo=3, k_hi=3)

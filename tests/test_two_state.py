@@ -1,14 +1,16 @@
-"""On/off channels: exhaustive-probing policies and the closed-form
-fallback scan.  Ground truth throughout is the unrestricted oracle and
-the loop-everything walker in helpers."""
+"""On/off channels: the probe-until-on policy as a one-level list, the
+closed-form fallback scan, and legacy ``exhaust`` documents.  Ground
+truth throughout is the unrestricted oracle and the loop-everything
+walkers in helpers."""
 
-import numpy as np
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import probeopt as po
-from helpers import draw_instance, slow_report
+from helpers import draw_instance, run_exhaust, slow_report
 
 
 def worked_example():
@@ -42,8 +44,10 @@ class TestWorkedExample:
     def test_full_policy(self):
         inst = worked_example()
         pol = po.two_state_opt(inst)
+        assert isinstance(pol, po.ThresholdPolicy)
         assert pol.backup == 0
-        assert pol.probe_order == (1,)
+        assert pol.threshold is None
+        assert pol.levels == ((1, (1,)),)
         rep = po.evaluate_policy(inst, pol)
         assert rep.gain == pytest.approx(0.89, abs=1e-12)
         assert rep.transmit_prob == 1.0
@@ -54,7 +58,7 @@ class TestCorners:
         # probing a lone coin at cost 0.1 never pays: 0.5 - 0.1 < 0.5
         inst = po.Instance.from_arrays((0.0, 1.0), [[0.5], [0.5]], (0.1,))
         pol = po.two_state_opt(inst)
-        assert pol.probe_order == ()
+        assert pol.levels == ()
         assert po.evaluate_policy(inst, pol).gain == pytest.approx(0.5)
 
     def test_identical_expensive_pair(self):
@@ -62,7 +66,7 @@ class TestCorners:
             (0.0, 1.0), [[0.1, 0.1], [0.9, 0.9]], (0.5, 0.5)
         )
         pol = po.two_state_opt(inst)
-        assert pol.probe_order == ()
+        assert pol.levels == ()
         assert po.evaluate_policy(inst, pol).gain == pytest.approx(0.9)
 
     def test_free_probing_probes_everything_useful(self):
@@ -83,42 +87,87 @@ class TestCorners:
             po.probe_set(inst, 0)
 
 
+def exhaust_doc(probe_order, backup):
+    return {"kind": "exhaust", "probe_order": list(probe_order), "backup": backup}
+
+
 class TestExhaustPolicy:
+    """Probe-until-on as a one-level list, and the legacy documents
+    that spelled it as its own policy kind."""
+
     def test_structure_checks(self):
         inst = worked_example()
-        with pytest.raises(po.RepeatedProbe):
-            po.evaluate_policy(inst, po.ExhaustPolicy((1, 1), 0))
-        with pytest.raises(po.BackupProbed):
-            po.evaluate_policy(inst, po.ExhaustPolicy((0,), 0))
+        for doc, err in (
+            (exhaust_doc(["2", "2"], "1"), po.RepeatedProbe),
+            (exhaust_doc(["1"], "1"), po.BackupProbed),
+            (exhaust_doc(["8"], "1"), po.UnknownChannel),
+        ):
+            with pytest.raises(err):
+                po.evaluate_policy(inst, po.policy_from_dict(doc))
         with pytest.raises(po.UnknownChannel):
-            po.evaluate_policy(inst, po.ExhaustPolicy((7,), 0))
+            po.policy_from_dict(exhaust_doc(["C"], "A"), inst)
 
     def test_no_backup_variant(self):
         inst = worked_example()
-        rep = po.evaluate_policy(inst, po.ExhaustPolicy((0, 1), None))
+        pol = po.policy_from_dict(exhaust_doc(["A", "B"], None), inst)
+        rep = po.evaluate_policy(inst, pol)
         # transmit iff someone is on
         assert rep.transmit_prob == pytest.approx(1.0 - 0.2 * 0.5)
+        assert rep.probe_cost == pytest.approx(0.05 + 0.2 * 0.01)
+        assert rep.gain == pytest.approx(0.9 - 0.052)
+        sim = po.simulate_saturated(
+            inst, pol, po.SimConfig(slots=20_000, replications=5, seed=1)
+        )
+        assert (
+            abs(sim.mean_transmit - rep.transmit_prob)
+            <= 5.0 * sim.se_transmit + 1e-4
+        )
+        assert abs(sim.mean_gain - rep.gain) <= 5.0 * sim.se_gain + 1e-4
+
+    def test_legacy_document_with_backup(self):
+        inst = worked_example()
+        pol = po.policy_from_dict(exhaust_doc(["B"], "A"), inst)
+        assert isinstance(pol, po.ThresholdPolicy)
+        assert (pol.backup, pol.threshold, pol.levels) == (0, None, ((1, (1,)),))
+        rep = po.evaluate_policy(inst, pol)
+        # the figures the dedicated exhaust evaluator gave
+        assert rep.gain == pytest.approx(0.89, abs=1e-12)
+        assert rep.transmit_prob == pytest.approx(1.0, abs=1e-12)
+        assert rep.probe_cost == pytest.approx(0.01, abs=1e-12)
+        blind = po.policy_from_dict(exhaust_doc([], "B"), inst)
+        assert blind.levels == ()
+        assert po.evaluate_policy(inst, blind).gain == pytest.approx(0.5)
 
     def test_serialization_round_trip(self):
         inst = worked_example()
         pol = po.two_state_opt(inst)
         doc = pol.to_dict(inst.names)
+        assert doc["kind"] == "threshold"
         back = po.policy_from_dict(doc, inst)
-        assert back.probe_order == pol.probe_order
+        assert back.levels == pol.levels
         assert back.backup == pol.backup
+        assert back.threshold is None
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 5000))
     def test_matches_slow_walker_and_level_conversion(self, seed):
         inst = draw_instance(seed, n_hi=5, k_lo=2, k_hi=2)
+        scan = po.determine_best_backup(inst)
         pol = po.two_state_opt(inst)
+        assert isinstance(pol, po.ThresholdPolicy)
+        assert pol.probe_sequence() == scan.best_probe_order
+        assert pol.backup == scan.best
         rep = po.evaluate_policy(inst, pol)
-        gain, tx, cost, _ = slow_report(inst, pol)
+        gain, tx, cost, _ = slow_report(
+            inst, run_exhaust(scan.best_probe_order, scan.best)
+        )
         assert rep.gain == pytest.approx(gain, abs=1e-12)
         assert rep.transmit_prob == pytest.approx(tx, abs=1e-12)
         assert rep.probe_cost == pytest.approx(cost, abs=1e-12)
-        conv = po.evaluate_policy(inst, pol.as_threshold_policy())
-        assert conv.gain == pytest.approx(rep.gain, abs=1e-12)
+        # the legacy spelling of the same policy evaluates identically
+        names = [str(j + 1) for j in scan.best_probe_order]
+        legacy = po.policy_from_dict(exhaust_doc(names, str(scan.best + 1)))
+        assert po.evaluate_policy(inst, legacy).gain == rep.gain
 
 
 class TestOptimality:
@@ -134,9 +183,7 @@ class TestOptimality:
             inst = draw_instance(seed, n_lo=2, n_hi=6, k_lo=2, k_hi=2)
             scan = po.determine_best_backup(inst)
             for i in range(inst.n):
-                direct = po.evaluate_policy(
-                    inst, po.ExhaustPolicy(po.probe_set(inst, i), i)
-                ).gain
+                direct = slow_report(inst, run_exhaust(po.probe_set(inst, i), i))[0]
                 assert scan.channel_gains[i] == pytest.approx(direct, abs=1e-12)
 
     def test_efficiency_order_is_locally_unbeatable(self):
@@ -145,9 +192,9 @@ class TestOptimality:
             inst = draw_instance(seed, n_lo=3, n_hi=6, k_lo=2, k_hi=2)
             pol = po.two_state_opt(inst)
             base = po.evaluate_policy(inst, pol).gain
-            order = list(pol.probe_order)
+            order = list(pol.probe_sequence())
             for t in range(len(order) - 1):
                 swapped = order.copy()
                 swapped[t], swapped[t + 1] = swapped[t + 1], swapped[t]
-                alt = po.ExhaustPolicy(tuple(swapped), pol.backup)
+                alt = dataclasses.replace(pol, levels=((1, tuple(swapped)),))
                 assert po.evaluate_policy(inst, alt).gain <= base + 1e-12
