@@ -127,9 +127,9 @@ class MultiplierPair:
     construction: str
 
 
-def _pair(instance, x_lo, x_hi, construction) -> MultiplierPair:
-    p_lo, rep_lo = _gated(instance, x_lo)
-    p_hi, rep_hi = _gated(instance, x_hi)
+def _pair(side, x_lo, x_hi, construction) -> MultiplierPair:
+    p_lo, rep_lo = side(x_lo)
+    p_hi, rep_hi = side(x_hi)
     return MultiplierPair(
         multiplier_low=float(x_lo),
         multiplier_high=float(x_hi),
@@ -152,13 +152,18 @@ def select_multiplier_pair(
     across the bracket interior, a delta-wide pair there straddles
     immediately.  The flatness can fail (probe lists move inside the
     interval), so the straddle is checked and bisection takes over when
-    it does not hold."""
+    it does not hold.  Each price is searched at most once."""
+    sides: dict[float, tuple[ThresholdPolicy, GainReport]] = {}
+
+    def side(x):
+        if x not in sides:
+            sides[x] = _gated(instance, x)
+        return sides[x]
+
     if bracket.s_low == rate:
-        return _pair(instance, bracket.threshold_low, bracket.threshold_low, "exact")
+        return _pair(side, bracket.threshold_low, bracket.threshold_low, "exact")
     if bracket.s_high == rate:
-        return _pair(
-            instance, bracket.threshold_high, bracket.threshold_high, "exact"
-        )
+        return _pair(side, bracket.threshold_high, bracket.threshold_high, "exact")
     width = bracket.threshold_high - bracket.threshold_low
     if width <= 0.0:
         raise BracketNotFound("zero-width bracket cannot straddle the rate")
@@ -167,18 +172,18 @@ def select_multiplier_pair(
     mid = 0.5 * (bracket.threshold_low + bracket.threshold_high)
     x_lo = mid - 0.5 * delta
     x_hi = mid + 0.5 * delta
-    cand = _pair(instance, x_lo, x_hi, "midpoint")
+    cand = _pair(side, x_lo, x_hi, "midpoint")
     if cand.s_minus >= rate >= cand.s_plus:
         return cand
     lo = bracket.threshold_low
     hi = bracket.threshold_high
     while hi - lo > delta:
         mid = 0.5 * (lo + hi)
-        if _gated(instance, mid)[1].transmit_prob >= rate:
+        if side(mid)[1].transmit_prob >= rate:
             lo = mid
         else:
             hi = mid
-    return _pair(instance, lo, hi, "bisection")
+    return _pair(side, lo, hi, "bisection")
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,14 +8,16 @@ fallback and the reward one level down.  Execution probes those lists
 top level first, best candidate first, and stops as soon as an
 observation reaches the level being worked; the slot then closes by
 sending the best probed channel, the fallback blind, or nothing,
-whichever the decision rule picks.  Searching the one-fallback family
-costs n + 1 evaluations and lands within a constant factor of the
-unrestricted optimum; the evaluators here are exact and O(n K) per
-policy.
+whichever the decision rule picks.  The evaluators here are exact and
+O(n K) per policy.  The best of the one-fallback family lands within a
+constant factor of the unrestricted optimum; the search scores all
+n + 1 choices together in O(n (K + log n)) per price, after an O(n K)
+build per instance that every price shares.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +28,7 @@ from .core import (
     Instance,
     LevelOutOfRange,
     PolicyStructureError,
+    ProbingError,
     RepeatedProbe,
     UnknownChannel,
     blind_backup_reward,
@@ -48,18 +51,33 @@ class _Workspace:
     """Arrays shared by every policy built on one instance.
 
     ``tail[v, j]`` is channel j's probability of sitting at state v or
-    higher (row K is zero); ``tail_mean[v, j]`` the expected reward
-    conditioned on that.  ``score[v, j]`` is the tail mean net of the
-    amortized probing cost, the quantity level membership and probing
-    order are decided on; minus infinity where the tail is empty.
-    Holds no reference to the instance itself, so storing it on the
-    instance makes no reference cycle.
+    higher (row K is zero).  ``score[v, j]`` is the expected reward
+    conditioned on that, net of the amortized probing cost: the
+    quantity level membership and probing order are decided on; minus
+    infinity where the tail is empty.
+
+    The rest is the fallback-free probe sequence the search scores
+    against.  ``top[j]`` is the highest level whose score clears the
+    reward one level down (-1 if none).  Under a fallback whose floor
+    is f, channel j probes at ``top[j]`` when that lies above f, and
+    otherwise at f or not at all; so every policy the search weighs is
+    a prefix of ``seq`` (levels top first, each in ``order``) with the
+    fallback taken out.  Level u fills ``seq[start[u]:end[u]]``, and
+    ``start[u]`` counts the channels above it; index K is an empty
+    level for a floor above every reward.  ``keep``, ``gain``,
+    ``own_tail`` and ``own_score`` give each probe's chance of not
+    stopping the run, the reward it stops the run with less its cost,
+    its tail mass and its score, all at its own level.  ``enter[v]`` and ``leave[v]``
+    are the chances that every channel above level v sits below v,
+    and below v + 1.  Holds no reference to the instance itself, so
+    storing it on the instance makes no reference cycle.
     """
 
     def __init__(self, instance: Instance):
         probs = instance.probs
         k, n = probs.shape
         rewards = instance.rewards
+        costs = instance.costs
 
         tail = np.vstack(
             [np.cumsum(probs[::-1], axis=0)[::-1], np.zeros((1, n))]
@@ -67,21 +85,46 @@ class _Workspace:
         num = np.cumsum((probs * rewards[:, None])[::-1], axis=0)[::-1]
         body = tail[:k]
         safe = np.where(body > 0.0, body, 1.0)
-        tail_mean = np.where(body > 0.0, num / safe, 0.0)
         score = np.where(
-            body > 0.0, tail_mean - instance.costs[None, :] / safe, -np.inf
+            body > 0.0, num / safe - costs[None, :] / safe, -np.inf
         )
 
         self.probs = probs
-        self.costs = instance.costs
+        self.costs = costs
         self.tail = tail
-        self.tail_mean = tail_mean
         self.score = score
         # per level: candidates by descending score, ties by index
         self.order = np.argsort(-score, axis=1, kind="stable")
         # membership gate floor per level before any fallback enters:
         # the reward one level down (sentinel below the bottom)
         self.reward_below = np.concatenate([[-1.0], rewards[:-1]])
+
+        clears = score > self.reward_below[:, None]
+        top = np.where(
+            clears.any(axis=0), (k - 1) - np.argmax(clears[::-1], axis=0), -1
+        )
+        seq = np.concatenate(
+            [self.order[u][top[self.order[u]] == u] for u in range(k - 1, -1, -1)]
+        )
+        level = top[seq]
+        count = np.bincount(level, minlength=k)
+        end = np.cumsum(count[::-1])[::-1]
+        self.top = top
+        self.seq = seq
+        self.pos = np.full(n, -1)
+        self.pos[seq] = np.arange(seq.size)
+        self.start = np.append(end - count, 0)
+        self.end = np.append(end, 0)
+        self.keep = 1.0 - tail[level, seq]
+        self.gain = num[level, seq] - costs[seq]
+        self.own_tail = tail[level, seq]
+        self.own_score = score[level, seq]
+        self.enter = np.array(
+            [np.prod(1.0 - tail[v, seq[:s]]) for v, s in enumerate(end - count)]
+        )
+        self.leave = np.array(
+            [np.prod(1.0 - tail[v + 1, seq[:s]]) for v, s in enumerate(end - count)]
+        )
 
 
 def _workspace(instance: Instance) -> _Workspace:
@@ -173,6 +216,7 @@ def reserve_backup_policy(
     fallback) under decision bar ``threshold`` (None for always-send)."""
     if backup is not None and not 0 <= backup < instance.n:
         raise UnknownChannel(f"backup index {backup} out of range")
+    _check_threshold(threshold)
     return ThresholdPolicy(
         backup=backup,
         threshold=None if threshold is None else float(threshold),
@@ -380,33 +424,151 @@ def check_policy_invariants(
             )
 
 
-# -- the n + 1 way search ----------------------------------------------
+# -- the fallback search -------------------------------------------------
 
 
-def _search(
-    instance: Instance, threshold: float | None
-) -> tuple[int | None, float, GainReport]:
+def _check_threshold(threshold: float | None) -> None:
+    if threshold is not None and not math.isfinite(threshold):
+        raise ProbingError(f"threshold must be a finite number, got {threshold}")
+
+
+def _compose(keep, gain, lo, hi):
+    """Fold each stretch ``[lo, hi)`` of the probe sequence into one
+    step.  Returns (through, value): the chance that no probe in the
+    stretch stops the run, and what its probes collect (``gain`` of
+    each, counted only while every earlier one came up short).
+
+    The stretch is covered by blocks of doubling width (each block's
+    pair composed from two half blocks), so it costs O(log n) per
+    stretch and never divides."""
+    through = np.ones(lo.shape)
+    value = np.zeros(lo.shape)
+    at = lo.copy()
+    left = np.maximum(hi - lo, 0)
+    longest = int(left.max(initial=0))
+    width = 1
+    while width <= longest:
+        if width > 1:
+            half = width // 2
+            keep, gain = (
+                keep[:-half] * keep[half:],
+                gain[:-half] + keep[:-half] * gain[half:],
+            )
+        use = np.flatnonzero(left & width)
+        blk = at[use]
+        value[use] += through[use] * gain[blk]
+        through[use] *= keep[blk]
+        at[use] += width
+        width *= 2
+    return through, value
+
+
+def _leave_one_out(factors: np.ndarray) -> np.ndarray:
+    """Product of all the factors but the one at each position."""
+    out = np.ones_like(factors)
+    np.cumprod(factors[:-1], out=out[1:])
+    out[:-1] *= np.cumprod(factors[:0:-1])[::-1]
+    return out
+
+
+def _fallback_scores(instance: Instance, threshold: float | None) -> np.ndarray:
+    """The search objective of every fallback choice: no fallback
+    first, then channels 0..n-1.
+
+    Channel b's policy is a prefix of ``ws.seq`` with b taken out:
+    every level above b's floor f, then the floor level's channels
+    whose score beats b's bar (see :class:`_Workspace`).  Its objective
+    adds up
+    - the probes, each earning its gain times the chance of reaching it;
+    - runs that clear every level above a state v >= f and sit at v,
+      with chance ``leave[v] - enter[v]`` and worth ``r_v - x`` whatever
+      the fallback;
+    - runs that end below f, which close on the fallback: its blind
+      mean less the charge, when that pays.
+    The levels above b's own level are shared by its floor group.  Its
+    own level splits into the stretches before and after it
+    (:func:`_compose`).  A fallback above its floor also changes the
+    entry chances of the levels down to the floor, which are taken one
+    row at a time with it left out (:func:`_leave_one_out`).  With no
+    fallback, a run that ends below the floor is worth the state it
+    found, not one figure, so that choice goes through the exact
+    evaluator."""
+    ws = _workspace(instance)
+    k = instance.state_count
+    x = 0.0 if threshold is None else float(threshold)
+    r = instance.rewards
+    blind = instance.blind_rewards
+    bar = blind if threshold is None else np.maximum(blind, x)
+    settle = blind if threshold is None else np.maximum(blind - x, 0.0)
+    floor = np.searchsorted(r, bar, side="right")
+    top, pos, start, end = ws.top, ws.pos, ws.start, ws.end
+
+    # floor prefix: the floor level's channels whose score beats the bar
+    cut = np.zeros(instance.n, dtype=int)
+    for f in np.flatnonzero(np.bincount(floor, minlength=k + 1)[:k]):
+        mine = floor == f
+        scores = ws.own_score[start[f] : end[f]]
+        cut[mine] = start[f] + np.searchsorted(-scores, -bar[mine], side="left")
+    # the fallback's own level, where its stretch of it ends, and the
+    # fallback's place in it (the stretch's end when it is not there)
+    upper = top > floor
+    own = np.where(upper, top, floor)
+    own_end = np.where(upper, end[top], cut)
+    gap = np.where(upper | ((top == floor) & (pos < cut)), pos, own_end)
+    lift = np.flatnonzero(upper)
+
+    through, value = _compose(
+        ws.keep,
+        ws.gain - x * ws.own_tail,
+        np.concatenate([start[:k], start[own], gap + 1, start[floor[lift]]]),
+        np.concatenate([end[:k], gap, own_end, cut[lift]]),
+    )
+    level_value, head, rest, close = np.split(
+        np.stack([through, value]), np.cumsum([k, instance.n, instance.n]), axis=1
+    )
+    inner = head[1] + head[0] * rest[1]
+    clear = head[0] * rest[0]
+
+    # what the levels from t up earn whatever happens below: probes at
+    # levels above t, and runs that end at t or higher
+    enter = np.append(ws.enter, 1.0)
+    probe_rows = np.append(ws.enter * level_value[1], 0.0)
+    stop_rows = np.append((r - x) * (ws.leave - ws.enter), 0.0)
+    upward = np.cumsum((probe_rows + stop_rows)[::-1])[::-1] - probe_rows
+
+    out = upward[floor] + enter[floor] * (inner + settle * clear)
+    if lift.size:
+        low, high, at = floor[lift], top[lift], pos[lift]
+        closing = close[1] + settle[lift] * close[0]
+        rows = np.zeros(lift.size)
+        for v in range(int(low.min()), int(high.max())):
+            live = np.flatnonzero((low <= v) & (v < high))
+            chans = ws.seq[: start[v]]
+            run_in = _leave_one_out(1.0 - ws.tail[v, chans])[at[live]]
+            run_on = _leave_one_out(1.0 - ws.tail[v + 1, chans])[at[live]]
+            here = np.where(low[live] == v, closing[live], level_value[1][v])
+            rows[live] += (r[v] - x) * (run_on - run_in) + run_in * here
+        out[lift] = upward[high] + enter[high] * inner[lift] + rows
+
+    assignment = _level_assignment(instance, ws, None, threshold)
+    cost, stopped, none = _stop_profile(ws, _ordered_levels(ws, assignment))
+    silent = _close_out(instance, None, threshold, cost, stopped, none, threshold)
+    return np.concatenate([[silent.gain], out])
+
+
+def _search(instance: Instance, threshold: float | None) -> int | None:
     """Best fallback choice under one decision bar.
 
     The objective charges the bar per transmission when one is set (the
     rate-limited pipeline's objective); with no bar it is the plain
-    gain.  Ties go to no-fallback first, then the lowest channel index,
-    via strict comparison along that fixed visiting order.
+    gain.  Scores within 1e-12 * (1 + |best|) of the best count as a
+    tie, which goes to the first in visiting order: no fallback, then
+    channels by index.
     """
-    ws = _workspace(instance)
-    x = threshold
-    best = None
-    best_obj = -np.inf
-    best_report = None
-    for backup in (None, *range(instance.n)):
-        assignment = _level_assignment(instance, ws, backup, x)
-        ordered = _ordered_levels(ws, assignment)
-        cost, stopped, none = _stop_profile(ws, ordered)
-        report = _close_out(instance, backup, x, cost, stopped, none, x)
-        obj = report.gain
-        if obj > best_obj:
-            best, best_obj, best_report = backup, obj, report
-    return best, best_obj, best_report
+    scores = _fallback_scores(instance, threshold)
+    best = scores.max()
+    i = int(np.argmax(scores >= best - 1e-12 * (1.0 + abs(best))))
+    return None if i == 0 else i - 1
 
 
 def best_reserve_backup(
@@ -418,5 +580,5 @@ def best_reserve_backup(
     ``threshold`` per transmission when a bar is given, matching what
     the rate-limited pipeline needs from this search.
     """
-    backup, _, _ = _search(instance, threshold)
-    return reserve_backup_policy(instance, backup, threshold)
+    _check_threshold(threshold)
+    return reserve_backup_policy(instance, _search(instance, threshold), threshold)

@@ -171,6 +171,28 @@ def slow_report(instance, policy, altered_threshold=None):
     return gain, tx, cost, mass
 
 
+# -- the fallback search, one full evaluation per choice ----------------
+
+
+def reference_search(instance, threshold=None):
+    """The O(n^2 K) fallback search: build and evaluate each of the
+    n + 1 policies from scratch, keeping the first strict best in
+    visiting order (no fallback, then channels by index).
+
+    Returns (fallback, objective, every objective in visiting order).
+    """
+    scores = [
+        po.evaluate_policy(
+            instance,
+            po.reserve_backup_policy(instance, backup, threshold),
+            altered_threshold=threshold,
+        ).gain
+        for backup in (None, *range(instance.n))
+    ]
+    i = int(np.argmax(scores))
+    return (None if i == 0 else i - 1), scores[i], np.array(scores)
+
+
 # -- brute-force optimum of the fixed-prefix class ----------------------
 
 

@@ -135,6 +135,14 @@ class TestSolve:
         doc = json.loads(out.read_text())
         assert doc["report"]["altered_threshold"] == 0.25
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_saturated_threshold_must_be_finite(self, tmp_path, capsys, bad):
+        ipath = write_instance(tmp_path, seed=1)
+        assert run("solve", ipath, f"--threshold={bad}") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
     def test_additive_on_equal_costs(self, tmp_path):
         ipath = write_instance(tmp_path, seed=4, cost_regime="equal")
         out = tmp_path / "add.json"

@@ -91,6 +91,30 @@ class TestPairSelection:
                         1 + 1e-12
                     )
 
+    def test_searches_each_price_once(self, monkeypatch):
+        prices = []
+        search = lagrange.best_reserve_backup
+
+        def counted(instance, threshold=None):
+            prices.append(threshold)
+            return search(instance, threshold)
+
+        cases = [(coin_instance(), 0.5)] + [
+            (draw_instance(seed, n_lo=2, n_hi=8, k_hi=4), rate)
+            for seed in range(12)
+            for rate in (0.3, 0.6, 0.9)
+        ]
+        cases = [(inst, rate, po.find_rate_bracket(inst, rate)) for inst, rate in cases]
+        monkeypatch.setattr(lagrange, "best_reserve_backup", counted)
+        constructions = set()
+        for inst, rate, br in cases:
+            for delta in (1e-4, 0.5 * (br.threshold_high - br.threshold_low)):
+                prices.clear()
+                pair = po.select_multiplier_pair(inst, rate, br, delta)
+                constructions.add(pair.construction)
+                assert len(prices) == len(set(prices)) >= 1
+        assert constructions == {"exact", "midpoint", "bisection"}
+
     def test_exact_hit_short_circuits(self):
         # the coin transmits at exactly 0.5 once the price passes the
         # blind mean, so a 0.5 target hits a grid rate dead on

@@ -3,10 +3,12 @@
 The evaluator is checked against the loop-everything walker, the
 construction against the class-restricted oracle (the fallback may
 never be probed, and only the fallback may be sent blind), and the
-n + 1 way search against explicit per-fallback evaluation.
+fallback search's per-choice scores against building and evaluating
+each of the n + 1 policies (``helpers.reference_search``).
 """
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -15,7 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import probeopt as po
-from helpers import draw_instance, restricted_oracle_value, slow_report
+from probeopt import multi_state
+from helpers import (
+    draw_instance,
+    reference_search,
+    restricted_oracle_value,
+    slow_report,
+)
 
 
 class TestEvaluator:
@@ -188,6 +196,123 @@ class TestConstruction:
         assert pol.levels == ()
         assert rep.transmit_prob == 0.0
         assert rep.gain == 0.0
+
+
+def search_prices(inst, extra):
+    return [
+        None, -1.0, 2.0, *inst.rewards.tolist(), *inst.blind_rewards.tolist(), extra
+    ]
+
+
+def assert_search_matches_reference(inst, prices):
+    for x in prices:
+        backup, gain, ref = reference_search(inst, x)
+        scores = multi_state._fallback_scores(inst, x)
+        np.testing.assert_allclose(scores, ref, rtol=0, atol=1e-12, err_msg=f"x={x}")
+        got = po.best_reserve_backup(inst, x)
+        got_gain = po.evaluate_policy(inst, got, altered_threshold=x).gain
+        assert got_gain == pytest.approx(gain, abs=1e-12), f"x={x}"
+        second, first = np.sort(ref)[-2:]
+        if first - second > 1e-9:
+            assert got.backup == backup, f"x={x}"
+
+
+class TestFastSearch:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.floats(-0.5, 1.5))
+    def test_scores_match_one_evaluation_per_fallback(self, seed, extra):
+        inst = draw_instance(seed, n_hi=10, k_hi=6)
+        assert_search_matches_reference(inst, search_prices(inst, extra))
+
+    def test_channels_never_at_the_low_states(self):
+        # channel 1 is never at state 0 and channel 4 never below state
+        # 2, so their tails are 1 at levels 1 and 2, and every chance
+        # of finding all channels below those levels is zero; channel 0
+        # is poor enough blind to put its floor at level 1
+        inst = po.Instance.from_arrays(
+            (0.0, 0.4, 0.7, 1.0),
+            [
+                [0.8, 0.0, 0.5, 0.2, 0.0],
+                [0.1, 0.5, 0.1, 0.3, 0.0],
+                [0.05, 0.3, 0.1, 0.3, 0.6],
+                [0.05, 0.2, 0.3, 0.2, 0.4],
+            ],
+            (0.02, 0.01, 0.05, 0.03, 0.04),
+        )
+        assert_search_matches_reference(inst, search_prices(inst, 0.55))
+
+    def test_zero_costs(self):
+        for seed in range(6):
+            inst = draw_instance(
+                seed, n_lo=3, n_hi=8, k_hi=5, cost_range=(0.0, 0.0)
+            )
+            assert not inst.costs.any()
+            assert_search_matches_reference(inst, search_prices(inst, 0.3))
+
+    def test_identical_channels_go_to_the_lower_index(self):
+        # channels 1 and 2 are copies, costly to probe and good blind
+        col = [0.1, 0.2, 0.7]
+        inst = po.Instance.from_arrays(
+            (0.0, 0.5, 1.0),
+            np.array([[0.6, 0.3, 0.1], col, col, [0.5, 0.3, 0.2]]).T,
+            (0.01, 0.3, 0.3, 0.02),
+        )
+        for x in (None, 0.2):
+            scores = multi_state._fallback_scores(inst, x)
+            assert scores[2] == pytest.approx(scores[3], abs=1e-15)
+            assert int(np.argmax(scores)) in (2, 3)
+            assert po.best_reserve_backup(inst, x).backup == 1
+
+    def test_prohibitive_price_picks_no_fallback(self):
+        inst = draw_instance(5, n_lo=4, n_hi=8)
+        assert not multi_state._fallback_scores(inst, 2.0).any()
+        pol = po.best_reserve_backup(inst, 2.0)
+        assert pol.backup is None and pol.levels == ()
+
+    def test_single_channel(self):
+        for seed in range(8):
+            inst = draw_instance(seed, n_lo=1, n_hi=1, k_hi=5)
+            assert_search_matches_reference(inst, search_prices(inst, 0.1))
+
+    def test_two_states_match_the_closed_form(self):
+        for seed, n in enumerate((20, 60, 150, 300)):
+            inst = draw_instance(seed, n_lo=n, n_hi=n, k_lo=2, k_hi=2)
+            a = po.evaluate_policy(inst, po.best_reserve_backup(inst)).gain
+            b = po.evaluate_policy(inst, po.two_state_opt(inst)).gain
+            assert a == pytest.approx(b, abs=1e-9), f"n={n}"
+
+    def test_large_instance_stays_finite_and_exact(self):
+        # the chance that all channels sit below level 1 underflows to
+        # zero here, so a ratio of prefix products would read 0 / 0
+        inst = po.generate(po.GenSpec(n=5000, state_count=16), 3)
+        assert np.prod(1.0 - inst.probs[1:].sum(axis=0)) == 0.0
+        scores = multi_state._fallback_scores(inst, 0.3)
+        assert np.isfinite(scores).all()
+        picks = np.random.default_rng(0).choice(inst.n, 30, replace=False)
+        for b in picks:
+            want = po.evaluate_policy(
+                inst, po.reserve_backup_policy(inst, int(b), 0.3), altered_threshold=0.3
+            ).gain
+            assert scores[b + 1] == pytest.approx(want, abs=1e-12), f"fallback {b}"
+
+    def test_repeat_search_memory(self):
+        inst = po.generate(po.GenSpec(n=2000, state_count=16), 0)
+        po.best_reserve_backup(inst)
+        tracemalloc.start()
+        try:
+            po.best_reserve_backup(inst, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_threshold_refused(self, bad):
+        inst = draw_instance(4, n_lo=2, n_hi=4)
+        with pytest.raises(po.ProbingError):
+            po.best_reserve_backup(inst, bad)
+        with pytest.raises(po.ProbingError):
+            po.reserve_backup_policy(inst, 0, bad)
 
 
 class TestRateMonotonicity:
