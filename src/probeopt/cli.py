@@ -237,9 +237,27 @@ def _cmd_simulate(args) -> int:
         if not isinstance(policy, MixedPolicy):
             raise _CliError("--queue needs a mixed (unsaturated) policy")
         report = simulate_unsaturated(inst, policy, config)
+        arrival_rate = config.arrivals.rate if config.arrivals else policy.arrival_rate
+        # a stable queue serves what arrives, an overloaded one sends
+        # at the policy's busy-slot rate
+        gain = policy.busy_slot_gain
+        transmit = min(arrival_rate, policy.transmit_prob)
     else:
         report = simulate_saturated(inst, policy, config)
-    _emit(report.to_dict(), args.output)
+        exact = evaluate_policy(inst, policy)
+        gain, transmit = exact.gain, exact.transmit_prob
+    # busy-slot figures: the standard error of busy_gain is
+    # se_gain / busy_fraction, and every slot is busy without a queue
+    se = report.se_gain
+    out = {
+        **report.to_dict(),
+        "analytic_gain": gain,
+        "analytic_transmit": transmit,
+        "z_gain": (
+            (report.busy_gain - gain) * report.busy_fraction / se if se > 0.0 else None
+        ),
+    }
+    _emit(out, args.output)
     return 0
 
 

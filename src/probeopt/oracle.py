@@ -18,6 +18,7 @@ rate-limited machinery in :mod:`probeopt.lagrange` optimizes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -115,6 +116,13 @@ class OracleOptions:
         if self.tie_preference not in _RANKS:
             raise InconsistentOptions(
                 f"tie_preference must be one of {sorted(_RANKS)}"
+            )
+        if self.altered_threshold is not None and not math.isfinite(
+            self.altered_threshold
+        ):
+            raise InconsistentOptions(
+                "altered_threshold must be a finite number, "
+                f"got {self.altered_threshold}"
             )
         if self.allowed_backups is not None:
             object.__setattr__(

@@ -6,12 +6,17 @@ machine.  Within a replication the draws happen in a fixed order:
 the full slots-by-channels state matrix, then the mixture coins,
 then the arrival process.
 
-Level-list policies run fully vectorized.  The probe sequence is
-fixed, levels only descend along it, so position t is reached exactly
-when every earlier observation sits below position t's level; one
-running maximum over the observation matrix settles every slot at
-once.  Decision-tree and backbone policies walk slot by slot instead
-and cost accordingly.
+Every policy kind plays all slots of a replication at once.
+Level-list policies: the probe sequence is fixed and levels only
+descend along it, so position t is reached exactly when every earlier
+observation sits below position t's level; one running maximum over
+the observation matrix settles every slot.  Decision trees become
+node-to-channel and node-by-state-to-child tables, once per run, and
+all slots descend together, one vector step per tree level.  Prefix
+trees split the slots by where they leave the backbone and run each
+escape subtree's level list the same way as a level-list policy.
+Objects of any other class that only provide ``act`` still run slot
+by slot.
 
 The queue simulation precomputes each slot's would-be transmission as
 if busy (the draws do not depend on the backlog), which turns the
@@ -24,13 +29,16 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from math import sqrt
+from functools import partial
+from math import isnan, sqrt
 
 import numpy as np
 
+from .additive import PrefixTreePolicy
 from .core import Instance, ProbingError
 from .lagrange import MixedPolicy
 from .multi_state import ThresholdPolicy, _selection_masks
+from .oracle import DecisionTree, Probe, TransmitBackup, TransmitProbed
 
 __all__ = [
     "BernoulliArrivals",
@@ -49,6 +57,10 @@ __all__ = [
 @dataclass(frozen=True)
 class SaturatedArrivals:
     """A packet every slot; the queue never empties."""
+
+    @property
+    def rate(self) -> float:
+        return 1.0
 
     def draw(self, rng: np.random.Generator, slots: int) -> np.ndarray:
         return np.ones(slots, dtype=np.int8)
@@ -85,14 +97,26 @@ class MarkovArrivals:
         return self.q01 / (self.q01 + self.q10)
 
     def draw(self, rng: np.random.Generator, slots: int) -> np.ndarray:
+        # Slot t > 0 is on iff u[t] < (1 - q10 if slot t-1 was on else
+        # q01).  Below both bars the slot is on whatever came before,
+        # at or above both it is off; in between it copies the previous
+        # slot when q01 <= 1 - q10 and flips it otherwise.  Slot 0 is
+        # settled by the stationary law.
         u = rng.random(slots)
-        out = np.empty(slots, dtype=np.int8)
-        on = bool(u[0] < self.rate) if slots else False
-        for t in range(slots):
-            if t:
-                on = (u[t] < 1.0 - self.q10) if on else (u[t] < self.q01)
-            out[t] = on
-        return out
+        if not slots:
+            return np.zeros(0, dtype=np.int8)
+        stay = 1.0 - self.q10
+        lo, hi = min(self.q01, stay), max(self.q01, stay)
+        value = u < lo
+        forced = value | (u >= hi)
+        value[0] = u[0] < self.rate
+        forced[0] = True
+        last = np.maximum.accumulate(np.where(forced, np.arange(slots), 0))
+        if self.q01 <= stay:
+            return value[last].astype(np.int8)
+        # flips since the last forced slot, by parity
+        parity = np.bitwise_xor.accumulate(~forced)
+        return (value[last] ^ parity ^ parity[last]).astype(np.int8)
 
 
 # -- configuration and results ------------------------------------------
@@ -123,7 +147,9 @@ class SimConfig:
 class SimReport:
     """Replication means and their standard errors.  ``mean_gain`` is
     per slot (busy or not), so for queue runs it already folds in the
-    idle fraction; ``busy_gain`` conditions on busy slots."""
+    idle fraction; ``busy_gain`` conditions on busy slots.  A single
+    replication leaves the standard errors undefined: NaN here, null
+    in ``to_dict``."""
 
     slots: int
     replications: int
@@ -144,9 +170,9 @@ class SimReport:
             "slots": self.slots,
             "replications": self.replications,
             "mean_gain": self.mean_gain,
-            "se_gain": self.se_gain,
+            "se_gain": _defined(self.se_gain),
             "mean_transmit": self.mean_transmit,
-            "se_transmit": self.se_transmit,
+            "se_transmit": _defined(self.se_transmit),
             "mean_probe_cost": self.mean_probe_cost,
             "mean_success": self.mean_success,
             "busy_fraction": self.busy_fraction,
@@ -157,6 +183,10 @@ class SimReport:
             out["mean_queue"] = self.mean_queue
             out["throughput"] = self.throughput
         return out
+
+
+def _defined(x: float) -> float | None:
+    return None if isnan(x) else x
 
 
 def _summarize(values: np.ndarray) -> tuple[float, float]:
@@ -172,55 +202,92 @@ def _summarize(values: np.ndarray) -> tuple[float, float]:
 def _draw_states(
     instance: Instance, rng: np.random.Generator, slots: int
 ) -> np.ndarray:
+    """Slots-by-channels states, in the narrowest unsigned dtype that
+    holds K - 1.  A uniform u lands in the state counting the
+    cumulative probabilities at or below it, capped at K - 1 so a sum
+    that rounds short of 1 cannot produce state K."""
     u = rng.random((slots, instance.n))
-    out = np.empty((slots, instance.n), dtype=np.int64)
-    for j in range(instance.n):
-        cum = np.cumsum(instance.probs[:, j])
-        out[:, j] = np.minimum(
-            np.searchsorted(cum, u[:, j], side="right"), instance.state_count - 1
-        )
+    cum = np.cumsum(instance.probs, axis=0)
+    out = np.zeros(u.shape, dtype=np.min_scalar_type(instance.state_count - 1))
+    for s in range(instance.state_count - 1):
+        out += u >= cum[s]
     return out
 
 
 # -- per-slot outcomes under one policy ---------------------------------
+#
+# Each builder turns a policy into a function of the state matrix that
+# returns (transmit, reward, cost, success) per slot, as if every slot
+# were played.  Builders run once per simulate call, so replications
+# share the tables.  The tree kinds sum each path's probing cost as
+# ``costs[list(probed)].sum()``, the expression of the slot-by-slot
+# walk, so they reproduce that walk's figures bit for bit.
 
 
-def _slot_outcomes(instance: Instance, policy, states: np.ndarray):
-    """(transmit, reward, cost, success) per slot, as if every slot
-    were played."""
+def _player(instance: Instance, policy):
+    """(states, rng) -> per-slot outcomes; a mixture flips its coins
+    from ``rng`` right after the state draw."""
+    if isinstance(policy, MixedPolicy):
+        plus = _outcomes(instance, policy.policy_plus)
+        minus = _outcomes(instance, policy.policy_minus)
+
+        def play(states, rng):
+            coins = rng.random(states.shape[0]) < policy.alpha
+            return tuple(
+                np.where(coins, p, m) for p, m in zip(plus(states), minus(states))
+            )
+
+        return play
+    outcomes = _outcomes(instance, policy)
+    return lambda states, rng: outcomes(states)
+
+
+def _outcomes(instance: Instance, policy):
     if isinstance(policy, ThresholdPolicy):
-        return _threshold_outcomes(instance, policy, states)
+        return partial(_threshold_outcomes, instance, policy)
+    if isinstance(policy, DecisionTree):
+        return _tree_outcomes(instance, policy)
+    if isinstance(policy, PrefixTreePolicy):
+        return _prefix_outcomes(instance, policy)
     if hasattr(policy, "act"):
-        return _generic_outcomes(instance, policy, states)
+        return partial(_generic_outcomes, instance, policy)
     raise ProbingError(f"cannot simulate a {type(policy).__name__}")
+
+
+def _level_walk(states: np.ndarray, seq: list[int], lev: list[int]):
+    """Run one level list (channels ``seq``, in probing order, with
+    levels ``lev``) on every row of ``states``.  Position t runs while
+    the best observation so far is below lev[t]; position 0 always
+    runs.  Returns the slots-by-positions mask of run probes, a prefix
+    of each row, and the best observation among them."""
+    obs = states.T[seq]
+    executed = np.empty(obs.shape[::-1], dtype=bool)
+    executed[:, 0] = True
+    best = obs[0].copy()
+    for t in range(1, len(seq)):
+        run = executed[:, t]
+        np.less(best, lev[t], out=run)
+        np.maximum(best, obs[t] * run, out=best)
+    return executed, best
 
 
 def _threshold_outcomes(instance: Instance, policy: ThresholdPolicy, states):
     slots = states.shape[0]
     r = instance.rewards
-    seq = [j for _, mem in policy.levels for j in mem]
-    if seq:
-        lev = np.array(
-            [u for u, mem in policy.levels for _ in mem], dtype=np.int64
-        )
-        obs = states[:, seq]
-        before = np.empty_like(obs)
-        before[:, 0] = -1
-        np.maximum.accumulate(obs[:, :-1], axis=1, out=before[:, 1:])
-        executed = before < lev[None, :]
-        cost = executed @ instance.costs[seq]
-        best = np.where(executed, obs, -1).max(axis=1)
-    else:
-        cost = np.zeros(slots)
-        best = np.full(slots, -1, dtype=np.int64)
     send_probed, send_blind, none_action = _selection_masks(
         instance, policy.backup, policy.threshold
     )
-    found = best >= 0
-    probed_tx = found & send_probed[best]
-    blind_tx = found & send_blind[best]
-    if none_action == "blind":
-        blind_tx |= ~found
+    seq = [j for _, mem in policy.levels for j in mem]
+    if seq:
+        lev = [u for u, mem in policy.levels for _ in mem]
+        executed, best = _level_walk(states, seq, lev)
+        cost = executed @ instance.costs[seq]
+        probed_tx, blind_tx = send_probed[best], send_blind[best]
+    else:
+        cost = np.zeros(slots)
+        best = np.zeros(slots, dtype=np.int64)
+        probed_tx = np.zeros(slots, dtype=bool)
+        blind_tx = np.full(slots, none_action == "blind")
     reward = np.where(probed_tx, r[best], 0.0)
     success = probed_tx & (best >= 1)
     if policy.backup is not None:
@@ -229,6 +296,107 @@ def _threshold_outcomes(instance: Instance, policy: ThresholdPolicy, states):
         success |= blind_tx & (bstate >= 1)
     transmit = probed_tx | blind_tx
     return transmit, reward, cost, success
+
+
+def _tree_outcomes(instance: Instance, tree: DecisionTree):
+    """Tables over the tree's paths: probe nodes store their channel
+    and one child per state, leaves point to themselves and store how
+    the slot closes.  Every slot then descends ``depth`` steps."""
+    tree.validate()
+    k = tree.state_count
+    # (node, channels probed on the way there, their cost), by node id
+    nodes = [(tree.root, [], 0.0)]
+    channel, child, path_cost = [], [], []
+    for i, (node, path, cost) in enumerate(nodes):  # grows while it is read
+        path_cost.append(cost)
+        if isinstance(node, Probe):
+            below = path + [node.channel]
+            below_cost = instance.costs[below].sum()
+            channel.append(node.channel)
+            child.append(range(len(nodes), len(nodes) + k))
+            nodes.extend((c, below, below_cost) for c in node.children)
+        else:
+            channel.append(0)
+            child.append([i] * k)
+    channel = np.array(channel, dtype=np.intp)
+    child = np.array(child, dtype=np.intp)
+    path_cost = np.array(path_cost)
+    node_objs = [nd for nd, _, _ in nodes]
+    sends = np.array(
+        [isinstance(nd, (TransmitProbed, TransmitBackup)) for nd in node_objs]
+    )
+    blind = np.array([isinstance(nd, TransmitBackup) for nd in node_objs])
+    sent_channel = np.array(
+        [nd.channel if isinstance(nd, TransmitBackup) else 0 for nd in node_objs],
+        dtype=np.intp,
+    )
+    sent_state = np.array(
+        [nd.state if isinstance(nd, TransmitProbed) else 0 for nd in node_objs],
+        dtype=np.intp,
+    )
+    depth = max(len(path) for _, path, _ in nodes)
+    r = instance.rewards
+
+    def outcomes(states):
+        rows = np.arange(states.shape[0])
+        at = np.zeros(states.shape[0], dtype=np.intp)
+        for _ in range(depth):
+            at = child[at, states[rows, channel[at]]]
+        transmit = sends[at]
+        s = np.where(blind[at], states[rows, sent_channel[at]], sent_state[at])
+        reward = np.where(transmit, r[s], 0.0)
+        return transmit, reward, path_cost[at], transmit & (s >= 1)
+
+    return outcomes
+
+
+def _prefix_outcomes(instance: Instance, policy: PrefixTreePolicy):
+    """Slots that never escape the backbone send the fallback blind;
+    the rest are grouped by escape position and state, and each group
+    runs its subtree's level list.  Every path transmits."""
+    policy.validate(instance)
+    backbone = list(policy.backbone)
+    k, low = instance.state_count, policy.escape_min
+    costs = instance.costs
+    groups = []  # (code, escape state, send_min, seq, lev, cost by probes run)
+    if low < k:
+        for t, per_state in enumerate(policy.subtrees):
+            for q, (send_min, levels) in enumerate(per_state):
+                seq = [c for _, mem in levels for c in mem]
+                lev = [u for u, mem in levels for _ in mem]
+                head = backbone[: t + 1]
+                by_count = np.array(
+                    [costs[head + seq[:i]].sum() for i in range(len(seq) + 1)]
+                )
+                code = t * (k - low) + q
+                groups.append((code, low + q, send_min, seq, lev, by_count))
+    full_cost = costs[backbone].sum() if backbone else 0.0
+    r = instance.rewards
+
+    def outcomes(states):
+        slots = states.shape[0]
+        sent = states[:, policy.backup].copy()
+        cost = np.full(slots, full_cost)
+        if groups:
+            rows = np.arange(slots)
+            obs = states[:, backbone]
+            at = (obs >= low).argmax(axis=1)
+            s_at = obs[rows, at]
+            code = np.where(s_at >= low, at * (k - low) + s_at - low, -1)
+            for g, s_esc, send_min, seq, lev, by_count in groups:
+                idx = np.flatnonzero(code == g)
+                if not idx.size:
+                    continue
+                if seq:
+                    executed, best = _level_walk(states[idx], seq, lev)
+                    cost[idx] = by_count[executed.sum(axis=1)]
+                    sent[idx] = np.where(best >= send_min, best, s_esc)
+                else:
+                    cost[idx] = by_count[0]
+                    sent[idx] = s_esc
+        return np.ones(slots, dtype=bool), r[sent], cost, sent >= 1
+
+    return outcomes
 
 
 def _generic_outcomes(instance: Instance, policy, states):
@@ -254,18 +422,6 @@ def _generic_outcomes(instance: Instance, policy, states):
     return transmit, reward, cost, success
 
 
-def _mixture_outcomes(instance: Instance, policy: MixedPolicy, states, rng):
-    coins = rng.random(states.shape[0]) < policy.alpha
-    t_p, r_p, c_p, s_p = _slot_outcomes(instance, policy.policy_plus, states)
-    t_m, r_m, c_m, s_m = _slot_outcomes(instance, policy.policy_minus, states)
-    return (
-        np.where(coins, t_p, t_m),
-        np.where(coins, r_p, r_m),
-        np.where(coins, c_p, c_m),
-        np.where(coins, s_p, s_m),
-    )
-
-
 # -- the two entry points -----------------------------------------------
 
 
@@ -284,18 +440,12 @@ def simulate_saturated(
     policies."""
     if config is None:
         config = SimConfig()
+    play = _player(instance, policy)
 
     def worker(seq: np.random.SeedSequence):
         rng = np.random.Generator(np.random.PCG64(seq))
         states = _draw_states(instance, rng, config.slots)
-        if isinstance(policy, MixedPolicy):
-            transmit, reward, cost, success = _mixture_outcomes(
-                instance, policy, states, rng
-            )
-        else:
-            transmit, reward, cost, success = _slot_outcomes(
-                instance, policy, states
-            )
+        transmit, reward, cost, success = play(states, rng)
         return (
             float(reward.mean() - cost.mean()),
             float(transmit.mean()),
@@ -335,13 +485,12 @@ def simulate_unsaturated(
     if config is None:
         config = SimConfig()
     arrivals = config.arrivals or BernoulliArrivals(policy.arrival_rate)
+    play = _player(instance, policy)
 
     def worker(seq: np.random.SeedSequence):
         rng = np.random.Generator(np.random.PCG64(seq))
         states = _draw_states(instance, rng, config.slots)
-        transmit, reward, cost, success = _mixture_outcomes(
-            instance, policy, states, rng
-        )
+        transmit, reward, cost, success = play(states, rng)
         arr = arrivals.draw(rng, config.slots).astype(np.int64)
         # backlog via running minimum: increments ignore idle slots
         # because service never fires on an empty system anyway

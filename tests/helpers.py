@@ -279,3 +279,46 @@ def grid_dual_bound(instance, rate: float) -> float:
     return min(
         float(L) * rate + po.altered_optimum(instance, float(L)).value for L in grid
     )
+
+
+# -- slot-by-slot references for the simulator's draws -------------------
+
+
+def markov_draw_loop(source, rng, slots: int) -> np.ndarray:
+    """The on/off chain stepped one slot at a time: slot 0 is on with
+    the stationary rate, later slots stay on below ``1 - q10`` and turn
+    on below ``q01``."""
+    u = rng.random(slots)
+    out = np.empty(slots, dtype=np.int8)
+    on = bool(u[0] < source.rate) if slots else False
+    for t in range(slots):
+        if t:
+            on = (u[t] < 1.0 - source.q10) if on else (u[t] < source.q01)
+        out[t] = on
+    return out
+
+
+def draw_states_searchsorted(instance, rng, slots: int) -> np.ndarray:
+    """Channel-by-channel state draw: a uniform's state is its
+    right-side insertion point into the channel's cumulative
+    probabilities, capped at K - 1."""
+    u = rng.random((slots, instance.n))
+    out = np.empty((slots, instance.n), dtype=np.int64)
+    for j in range(instance.n):
+        cum = np.cumsum(instance.probs[:, j])
+        out[:, j] = np.minimum(
+            np.searchsorted(cum, u[:, j], side="right"), instance.state_count - 1
+        )
+    return out
+
+
+def fixed_uniforms(u):
+    """A stand-in generator whose ``random`` hands back ``u``, so a
+    test can put uniforms exactly on a boundary."""
+    u = np.asarray(u, dtype=float)
+
+    def random(size=None):
+        assert np.empty(size).shape == u.shape
+        return u.copy()
+
+    return SimpleNamespace(random=random)

@@ -211,6 +211,14 @@ class TestOracle:
         ipath = write_instance(tmp_path, seed=9, n=15, state_count=2)
         assert run("oracle", ipath) == 3
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_threshold_must_be_finite(self, tmp_path, capsys, bad):
+        ipath = write_instance(tmp_path, seed=1)
+        assert run("oracle", ipath, f"--threshold={bad}") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
 
 class TestSimulate:
     def test_replays_solve_output_directly(self, tmp_path, capsys):
@@ -225,6 +233,75 @@ class TestSimulate:
         doc = json.loads(capsys.readouterr().out)
         assert doc["busy_fraction"] == 1.0
         assert "mean_queue" not in doc
+
+    def test_one_replication_is_strict_json(self, tmp_path, capsys):
+        ipath = write_instance(tmp_path, seed=3)
+        sol = tmp_path / "sol.json"
+        run("solve", ipath, "-o", sol)
+        assert run(
+            "simulate", ipath, "--policy", sol, "--slots", 500, "--replications", 1
+        ) == 0
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert doc["se_gain"] is None and doc["se_transmit"] is None
+        assert doc["z_gain"] is None
+
+    def test_reports_the_analytic_counterpart(self, tmp_path, capsys):
+        ipath = write_instance(tmp_path, seed=3)
+        inst = po.load_instance(ipath)
+        sol = tmp_path / "sol.json"
+        run("solve", ipath, "-o", sol)
+        assert run(
+            "simulate", ipath, "--policy", sol, "--slots", 4000, "--replications", 4
+        ) == 0
+        doc = json.loads(capsys.readouterr().out)
+        exact = po.evaluate_policy(inst, po.best_reserve_backup(inst))
+        assert doc["analytic_gain"] == pytest.approx(exact.gain, rel=1e-11)
+        assert doc["analytic_transmit"] == pytest.approx(exact.transmit_prob, rel=1e-11)
+        z = (doc["mean_gain"] - doc["analytic_gain"]) / doc["se_gain"]
+        assert doc["z_gain"] == pytest.approx(z, abs=1e-6)
+        assert abs(doc["z_gain"]) < 5.0
+
+    def test_queue_run_compares_busy_slots_with_the_plan(self, tmp_path, capsys):
+        ipath = write_instance(tmp_path, seed=7)
+        mix = tmp_path / "mix.json"
+        run("solve", ipath, "--mode", "unsaturated", "--rate", 0.5, "-o", mix)
+        plan = json.loads(mix.read_text())["report"]
+        for arrivals, rate in ((None, 0.5), ("markov:0.2,0.3", 0.4)):
+            extra = ["--arrivals", arrivals] if arrivals else []
+            assert run(
+                "simulate", ipath, "--policy", mix, "--queue",
+                "--slots", 20_000, "--replications", 4, *extra,
+            ) == 0
+            doc = json.loads(capsys.readouterr().out)
+            plan_gain = plan["busy_slot_gain"]
+            assert doc["analytic_gain"] == pytest.approx(plan_gain, rel=1e-11)
+            assert doc["analytic_transmit"] == pytest.approx(rate, rel=1e-11)
+            se = doc["se_gain"] / doc["busy_fraction"]
+            z = (doc["busy_gain"] - doc["analytic_gain"]) / se
+            assert doc["z_gain"] == pytest.approx(z, abs=1e-6)
+            assert abs(doc["z_gain"]) < 5.0
+
+    def test_no_z_score_without_spread(self, tmp_path, capsys):
+        # a fallback that is always in its middle state gains the same
+        # every replication, so the standard error is 0
+        inst = po.Instance.from_arrays(
+            [0.0, 0.5, 1.0], [[0.0, 0.5], [1.0, 0.0], [0.0, 0.5]], [0.1, 0.1]
+        )
+        ipath = tmp_path / "sure.json"
+        ipath.write_text(json.dumps(po.instance_to_dict(inst)))
+        ppath = tmp_path / "pol.json"
+        blind = po.ThresholdPolicy(backup=0, threshold=None, levels=())
+        ppath.write_text(json.dumps(blind.to_dict(inst.names)))
+        assert run(
+            "simulate", ipath, "--policy", ppath, "--slots", 300, "--replications", 3
+        ) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["se_gain"] == 0.0 and doc["z_gain"] is None
+        assert doc["analytic_gain"] == doc["mean_gain"] == 0.5
 
     def test_bare_policy_file_works_too(self, tmp_path, capsys):
         ipath = write_instance(tmp_path, seed=3)

@@ -6,12 +6,22 @@ with fixed seeds they are deterministic, the band just documents how
 much slack the sample sizes need.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
 import probeopt as po
+from probeopt import simulator
 
-from helpers import draw_instance, run_exhaust, slow_report
+from helpers import (
+    draw_instance,
+    draw_states_searchsorted,
+    fixed_uniforms,
+    markov_draw_loop,
+    run_exhaust,
+    slow_report,
+)
 
 
 class TestArrivals:
@@ -186,6 +196,19 @@ class TestSaturated:
         assert doc["slots"] == 500
         assert "mean_queue" not in doc
 
+    def test_one_replication_leaves_the_standard_errors_null(self):
+        import json
+
+        inst = draw_instance(1, n_lo=2, n_hi=3)
+        pol = po.best_reserve_backup(inst)
+        sim = po.simulate_saturated(
+            inst, pol, po.SimConfig(slots=500, replications=1, seed=0)
+        )
+        assert np.isnan(sim.se_gain) and np.isnan(sim.se_transmit)
+        doc = sim.to_dict()
+        assert doc["se_gain"] is None and doc["se_transmit"] is None
+        json.dumps(doc, allow_nan=False)
+
 
 class TestUnsaturated:
     def test_queue_run_matches_plan(self):
@@ -229,3 +252,158 @@ class TestUnsaturated:
         )
         bursty = po.simulate_unsaturated(inst, mix, sticky)
         assert bursty.mean_queue > base.mean_queue
+
+
+class TestFastPathsMatchTheLoops:
+    """The vectorized draws and tree walks against the slot-by-slot
+    code they replaced, on the same uniforms."""
+
+    @pytest.mark.parametrize(
+        "q01, q10",
+        # copy regime (q01 <= 1 - q10), flip regime, equal bars, extremes
+        [(0.2, 0.3), (0.05, 0.05), (0.8, 0.7), (0.97, 0.99), (0.4, 0.6)],
+    )
+    @pytest.mark.parametrize("slots", [0, 1, 2, 3, 4_000])
+    def test_markov_draw(self, q01, q10, slots):
+        src = po.MarkovArrivals(q01, q10)
+        for seed in range(6):
+            fast = src.draw(np.random.default_rng(seed), slots)
+            ref = markov_draw_loop(src, np.random.default_rng(seed), slots)
+            assert fast.dtype == ref.dtype and np.array_equal(fast, ref)
+
+    @pytest.mark.parametrize("q01, q10", [(0.2, 0.3), (0.8, 0.7), (0.4, 0.6)])
+    def test_markov_draw_on_the_bars(self, q01, q10):
+        # uniforms exactly at q01, 1 - q10 and the stationary rate, in
+        # every order over slots 0, 1 and 2
+        src = po.MarkovArrivals(q01, q10)
+        bars = [q01, 1.0 - q10, src.rate, 0.0, np.nextafter(q01, 0.0)]
+        for u in itertools.product(bars, repeat=3):
+            fast = src.draw(fixed_uniforms(u), 3)
+            assert np.array_equal(fast, markov_draw_loop(src, fixed_uniforms(u), 3))
+
+    def test_state_draw_with_zero_probability_states(self):
+        # tied cumulative sums, uniforms exactly on every boundary
+        probs = np.array(
+            [[0.5, 0.0, 0.25], [0.0, 0.0, 0.25], [0.5, 1.0, 0.0], [0.0, 0.0, 0.5]]
+        )
+        inst = po.Instance.from_arrays([0.0, 0.3, 0.6, 1.0], probs, [0.1, 0.0, 0.2])
+        edges = np.unique(np.concatenate([np.cumsum(probs, axis=0).ravel(), [0.0]]))
+        u = np.repeat(edges[:, None], inst.n, axis=1)
+        fast = simulator._draw_states(inst, fixed_uniforms(u), u.shape[0])
+        ref = draw_states_searchsorted(inst, fixed_uniforms(u), u.shape[0])
+        assert np.array_equal(fast, ref)
+        fast = simulator._draw_states(inst, np.random.default_rng(1), 5_000)
+        ref = draw_states_searchsorted(inst, np.random.default_rng(1), 5_000)
+        assert np.array_equal(fast, ref)
+
+    def test_state_draw_needs_a_wider_dtype_past_256_states(self):
+        k = 300
+        inst = po.generate(po.GenSpec(n=3, state_count=k), 4)
+        fast = simulator._draw_states(inst, np.random.default_rng(2), 4_000)
+        assert fast.dtype == np.uint16
+        ref = draw_states_searchsorted(inst, np.random.default_rng(2), 4_000)
+        assert np.array_equal(fast, ref)
+        assert fast.max() > 255
+        cum = np.cumsum(inst.probs, axis=0)
+        u = np.concatenate([cum[:-1], [np.ones(inst.n) - 1e-17]])
+        fast = simulator._draw_states(inst, fixed_uniforms(u), k)
+        ref = draw_states_searchsorted(inst, fixed_uniforms(u), k)
+        assert np.array_equal(fast, ref)
+
+    @staticmethod
+    def _same_as_the_walk(inst, policy, seed):
+        states = simulator._draw_states(inst, np.random.default_rng(seed), 3_000)
+        fast = simulator._outcomes(inst, policy)(states)
+        slow = simulator._generic_outcomes(inst, policy, states)
+        for a, b in zip(fast, slow):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "tie", ["default", "prefer-backup", "prefer-silent", "prefer-transmit"]
+    )
+    def test_decision_trees(self, tie):
+        for seed in range(8):
+            inst = draw_instance(
+                300 + seed, n_lo=2, n_hi=7, k_lo=2, k_hi=4,
+                cost_regime="heterogeneous", cost_range=(0.0, 0.1),
+            )
+            for options in (
+                po.OracleOptions(tie_preference=tie),
+                po.OracleOptions(tie_preference=tie, altered_threshold=0.4),
+                po.OracleOptions(tie_preference=tie, allow_no_transmit=False),
+            ):
+                self._same_as_the_walk(inst, po.exact_dp(inst, options).tree, seed)
+
+    def test_prefix_trees(self):
+        for seed in range(6):
+            inst = draw_instance(
+                400 + seed, n_lo=3, n_hi=5, k_lo=2, k_hi=4, cost_regime="equal"
+            )
+            # the same channels with unequal costs, so that summing a
+            # path's costs in another order would show
+            costs = np.random.default_rng(seed).uniform(0.0, 0.1, inst.n)
+            recosted = po.Instance.from_arrays(inst.rewards, inst.probs, costs)
+            k = inst.state_count
+            others = tuple(range(1, inst.n))
+            policies = [
+                po.PrefixTreePolicy(0, k, others, ()),  # never escapes
+                po.PrefixTreePolicy(
+                    0, 1, others, tuple(((0, ()),) * (k - 1) for _ in others)
+                ),  # empty subtrees
+            ]
+            for backup in range(2):
+                for esc in range(1, k):
+                    pol, _ = po.best_prefix_policy(inst, backup, escape_state=esc)
+                    policies.append(pol)
+            for pol in policies:
+                self._same_as_the_walk(inst, pol, seed)
+                self._same_as_the_walk(recosted, pol, seed)
+
+
+# rep_gains of the parent of the vectorized simulator, which walked
+# trees slot by slot and drew states channel by channel; a change that
+# moves a sample path fails here
+GOLDEN_REP_GAINS = {
+    "threshold": (0.6989483784899999, 0.7022831840047055, 0.6854919373824704),
+    "blind": (0.637, 0.6465, 0.6195),
+    "bernoulli": (0.35893244955147147, 0.3589505027927778, 0.3675112933255676),
+    "markov-copy": (0.37002807740771443, 0.36767532666955755, 0.3725914062588232),
+    "markov-flip": (0.38481623013560295, 0.39631623013560296, 0.38376714704832193),
+    "decision-tree": (0.697930324932611, 0.7005864280757239, 0.683964857046387),
+    "prefix-tree": (0.7787751219809563, 0.7930504420665652, 0.7871577279118717),
+}
+
+
+def _golden_runs():
+    inst = draw_instance(
+        20, n_lo=5, n_hi=5, k_lo=4, k_hi=4,
+        cost_regime="heterogeneous", cost_range=(0.0, 0.08),
+    )
+    cfg = dict(slots=2_000, replications=3, seed=5)
+    best = po.best_reserve_backup(inst)
+    blind = po.ThresholdPolicy(
+        backup=int(np.argmax(inst.blind_rewards)), threshold=None, levels=()
+    )
+    mix = po.solve_unsaturated(inst, 0.4, 0.05)
+    tree = po.exact_dp(inst, po.OracleOptions(altered_threshold=0.3)).tree
+    eq = draw_instance(12, n_lo=4, n_hi=4, k_lo=3, k_hi=3, cost_regime="equal")
+    prefix, _ = po.best_prefix_policy(eq, backup=0, escape_state=1)
+    sat, unsat = po.simulate_saturated, po.simulate_unsaturated
+    return {
+        "threshold": lambda: sat(inst, best, po.SimConfig(**cfg)),
+        "blind": lambda: sat(inst, blind, po.SimConfig(**cfg)),
+        "bernoulli": lambda: unsat(inst, mix, po.SimConfig(**cfg)),
+        "markov-copy": lambda: unsat(
+            inst, mix, po.SimConfig(**cfg, arrivals=po.MarkovArrivals(0.2, 0.3))
+        ),
+        "markov-flip": lambda: unsat(
+            inst, mix, po.SimConfig(**cfg, arrivals=po.MarkovArrivals(0.8, 0.7))
+        ),
+        "decision-tree": lambda: sat(inst, tree, po.SimConfig(**cfg)),
+        "prefix-tree": lambda: sat(eq, prefix, po.SimConfig(**cfg)),
+    }
+
+
+def test_seeded_sample_paths_are_pinned():
+    for kind, run in _golden_runs().items():
+        assert run().rep_gains == GOLDEN_REP_GAINS[kind], kind
