@@ -7,10 +7,11 @@ channels to probe and in what order, then transmits on a probed
 channel, gambles on an unprobed one, or stays quiet.  This package
 builds policies for that slot game and checks them:
 
-* exact closed forms for on/off channels (``two_state_opt``), returned
-  as one-level threshold policies,
 * fast level-list policies with a constant-factor guarantee for any
-  number of states (``best_reserve_backup``),
+  number of states (``best_reserve_backup``); at two states (on/off)
+  the same search is exact, and ``two_state_opt`` is that search after
+  a check that K = 2 (near-ties within 1e-12 go to no fallback, then
+  to the lowest channel index),
 * an equal-cost scheme that gets within an additive epsilon of the
   optimum (``additive_approx``),
 * price-gated mixtures that hit a target transmission rate for lightly
@@ -107,10 +108,8 @@ from .simulator import (
     simulate_unsaturated,
 )
 from .two_state import (
-    BackupScan,
     TwoStateRequired,
     _exhaust_from_dict,
-    determine_best_backup,
     probe_set,
     two_state_opt,
 )

@@ -12,8 +12,10 @@ silent.  A policy's gain is expected reward minus expected probing cost.
 
 This module holds the instance container, validation, tail statistics,
 the gain report produced by every evaluator, and JSON serialization.
-Solvers live in :mod:`probeopt.two_state`, :mod:`probeopt.multi_state`,
-:mod:`probeopt.additive`, :mod:`probeopt.lagrange`; the brute-force
+Solvers live in :mod:`probeopt.multi_state` (the one-fallback search,
+exact at two states, which :mod:`probeopt.two_state` wraps after a
+check that K = 2; near-ties go to no fallback, then the lowest index),
+:mod:`probeopt.additive` and :mod:`probeopt.lagrange`; the brute-force
 reference in :mod:`probeopt.oracle`.
 """
 

@@ -1,11 +1,12 @@
 """Level-list probing policies for many-state channels.
 
 A policy here is built around one designated fallback channel (or none)
-and an optional decision bar.  Construction walks state levels from the
-top down: at level u it admits every still-unassigned channel whose
-upper tail at u, discounted by its probing cost, beats both the
-fallback and the reward one level down.  Execution probes those lists
-top level first, best candidate first, and stops as soon as an
+and an optional decision bar.  A channel belongs at the highest level
+u where its upper tail at u, discounted by its probing cost, beats
+both the fallback and the reward one level down.  Those levels are
+read off one fallback-free probe sequence per instance: every policy
+is a prefix of it with the fallback taken out.  Execution probes the
+lists top level first, best candidate first, and stops as soon as an
 observation reaches the level being worked; the slot then closes by
 sending the best probed channel, the fallback blind, or nothing,
 whichever the decision rule picks.  The evaluators here are exact and
@@ -13,6 +14,14 @@ O(n K) per policy.  The best of the one-fallback family lands within a
 constant factor of the unrestricted optimum; the search scores all
 n + 1 choices together in O(n (K + log n)) per price, after an O(n K)
 build per instance that every price shares.
+
+With two states (on/off) the family holds the optimum: keep one
+channel blind (or none), probe the others that pay for themselves by
+ascending cost per unit of success (ties by index), and send the first
+one found on.  So :func:`best_reserve_backup` at K = 2 is the exact
+solver, and :mod:`probeopt.two_state` only checks K before calling it.
+Choices within 1e-12 (1 + |best|) of the best objective tie, and a tie
+goes to no fallback first, then to the lowest channel index.
 """
 
 from __future__ import annotations
@@ -44,33 +53,34 @@ __all__ = [
 ]
 
 
-# -- per-instance scratch (tails, scores, sort orders) ------------------
+# -- per-instance scratch (tails and the probe sequence) ----------------
 
 
 class _Workspace:
     """Arrays shared by every policy built on one instance.
 
     ``tail[v, j]`` is channel j's probability of sitting at state v or
-    higher (row K is zero).  ``score[v, j]`` is the expected reward
-    conditioned on that, net of the amortized probing cost: the
-    quantity level membership and probing order are decided on; minus
-    infinity where the tail is empty.
+    higher (row K is zero).  A channel's score at level v is the
+    expected reward conditioned on that, net of the amortized probing
+    cost: the quantity level membership and probing order are decided
+    on; minus infinity where the tail is empty.
 
-    The rest is the fallback-free probe sequence the search scores
-    against.  ``top[j]`` is the highest level whose score clears the
+    The rest is the fallback-free probe sequence every policy is read
+    off.  ``top[j]`` is the highest level whose score clears the
     reward one level down (-1 if none).  Under a fallback whose floor
     is f, channel j probes at ``top[j]`` when that lies above f, and
-    otherwise at f or not at all; so every policy the search weighs is
-    a prefix of ``seq`` (levels top first, each in ``order``) with the
-    fallback taken out.  Level u fills ``seq[start[u]:end[u]]``, and
-    ``start[u]`` counts the channels above it; index K is an empty
-    level for a floor above every reward.  ``keep``, ``gain``,
-    ``own_tail`` and ``own_score`` give each probe's chance of not
-    stopping the run, the reward it stops the run with less its cost,
-    its tail mass and its score, all at its own level.  ``enter[v]`` and ``leave[v]``
-    are the chances that every channel above level v sits below v,
-    and below v + 1.  Holds no reference to the instance itself, so
-    storing it on the instance makes no reference cycle.
+    otherwise at f or not at all; so every policy is a prefix of
+    ``seq`` (levels top first, each by descending score, ties by
+    index) with the fallback taken out.  Level u fills
+    ``seq[start[u]:end[u]]``, and ``start[u]`` counts the channels
+    above it; index K is an empty level for a floor above every
+    reward.  ``keep``, ``gain``, ``own_tail`` and ``own_score`` give
+    each probe's chance of not stopping the run, the reward it stops
+    the run with less its cost, its tail mass and its score, all at
+    its own level.  ``enter[v]`` and ``leave[v]`` are the chances that
+    every channel above level v sits below v, and below v + 1.  Holds
+    no reference to the instance itself, so storing it on the instance
+    makes no reference cycle.
     """
 
     def __init__(self, instance: Instance):
@@ -92,19 +102,16 @@ class _Workspace:
         self.probs = probs
         self.costs = costs
         self.tail = tail
-        self.score = score
         # per level: candidates by descending score, ties by index
-        self.order = np.argsort(-score, axis=1, kind="stable")
-        # membership gate floor per level before any fallback enters:
+        order = np.argsort(-score, axis=1, kind="stable")
         # the reward one level down (sentinel below the bottom)
-        self.reward_below = np.concatenate([[-1.0], rewards[:-1]])
-
-        clears = score > self.reward_below[:, None]
+        reward_below = np.concatenate([[-1.0], rewards[:-1]])
+        clears = score > reward_below[:, None]
         top = np.where(
             clears.any(axis=0), (k - 1) - np.argmax(clears[::-1], axis=0), -1
         )
         seq = np.concatenate(
-            [self.order[u][top[self.order[u]] == u] for u in range(k - 1, -1, -1)]
+            [order[u][top[order[u]] == u] for u in range(k - 1, -1, -1)]
         )
         level = top[seq]
         count = np.bincount(level, minlength=k)
@@ -149,64 +156,56 @@ def _bar(instance: Instance, backup: int | None, threshold: float | None) -> flo
     return b if threshold is None else max(b, float(threshold))
 
 
+def _cut(ws: _Workspace, floor: int, bar):
+    """Where the probe sequence ends under floor level ``floor`` and
+    bar ``bar`` (a number, or an array of bars sharing that floor).
+
+    Every channel above the floor probes at its own level, whose score
+    clears a reward at least the floor's and so the bar too; the floor
+    level keeps the channels whose score beats the bar, a prefix of its
+    stretch of ``seq`` (it runs by descending score).  So a policy
+    probes ``seq[:cut]`` less its fallback.  A floor of K cuts at 0."""
+    lo = ws.start[floor]
+    scores = ws.own_score[lo : ws.end[floor]]
+    return lo + np.searchsorted(-scores, -bar, side="left")
+
+
+def _probe_lists(
+    instance: Instance, bar: float, backup: int | None
+) -> tuple[int, list[tuple[int, np.ndarray]]]:
+    """The floor and the nonempty probe lists under one bar, top level
+    first, each in probing order: the floor is the first level whose
+    reward beats the bar, and the lists are ``seq`` up to the floor's
+    cut, without the fallback, grouped by level."""
+    ws = _workspace(instance)
+    floor = int(np.searchsorted(instance.rewards, bar, side="right"))
+    chans = ws.seq[: _cut(ws, floor, bar)]
+    if backup is not None:
+        chans = chans[chans != backup]
+    if not chans.size:
+        return floor, []
+    level = ws.top[chans]
+    edges = [0, *(np.flatnonzero(level[1:] != level[:-1]) + 1).tolist(), chans.size]
+    return floor, [
+        (int(level[a]), chans[a:b]) for a, b in zip(edges[:-1], edges[1:])
+    ]
+
+
 def probe_floor(
     instance: Instance, backup: int | None, threshold: float | None = None
 ) -> int:
     """Lowest level worth probing for: the first state whose reward
     strictly beats both the fallback's mean and the decision bar.
     Equals K when nothing does (the policy then never probes)."""
-    bar = _bar(instance, backup, threshold)
-    return int(np.searchsorted(instance.rewards, bar, side="right"))
-
-
-def _level_assignment(
-    inst: Instance, ws: _Workspace, backup: int | None, threshold: float | None
-) -> np.ndarray:
-    """Per channel, the level it probes at (-1 if it never probes).
-
-    A channel lands on the highest level where its score clears that
-    level's gate: the fallback mean, the decision bar, and the reward
-    one level down, whichever is largest.
-    """
-    bar = _bar(inst, backup, threshold)
-    k = inst.state_count
-    floor = int(np.searchsorted(inst.rewards, bar, side="right"))
-    if floor >= k:
-        return np.full(inst.n, -1, dtype=int)
-    gates = np.maximum(ws.reward_below, bar)
-    member = ws.score > gates[:, None]
-    member[:floor] = False
-    if backup is not None:
-        member[:, backup] = False
-    any_level = member.any(axis=0)
-    top_level = (k - 1) - np.argmax(member[::-1], axis=0)
-    return np.where(any_level, top_level, -1)
-
-
-def _ordered_levels(
-    ws: _Workspace, assignment: np.ndarray
-) -> list[tuple[int, np.ndarray]]:
-    """Nonempty levels, top first, members by descending score."""
-    present = np.bincount(
-        assignment[assignment >= 0], minlength=ws.order.shape[0]
-    )
-    out = []
-    for u in np.flatnonzero(present)[::-1]:
-        cand = ws.order[u]
-        out.append((int(u), cand[assignment[cand] == u]))
-    return out
+    return _probe_lists(instance, _bar(instance, backup, threshold), backup)[0]
 
 
 def probe_levels(
     instance: Instance, backup: int | None, threshold: float | None = None
 ) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """The nonempty probe lists, top level first, in probing order."""
-    ws = _workspace(instance)
-    assignment = _level_assignment(instance, ws, backup, threshold)
-    return tuple(
-        (u, tuple(int(j) for j in mem))
-        for u, mem in _ordered_levels(ws, assignment)
-    )
+    _, levels = _probe_lists(instance, _bar(instance, backup, threshold), backup)
+    return tuple((u, tuple(mem.tolist())) for u, mem in levels)
 
 
 def reserve_backup_policy(
@@ -503,12 +502,11 @@ def _fallback_scores(instance: Instance, threshold: float | None) -> np.ndarray:
     floor = np.searchsorted(r, bar, side="right")
     top, pos, start, end = ws.top, ws.pos, ws.start, ws.end
 
-    # floor prefix: the floor level's channels whose score beats the bar
+    # where each fallback's probe sequence ends, one floor level at a time
     cut = np.zeros(instance.n, dtype=int)
     for f in np.flatnonzero(np.bincount(floor, minlength=k + 1)[:k]):
         mine = floor == f
-        scores = ws.own_score[start[f] : end[f]]
-        cut[mine] = start[f] + np.searchsorted(-scores, -bar[mine], side="left")
+        cut[mine] = _cut(ws, f, bar[mine])
     # the fallback's own level, where its stretch of it ends, and the
     # fallback's place in it (the stretch's end when it is not there)
     upper = top > floor
@@ -550,8 +548,8 @@ def _fallback_scores(instance: Instance, threshold: float | None) -> np.ndarray:
             rows[live] += (r[v] - x) * (run_on - run_in) + run_in * here
         out[lift] = upward[high] + enter[high] * inner[lift] + rows
 
-    assignment = _level_assignment(instance, ws, None, threshold)
-    cost, stopped, none = _stop_profile(ws, _ordered_levels(ws, assignment))
+    _, levels = _probe_lists(instance, _bar(instance, None, threshold), None)
+    cost, stopped, none = _stop_profile(ws, levels)
     silent = _close_out(instance, None, threshold, cost, stopped, none, threshold)
     return np.concatenate([[silent.gain], out])
 

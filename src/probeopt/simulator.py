@@ -148,8 +148,9 @@ class SimReport:
     """Replication means and their standard errors.  ``mean_gain`` is
     per slot (busy or not), so for queue runs it already folds in the
     idle fraction; ``busy_gain`` conditions on busy slots.  A single
-    replication leaves the standard errors undefined: NaN here, null
-    in ``to_dict``."""
+    replication leaves the standard errors undefined, and a run with
+    no busy slot leaves ``busy_gain`` undefined: NaN here, null in
+    ``to_dict``."""
 
     slots: int
     replications: int
@@ -176,7 +177,7 @@ class SimReport:
             "mean_probe_cost": self.mean_probe_cost,
             "mean_success": self.mean_success,
             "busy_fraction": self.busy_fraction,
-            "busy_gain": self.busy_gain,
+            "busy_gain": _defined(self.busy_gain),
             "rep_gains": list(self.rep_gains),
         }
         if self.mean_queue is not None:
@@ -524,7 +525,7 @@ def simulate_unsaturated(
         mean_probe_cost=float(rows[:, 2].mean()),
         mean_success=float(rows[:, 3].mean()),
         busy_fraction=busy_fraction,
-        busy_gain=mean_gain / busy_fraction if busy_fraction > 0 else 0.0,
+        busy_gain=mean_gain / busy_fraction if busy_fraction > 0 else float("nan"),
         mean_queue=float(rows[:, 5].mean()),
         throughput=mean_tx,
         rep_gains=tuple(rows[:, 0]),

@@ -193,6 +193,96 @@ def reference_search(instance, threshold=None):
     return (None if i == 0 else i - 1), scores[i], np.array(scores)
 
 
+# -- the level lists from a dense membership mask -----------------------
+
+
+def mask_levels(instance, backup, threshold=None):
+    """The probe lists of ``reserve_backup_policy``, built level by
+    level from a K x n membership mask: channel j is a member at level
+    u >= floor when its score there beats both the reward one level
+    down and the bar (the larger of the fallback mean, 0 without one,
+    and the threshold); it probes at its highest such level, and each
+    level lists its members by descending score, ties by index."""
+    probs, rewards, costs = instance.probs, instance.rewards, instance.costs
+    k = instance.state_count
+    tail = np.cumsum(probs[::-1], axis=0)[::-1]
+    num = np.cumsum((probs * rewards[:, None])[::-1], axis=0)[::-1]
+    safe = np.where(tail > 0.0, tail, 1.0)
+    score = np.where(tail > 0.0, num / safe - costs[None, :] / safe, -np.inf)
+    order = np.argsort(-score, axis=1, kind="stable")
+    blind = 0.0 if backup is None else float(instance.blind_rewards[backup])
+    bar = blind if threshold is None else max(blind, float(threshold))
+    floor = int(np.searchsorted(rewards, bar, side="right"))
+    gates = np.maximum(np.concatenate([[-1.0], rewards[:-1]]), bar)
+    member = score > gates[:, None]
+    member[:floor] = False
+    if backup is not None:
+        member[:, backup] = False
+    level = np.where(member.any(axis=0), (k - 1) - np.argmax(member[::-1], axis=0), -1)
+    return tuple(
+        (u, tuple(int(j) for j in order[u] if level[j] == u))
+        for u in range(k - 1, -1, -1)
+        if (level == u).any()
+    )
+
+
+# -- the two-state fallback scan ------------------------------------------
+
+
+def two_state_scan(instance):
+    """Every fallback of an on/off instance scored in one sweep of the
+    efficiency order: ascending cost per unit of success, free channels
+    first by descending success probability, never-on channels last.
+
+    Valid only for ``rewards[0] == 0``: a probe then pays iff the reward
+    it adds when the fallback would be off beats its cost, so each
+    fallback's probes are a prefix of that order, and a run that finds
+    nothing on closes on the fallback.  Returns the gain of each
+    fallback (by channel index), the first best fallback, its gain and
+    its probe order.
+    """
+    assert instance.state_count == 2 and instance.rewards[0] == 0.0
+    n = instance.n
+    r1 = float(instance.rewards[1])
+    p, c = instance.probs[1], instance.costs
+
+    def key(j):
+        if p[j] <= 0.0:
+            return (2, 0.0, j)
+        if c[j] <= 0.0:
+            return (0, -p[j], j)
+        return (1, c[j] / p[j], j)
+
+    order = np.array(sorted(range(n), key=key), dtype=int)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(p > 0.0, c / np.where(p > 0.0, p, 1.0), np.inf)
+    ps, cs = p[order], c[order]
+    products = np.concatenate([[1.0], np.cumprod(1.0 - ps)])
+    prefix = np.concatenate([[0.0], np.cumsum((ps * r1 - cs) * products[:-1])])
+    # prefix length of the efficiency order passing each fallback's bar
+    mfull = np.searchsorted(ratio[order], r1 * (1.0 - p), side="left")
+    pos = np.empty(n, dtype=int)
+    pos[order] = np.arange(n)
+    blind = p * r1
+    gains = np.empty(n)
+    outside = pos >= mfull
+    m = mfull[outside]
+    gains[outside] = prefix[m] + blind[outside] * products[m]
+    ins = ~outside
+    q, m = pos[ins], mfull[ins]
+    keep = 1.0 - p[ins]  # positive by validation, so the division is safe
+    gains[ins] = (
+        prefix[q] + (prefix[m] - prefix[q + 1]) / keep + blind[ins] * products[m] / keep
+    )
+    best = int(np.argmax(gains))
+    return SimpleNamespace(
+        channel_gains=gains,
+        best=best,
+        best_gain=float(gains[best]),
+        best_probe_order=tuple(int(j) for j in order[: mfull[best]] if j != best),
+    )
+
+
 # -- brute-force optimum of the fixed-prefix class ----------------------
 
 

@@ -329,6 +329,24 @@ class TestSimulate:
         assert "mean_queue" in doc
         assert doc["busy_fraction"] < 1.0
 
+    def test_idle_queue_leaves_busy_gain_undefined(self, tmp_path, capsys):
+        ipath = write_instance(tmp_path, seed=1)
+        mix = tmp_path / "mix.json"
+        run("solve", ipath, "--mode", "unsaturated", "--rate", 0.5, "-o", mix)
+        assert run(
+            "simulate", ipath, "--policy", mix, "--queue",
+            "--arrivals", "bernoulli:0", "--slots", 500, "--replications", 3,
+        ) == 0
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert doc["busy_fraction"] == 0.0
+        assert doc["busy_gain"] is None
+        assert doc["z_gain"] is None
+        assert doc["analytic_gain"] > 0.0
+
     def test_queue_needs_a_mixed_policy(self, tmp_path):
         ipath = write_instance(tmp_path, seed=3)
         sol = tmp_path / "sol.json"

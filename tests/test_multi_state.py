@@ -2,9 +2,10 @@
 
 The evaluator is checked against the loop-everything walker, the
 construction against the class-restricted oracle (the fallback may
-never be probed, and only the fallback may be sent blind), and the
-fallback search's per-choice scores against building and evaluating
-each of the n + 1 policies (``helpers.reference_search``).
+never be probed, and only the fallback may be sent blind) and against
+level lists built from a dense membership mask (``helpers.mask_levels``),
+and the fallback search's per-choice scores against building and
+evaluating each of the n + 1 policies (``helpers.reference_search``).
 """
 
 import gc
@@ -20,9 +21,11 @@ import probeopt as po
 from probeopt import multi_state
 from helpers import (
     draw_instance,
+    mask_levels,
     reference_search,
     restricted_oracle_value,
     slow_report,
+    two_state_scan,
 )
 
 
@@ -133,6 +136,26 @@ class TestConstruction:
         # a bar above every reward shuts probing off entirely
         assert po.probe_floor(inst, None, 1.5) == 3
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.floats(-0.5, 1.5))
+    def test_levels_match_the_membership_mask(self, seed, extra):
+        inst = draw_instance(seed, n_hi=12, k_hi=7)
+        for x in search_prices(inst, extra):
+            for backup in [None, *range(inst.n)]:
+                assert po.probe_levels(inst, backup, x) == mask_levels(
+                    inst, backup, x
+                ), f"fallback {backup}, price {x}"
+
+    def test_a_score_equal_to_the_bar_stays_out(self):
+        # channel 0's score at level 1 is 1 - 0.25 / 0.5 = 0.5 exactly,
+        # the same as channel 1's blind mean: probing it would not pay
+        inst = po.Instance.from_arrays(
+            (0.0, 1.0), [[0.5, 0.5], [0.5, 0.5]], (0.25, 0.1)
+        )
+        for backup, x, want in ((1, None, ()), (None, 0.5, ((1, (1,)),))):
+            assert po.probe_levels(inst, backup, x) == want
+            assert mask_levels(inst, backup, x) == want
+
     def test_levels_sorted_and_scores_descend(self):
         for seed in range(40):
             inst = draw_instance(seed, n_lo=3, n_hi=7, k_hi=4)
@@ -170,8 +193,9 @@ class TestConstruction:
         for seed in range(60):
             inst = draw_instance(seed, n_hi=8, k_lo=2, k_hi=2)
             a = po.evaluate_policy(inst, po.best_reserve_backup(inst)).gain
-            b = po.evaluate_policy(inst, po.two_state_opt(inst)).gain
-            assert a == pytest.approx(b, abs=1e-9), f"seed {seed}"
+            assert a == pytest.approx(two_state_scan(inst).best_gain, abs=1e-9), (
+                f"seed {seed}"
+            )
 
     def test_search_agrees_with_explicit_sweep(self):
         for seed in range(25):
@@ -278,7 +302,7 @@ class TestFastSearch:
         for seed, n in enumerate((20, 60, 150, 300)):
             inst = draw_instance(seed, n_lo=n, n_hi=n, k_lo=2, k_hi=2)
             a = po.evaluate_policy(inst, po.best_reserve_backup(inst)).gain
-            b = po.evaluate_policy(inst, po.two_state_opt(inst)).gain
+            b = two_state_scan(inst).best_gain
             assert a == pytest.approx(b, abs=1e-9), f"n={n}"
 
     def test_large_instance_stays_finite_and_exact(self):

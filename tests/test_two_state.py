@@ -1,16 +1,17 @@
-"""On/off channels: the probe-until-on policy as a one-level list, the
-closed-form fallback scan, and legacy ``exhaust`` documents.  Ground
-truth throughout is the unrestricted oracle and the loop-everything
-walkers in helpers."""
+"""On/off channels: the fallback search at K = 2, the probe-until-on
+policy as a one-level list, and legacy ``exhaust`` documents.  Ground
+truth throughout is the unrestricted oracle, the loop-everything
+walkers and the closed-form fallback scan in helpers."""
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import probeopt as po
-from helpers import draw_instance, run_exhaust, slow_report
+from helpers import draw_instance, run_exhaust, slow_report, two_state_scan
 
 
 def worked_example():
@@ -33,11 +34,17 @@ class TestWorkedExample:
 
     def test_gains_per_fallback(self):
         inst = worked_example()
-        scan = po.determine_best_backup(inst)
+        scan = two_state_scan(inst)
+        gains = [
+            po.evaluate_policy(inst, po.reserve_backup_policy(inst, j)).gain
+            for j in range(inst.n)
+        ]
         # keep A blind, probe B: 0.5 + 0.5 * 0.8 - 0.01
         assert scan.channel_gains[0] == pytest.approx(0.89, abs=1e-12)
+        assert gains[0] == pytest.approx(0.89, abs=1e-12)
         # keep B blind, probe A: 0.8 + 0.2 * 0.5 - 0.05
         assert scan.channel_gains[1] == pytest.approx(0.85, abs=1e-12)
+        assert gains[1] == pytest.approx(0.85, abs=1e-12)
         assert scan.best == 0
         assert scan.best_gain == pytest.approx(0.89, abs=1e-12)
 
@@ -152,21 +159,30 @@ class TestExhaustPolicy:
     @given(st.integers(0, 5000))
     def test_matches_slow_walker_and_level_conversion(self, seed):
         inst = draw_instance(seed, n_hi=5, k_lo=2, k_hi=2)
-        scan = po.determine_best_backup(inst)
+        scan = two_state_scan(inst)
         pol = po.two_state_opt(inst)
         assert isinstance(pol, po.ThresholdPolicy)
-        assert pol.probe_sequence() == scan.best_probe_order
-        assert pol.backup == scan.best
         rep = po.evaluate_policy(inst, pol)
-        gain, tx, cost, _ = slow_report(
-            inst, run_exhaust(scan.best_probe_order, scan.best)
-        )
+        assert rep.gain == pytest.approx(scan.best_gain, abs=1e-12)
+        # the search weighs no fallback too and ties within 1e-12, so
+        # the winner is pinned only where the scan's top two are apart
+        top = np.sort(scan.channel_gains)[-2:]
+        if top.size == 2 and top[1] - top[0] > 1e-9:
+            assert pol.backup == scan.best
+            assert pol.probe_sequence() == scan.best_probe_order
+        probes = pol.probe_sequence()
+        gain, tx, cost, _ = slow_report(inst, run_exhaust(probes, pol.backup))
         assert rep.gain == pytest.approx(gain, abs=1e-12)
-        assert rep.transmit_prob == pytest.approx(tx, abs=1e-12)
         assert rep.probe_cost == pytest.approx(cost, abs=1e-12)
+        # without a fallback the level list sends an off channel for
+        # nothing where the probe-until-on walker stays silent
+        if pol.backup is not None:
+            assert rep.transmit_prob == pytest.approx(tx, abs=1e-12)
+        assert rep.transmit_prob == pytest.approx(slow_report(inst, pol)[1], abs=1e-12)
         # the legacy spelling of the same policy evaluates identically
-        names = [str(j + 1) for j in scan.best_probe_order]
-        legacy = po.policy_from_dict(exhaust_doc(names, str(scan.best + 1)))
+        names = [str(j + 1) for j in probes]
+        backup = None if pol.backup is None else str(pol.backup + 1)
+        legacy = po.policy_from_dict(exhaust_doc(names, backup))
         assert po.evaluate_policy(inst, legacy).gain == rep.gain
 
 
@@ -181,7 +197,7 @@ class TestOptimality:
     def test_scan_agrees_with_per_fallback_evaluation(self):
         for seed in range(30):
             inst = draw_instance(seed, n_lo=2, n_hi=6, k_lo=2, k_hi=2)
-            scan = po.determine_best_backup(inst)
+            scan = two_state_scan(inst)
             for i in range(inst.n):
                 direct = slow_report(inst, run_exhaust(po.probe_set(inst, i), i))[0]
                 assert scan.channel_gains[i] == pytest.approx(direct, abs=1e-12)
@@ -198,3 +214,40 @@ class TestOptimality:
                 swapped[t], swapped[t + 1] = swapped[t + 1], swapped[t]
                 alt = dataclasses.replace(pol, levels=((1, tuple(swapped)),))
                 assert po.evaluate_policy(inst, alt).gain <= base + 1e-12
+
+
+def positive_base_example():
+    """Rewards (0.5, 1): A (p=0.6, cost 0.17), B (p=0.6, cost 0.3) and
+    C (p=0.4, cost 0.13).  Keeping A blind is worth 0.8, and no probe
+    ahead of it pays; a scan that assumes a zero base reward probes C
+    first and lands at 0.75."""
+    inst = po.Instance.from_arrays(
+        (0.5, 1.0),
+        [[0.4, 0.4, 0.6], [0.6, 0.6, 0.4]],
+        (0.17, 0.3, 0.13),
+        names=("A", "B", "C"),
+        validate=False,
+    )
+    return po.validate_instance(inst, allow_positive_base_reward=True)
+
+
+class TestPositiveBaseReward:
+    def test_keeps_the_fallback_without_probing(self):
+        inst = positive_base_example()
+        pol = po.two_state_opt(inst)
+        gain = po.evaluate_policy(inst, pol).gain
+        assert gain == pytest.approx(0.8, abs=1e-12)
+        assert gain == pytest.approx(po.exact_dp(inst).value, abs=1e-12)
+        assert (pol.backup, pol.levels) == (0, ())
+        assert po.probe_set(inst, 0) == ()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 20_000), st.floats(0.01, 0.99))
+    def test_equals_oracle(self, seed, base):
+        drawn = draw_instance(seed, n_hi=7, k_lo=2, k_hi=2)
+        inst = po.validate_instance(
+            drawn.with_rewards((base, drawn.rewards[1])),
+            allow_positive_base_reward=True,
+        )
+        gain = po.evaluate_policy(inst, po.two_state_opt(inst)).gain
+        assert gain == pytest.approx(po.exact_dp(inst).value, abs=1e-9)
