@@ -191,6 +191,7 @@ def _cmd_oracle(args) -> int:
     tree = result.tree
     out = {
         "value": result.value,
+        "transmit_prob": result.transmit_prob,
         "tree": tree.to_dict(),
         "probes_worst_case": tree.depth(),
     }

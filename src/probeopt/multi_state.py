@@ -102,17 +102,18 @@ class _Workspace:
         self.probs = probs
         self.costs = costs
         self.tail = tail
-        # per level: candidates by descending score, ties by index
-        order = np.argsort(-score, axis=1, kind="stable")
         # the reward one level down (sentinel below the bottom)
         reward_below = np.concatenate([[-1.0], rewards[:-1]])
         clears = score > reward_below[:, None]
         top = np.where(
             clears.any(axis=0), (k - 1) - np.argmax(clears[::-1], axis=0), -1
         )
-        seq = np.concatenate(
-            [order[u][top[order[u]] == u] for u in range(k - 1, -1, -1)]
-        )
+        # each channel sits at one level: levels top first, each by
+        # descending score there, ties by index
+        placed = np.flatnonzero(top >= 0)
+        seq = placed[
+            np.lexsort((placed, -score[top[placed], placed], -top[placed]))
+        ]
         level = top[seq]
         count = np.bincount(level, minlength=k)
         end = np.cumsum(count[::-1])[::-1]

@@ -4,7 +4,13 @@ The state of any probing policy is (set of channels probed so far, best
 state observed so far); rewards are monotone in the state index, so only
 the best observation matters for what follows.  The solver tabulates the
 optimal continuation value over all ``2^n * (K + 1)`` such states,
-exactly, and can extract an explicit optimal decision tree on demand.
+exactly, in one pass over popcount layers from the full mask down (a
+probe adds one channel, so a layer reads only the layer above, and each
+step of a layer is one numpy expression).  The same pass fills an
+action table, holding the action the tie preference takes in each
+state, and the probability that the tree it describes transmits; an
+explicit optimal decision tree is then a walk of the action table from
+the root, made on demand and checked against the table's value.
 Exponential in the channel count, so it refuses instances wider than
 ``OracleOptions.max_channels``.
 
@@ -20,8 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, NamedTuple
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +45,7 @@ from .core import (
 __all__ = [
     "TooLarge",
     "InconsistentOptions",
+    "ExtractionDrift",
     "InfeasibleRate",
     "OracleOptions",
     "OracleResult",
@@ -76,6 +83,10 @@ class TooLarge(ProbingError):
 
 class InconsistentOptions(ProbingError):
     """The option set leaves some reachable state with no legal action."""
+
+
+class ExtractionDrift(ProbingError):
+    """An extracted tree does not attain the value of its table."""
 
 
 class InfeasibleRate(ProbingError):
@@ -353,6 +364,15 @@ def tree_to_dot(tree: DecisionTree) -> str:
 
 # -- the tabulation -----------------------------------------------------
 
+# Codes of the closing actions in the action table; a probe of channel
+# j is stored as j itself, and _NONE marks a state with no legal action.
+_TRANSMIT, _BACKUP, _SILENT, _NONE = -1, -2, -3, -4
+
+# Largest number of child values one step of the layered pass gathers;
+# a layer's masks are split into steps of that size, so the temporaries
+# stay bounded whatever n is.
+_CHUNK = 1 << 13
+
 
 def _check_options(instance: Instance, options: OracleOptions) -> None:
     n = instance.n
@@ -378,148 +398,218 @@ def _check_options(instance: Instance, options: OracleOptions) -> None:
         )
 
 
+@lru_cache(maxsize=8)
+def _lattice(n: int, k: int):
+    """The subset lattice of n channels, cut into the steps of the
+    layered pass over K states; it depends on nothing else, so every
+    instance of that shape shares it.
+
+    ``order`` lists the masks by popcount, ascending mask within a
+    popcount, and ``pos`` inverts it.  ``m_idx[b, s]`` is the child's
+    column after state s is seen with best column b, for the value
+    columns and then for the transmit-probability columns.  A step
+    ``(lo, hi, f, jj, kid, who, rows)`` covers the masks at
+    ``order[lo:hi]``, all with f free channels: ``jj`` lists those
+    channels ascending (flat, mask by mask), ``kid`` the ``order``
+    position of the child each of those probes leads to, ``who`` the
+    action code of each candidate column (the f probes, then transmit,
+    backup and silent) and ``rows`` the step's row numbers.  Steps run
+    from the full mask down to the empty one.
+    """
+    size = 1 << n
+    count = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        count = np.concatenate([count, count + 1])
+    order = np.argsort(count, kind="stable")
+    pos = np.empty(size, dtype=np.intp)
+    pos[order] = np.arange(size)
+    m_idx = np.maximum(np.arange(k + 1)[:, None] - 1, np.arange(k)[None, :]) + 1
+    m_idx = np.concatenate([m_idx, m_idx + k + 1])
+    width = np.bincount(count, minlength=n + 1)
+    end = np.cumsum(width)
+    channels = np.arange(n)
+    steps = []
+    for c in range(n, -1, -1):
+        f = n - c
+        step = max(1, _CHUNK // (2 * (k + 1) * k * f or 1))
+        for lo in range(end[c] - width[c], end[c], step):
+            hi = min(lo + step, end[c])
+            masks = order[lo:hi, None]
+            jj = np.nonzero((masks >> channels) & 1 == 0)[1].reshape(hi - lo, f)
+            who = np.empty((hi - lo, f + 3), dtype=np.int8)
+            who[:, :f] = jj
+            who[:, f:] = (_TRANSMIT, _BACKUP, _SILENT)
+            kid = pos[masks | (1 << jj)].ravel().astype(np.min_scalar_type(size))
+            jj = jj.ravel().astype(np.min_scalar_type(n))
+            rows = np.arange(hi - lo)[:, None]
+            steps.append((lo, hi, f, jj, kid, who, rows))
+    # every caller shares these arrays
+    for a in (order, pos, m_idx, *(a for s in steps for a in s[3:])):
+        a.flags.writeable = False
+    return order, pos, m_idx, tuple(steps)
+
+
 def _tabulate(instance: Instance, options: OracleOptions):
-    """Fill V[mask, bidx] = best continuation value with ``mask`` probed
-    and best observation ``bidx - 1`` (index 0 means nothing seen)."""
+    """Fill the value and action tables in one pass over popcount
+    layers, from the full mask down to the empty one.
+
+    ``V[mask, bidx]`` is the best continuation value with ``mask``
+    probed and best observation ``bidx - 1`` (index 0 means nothing
+    seen), ``A[mask, bidx]`` the action the tie preference takes there
+    and S (kept only during the pass) that action's transmit
+    probability: 1 on a send, 0 on silence, the children's average on
+    a probe.  Every child of a layer's mask lies in the layer above, so
+    each step prices all of its (mask, free channel) pairs at once.
+    Returns ``(V, A, S[0, 0])``.
+    """
     n, k = instance.n, instance.state_count
+    w = k + 1
     probs = instance.probs  # (K, n)
-    costs = instance.costs
     rewards = instance.rewards
     x = 0.0 if options.altered_threshold is None else float(options.altered_threshold)
-
-    size = 1 << n
     allowed = (
         tuple(range(n)) if options.allowed_backups is None else options.allowed_backups
     )
+    order, pos, m_idx, steps = _lattice(n, k)
 
     # best blind reward among still-unprobed allowed backups, per mask
-    bb = np.full(size, -np.inf)
-    idx = np.arange(size)
-    for j in allowed:
-        free = (idx >> j) & 1 == 0
-        bb[free] = np.maximum(bb[free], instance.blind_rewards[j])
+    bb = np.full(1, -np.inf)
+    for j in range(n):
+        free = np.maximum(bb, instance.blind_rewards[j]) if j in allowed else bb
+        bb = np.concatenate([free, bb])
+    backup = (bb - x)[order][:, None]
 
-    # child b-index after observing state s with prior best b
-    m_idx = np.maximum(np.arange(k + 1)[:, None] - 1, np.arange(k)[None, :]) + 1
-
-    stop_base = np.full(k + 1, -np.inf)
-    stop_base[1:] = rewards - x
-    if options.allow_no_transmit:
-        stop_base = np.maximum(stop_base, 0.0)
-
-    probe_ok = np.ones(n, dtype=bool)
+    # the closing candidates: transmit, backup (filled per step), silent
+    closing = np.zeros((2 * w, 3))
+    closing[0, 0] = -np.inf
+    closing[1:w, 0] = rewards - x
+    if not options.allow_no_transmit:
+        closing[:w, 2] = -np.inf
+    closing[w:, :2] = 1.0
+    ranks = _RANKS[options.tie_preference]
+    closing_rank = [ranks["transmit"], ranks["backup"], ranks["silent"]]
+    rank = [
+        np.array([ranks["probe"]] * f + closing_rank, dtype=np.int8)
+        for f in range(n + 1)
+    ]
+    # a barred probe costs infinitely much, so it is never picked
+    price = instance.costs.copy()
     if options.forbidden_probe is not None:
-        probe_ok[options.forbidden_probe] = False
+        price[options.forbidden_probe] = np.inf
+    send_cols = np.arange(w, 2 * w)
 
-    V = np.empty((size, k + 1))
-    order = np.argsort(
-        -np.array([m.bit_count() for m in range(size)]), kind="stable"
-    )
-    for mask in order:
-        stop = stop_base.copy()
-        if bb[mask] > -np.inf:
-            stop = np.maximum(stop, bb[mask] - x)
-        free = [j for j in range(n) if probe_ok[j] and not (mask >> j) & 1]
-        if free:
-            children = V[[mask | (1 << j) for j in free]]  # (f, K+1)
-            gath = children[:, m_idx]  # (f, K+1, K)
-            vals = np.einsum("fbs,sf->fb", gath, probs[:, free]) - costs[free][:, None]
-            best = vals.max(axis=0)
-            V[mask] = np.maximum(stop, best)
-        else:
-            V[mask] = stop
-    return V
+    VS = np.empty((1 << n, 2 * w))  # V, then S, rows in ``order``
+    A = np.empty((1 << n, w), dtype=np.int8)
+    for lo, hi, f, jj, kid, who, rows in steps:
+        # (mask, bidx or its S column, candidate): f probes, then closing
+        cand = np.empty((hi - lo, 2 * w, f + 3))
+        cand[:, :, f:] = closing
+        cand[:, :w, f + 1] = backup[lo:hi]
+        if f:
+            gath = VS[kid][:, m_idx]  # (pairs, 2(K+1), K)
+            vals = np.einsum("fbs,sf->fb", gath, probs[:, jj])
+            vals[:, :w] -= price[jj][:, None]
+            cand[:, :, :f] = vals.reshape(-1, f, 2 * w).transpose(0, 2, 1)
+        best = cand[:, :w].max(axis=2)
+        # the tied candidate of lowest rank; among probes the first,
+        # which is the lowest channel
+        tied = cand[:, :w] >= (best - TIE_TOL)[:, :, None]
+        pick = np.where(tied, rank[f], np.int8(len(ranks))).argmin(axis=2)
+        VS[lo:hi, :w] = best
+        VS[lo:hi, w:] = cand[rows, send_cols, pick]
+        A[lo:hi] = who[rows, pick]
+    V = VS[pos, :w]
+    A = A[pos]
+    A[V == -np.inf] = _NONE
+    return V, A, float(VS[0, w])
 
 
 @dataclass(frozen=True, eq=False)
 class OracleResult:
-    """Optimal value plus, on demand, an optimal decision tree."""
+    """Optimal value plus, on demand, an optimal decision tree.
+
+    ``table[mask, bidx]`` is the optimal continuation value with the
+    channels in ``mask`` probed and best observation ``bidx - 1`` (0:
+    nothing seen yet), ``actions[mask, bidx]`` the action the tie
+    preference takes there: a channel index to probe, or a negative
+    code for transmit, backup or silence.  ``transmit_prob`` is the
+    probability that the tree those actions describe transmits.
+    """
 
     value: float
     instance: Instance
     options: OracleOptions
     table: np.ndarray = field(repr=False)
+    actions: np.ndarray = field(repr=False)
+    transmit_prob: float
 
     @cached_property
     def tree(self) -> DecisionTree:
+        """Walk the action table from the root, one node per path.  A
+        probed-channel send names the first channel on the path that
+        showed the best state, a backup the free allowed channel of
+        highest mean (lowest index on a tie); the tree must be worth
+        the table's value."""
         inst, opts = self.instance, self.options
         n, k = inst.n, inst.state_count
-        probs, costs, rewards = inst.probs, inst.costs, inst.rewards
-        x = 0.0 if opts.altered_threshold is None else float(opts.altered_threshold)
-        ranks = _RANKS[opts.tie_preference]
+        A = self.actions
         allowed = tuple(range(n)) if opts.allowed_backups is None else opts.allowed_backups
-        V = self.table
+        backups = sorted(allowed, key=lambda j: (-inst.blind_rewards[j], j))
 
         def build(mask: int, bidx: int, path: tuple[tuple[int, int], ...]):
-            target = V[mask, bidx]
-            # (value, (rank, channel-or-0), constructor)
-            cands: list[tuple[float, tuple[int, int], Callable]] = []
-            if bidx >= 1:
-                b = bidx - 1
-                # transmit the first probed channel that hit the best state
-                winner = next(j for j, s in path if s == b)
-                cands.append(
-                    (
-                        rewards[b] - x,
-                        (ranks["transmit"], 0),
-                        lambda: TransmitProbed(channel=winner, state=b),
-                    )
-                )
-            pool = [j for j in allowed if not (mask >> j) & 1]
-            if pool:
-                ell = max(pool, key=lambda j: (inst.blind_rewards[j], -j))
-                cands.append(
-                    (
-                        float(inst.blind_rewards[ell]) - x,
-                        (ranks["backup"], ell),
-                        lambda: TransmitBackup(channel=ell),
-                    )
-                )
-            if opts.allow_no_transmit:
-                cands.append((0.0, (ranks["silent"], 0), NoTransmit))
-            for j in range(n):
-                if (mask >> j) & 1 or j == opts.forbidden_probe:
-                    continue
-                child = V[mask | (1 << j)]
-                val = float(probs[:, j] @ child[np.maximum(bidx - 1, np.arange(k)) + 1])
-                val -= costs[j]
-
-                def probe_maker(j=j):
-                    kids = tuple(
-                        build(
-                            mask | (1 << j),
-                            max(bidx - 1, s) + 1,
-                            path + ((j, s),),
-                        )
+            a = int(A[mask, bidx])
+            if a >= 0:
+                return Probe(
+                    channel=a,
+                    children=tuple(
+                        build(mask | (1 << a), max(bidx, s + 1), path + ((a, s),))
                         for s in range(k)
-                    )
-                    return Probe(channel=j, children=kids)
-
-                cands.append((val, (ranks["probe"], j), probe_maker))
-            best = max(v for v, _, _ in cands)
-            assert best >= target - 1e-9, "extraction drifted from the table"
-            tied = [(key, make) for v, key, make in cands if v >= best - TIE_TOL]
-            tied.sort(key=lambda t: t[0])
-            return tied[0][1]()
+                    ),
+                )
+            if a == _TRANSMIT:
+                b = bidx - 1
+                return TransmitProbed(
+                    channel=next(j for j, s in path if s == b), state=b
+                )
+            if a == _BACKUP:
+                return TransmitBackup(
+                    channel=next(j for j in backups if not (mask >> j) & 1)
+                )
+            if a == _SILENT:
+                return NoTransmit()
+            raise ExtractionDrift(f"no legal action at mask {mask}, column {bidx}")
 
         tree = DecisionTree(
             root=build(0, 0, ()), state_count=k, n=n, names=inst.names
         )
         tree.validate()
+        gain = evaluate_policy(
+            inst, tree, altered_threshold=opts.altered_threshold
+        ).gain
+        if not abs(gain - self.value) <= 1e-9:
+            raise ExtractionDrift(
+                f"extracted tree is worth {gain!r}, the table {self.value!r}"
+            )
         return tree
 
 
 def exact_dp(instance: Instance, options: OracleOptions | None = None) -> OracleResult:
     """Optimal expected gain over every decision tree the options allow.
 
-    ``result.value`` is exact up to float rounding; ``result.tree``
-    extracts an optimal tree lazily (cheap on the optimal paths only).
+    ``result.value`` is exact up to float rounding and
+    ``result.transmit_prob`` is read off the same pass; ``result.tree``
+    walks the action table lazily, visiting only the states it reaches.
     """
     opts = options or OracleOptions()
     _check_options(instance, opts)
-    V = _tabulate(instance, opts)
+    V, A, transmit = _tabulate(instance, opts)
     return OracleResult(
-        value=float(V[0, 0]), instance=instance, options=opts, table=V
+        value=float(V[0, 0]),
+        instance=instance,
+        options=opts,
+        table=V,
+        actions=A,
+        transmit_prob=transmit,
     )
 
 
@@ -672,14 +762,17 @@ class _Cut(NamedTuple):
     """One tree's line ``gain + L * (rate - transmit)``; the dual g is
     the upper envelope of these lines over all trees."""
 
-    tree: DecisionTree
+    result: OracleResult
     gain: float
     transmit: float
 
 
 def _cut(result: OracleResult) -> _Cut:
-    report = evaluate_policy(result.instance, result.tree)
-    return _Cut(result.tree, report.gain, report.transmit_prob)
+    """The cut of the tree ``result`` describes, read off its tables:
+    the plain gain is the charged value plus the charge it paid."""
+    charge = result.options.altered_threshold or 0.0
+    transmit = result.transmit_prob
+    return _Cut(result, result.value + charge * transmit, transmit)
 
 
 def rate_constrained_optimum(
@@ -692,7 +785,8 @@ def rate_constrained_optimum(
     the rate) and one rising cut, solves where they cross, and stops
     once g there is no higher than the cuts; otherwise the new tree's
     cut replaces the one on its side.  A cut whose slope points out of
-    ``[0, max_reward]`` at an end, or is flat, marks a minimizer.
+    ``[0, max_reward]`` at an end, or is flat, marks a minimizer.  Cuts
+    come from the solves' tables; only the two final trees are built.
     """
     if not 0.0 < rate < 1.0:
         raise InfeasibleRate(f"rate must lie in (0, 1), got {rate!r}")
@@ -712,8 +806,8 @@ def rate_constrained_optimum(
             multiplier=float(L),
             rate=float(rate),
             evaluations=evaluations,
-            tree_hi=hi.tree,
-            tree_lo=lo.tree,
+            tree_hi=hi.result.tree,
+            tree_lo=lo.result.tree,
         )
 
     result = solve(0.0, "prefer-transmit")

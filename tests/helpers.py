@@ -226,6 +226,27 @@ def mask_levels(instance, backup, threshold=None):
     )
 
 
+def argsort_sequence(instance):
+    """The workspace's probe sequence from a full K x n argsort: each
+    level's channels by descending score there, ties by index, keeping
+    those whose top level (highest level whose score beats the reward
+    one level down) it is; levels top first.  Returns (seq, start, end)
+    with level u at ``seq[start[u]:end[u]]`` and an empty level K."""
+    probs, rewards, costs = instance.probs, instance.rewards, instance.costs
+    k = instance.state_count
+    tail = np.cumsum(probs[::-1], axis=0)[::-1]
+    num = np.cumsum((probs * rewards[:, None])[::-1], axis=0)[::-1]
+    safe = np.where(tail > 0.0, tail, 1.0)
+    score = np.where(tail > 0.0, num / safe - costs[None, :] / safe, -np.inf)
+    order = np.argsort(-score, axis=1, kind="stable")
+    clears = score > np.concatenate([[-1.0], rewards[:-1]])[:, None]
+    top = np.where(clears.any(axis=0), (k - 1) - np.argmax(clears[::-1], axis=0), -1)
+    seq = np.concatenate([order[u][top[order[u]] == u] for u in range(k - 1, -1, -1)])
+    count = np.bincount(top[seq], minlength=k)
+    end = np.cumsum(count[::-1])[::-1]
+    return seq, np.append(end - count, 0), np.append(end, 0)
+
+
 # -- the two-state fallback scan ------------------------------------------
 
 
@@ -343,6 +364,111 @@ def prefix_class_optimum(instance, backup: int, escape_state: int) -> float:
         for perm in itertools.permutations(others, size):
             best = max(best, backbone_value(perm))
     return best
+
+
+# -- the oracle's table and tree, one mask at a time --------------------
+
+
+def reference_table(instance, options=None):
+    """The oracle's value table filled one mask at a time, in
+    descending popcount order: V[mask, bidx] is the best continuation
+    value with ``mask`` probed and best observation ``bidx - 1``."""
+    opts = options or po.OracleOptions()
+    n, k = instance.n, instance.state_count
+    probs, costs, rewards = instance.probs, instance.costs, instance.rewards
+    x = 0.0 if opts.altered_threshold is None else float(opts.altered_threshold)
+    size = 1 << n
+    allowed = tuple(range(n)) if opts.allowed_backups is None else opts.allowed_backups
+    bb = np.full(size, -np.inf)
+    idx = np.arange(size)
+    for j in allowed:
+        free = (idx >> j) & 1 == 0
+        bb[free] = np.maximum(bb[free], instance.blind_rewards[j])
+    m_idx = np.maximum(np.arange(k + 1)[:, None] - 1, np.arange(k)[None, :]) + 1
+    stop_base = np.full(k + 1, -np.inf)
+    stop_base[1:] = rewards - x
+    if opts.allow_no_transmit:
+        stop_base = np.maximum(stop_base, 0.0)
+    V = np.empty((size, k + 1))
+    order = np.argsort(-np.array([m.bit_count() for m in range(size)]), kind="stable")
+    for mask in order:
+        stop = stop_base.copy()
+        if bb[mask] > -np.inf:
+            stop = np.maximum(stop, bb[mask] - x)
+        free = [
+            j
+            for j in range(n)
+            if j != opts.forbidden_probe and not (mask >> j) & 1
+        ]
+        if free:
+            gath = V[[mask | (1 << j) for j in free]][:, m_idx]  # (f, K+1, K)
+            vals = np.einsum("fbs,sf->fb", gath, probs[:, free]) - costs[free][:, None]
+            V[mask] = np.maximum(stop, vals.max(axis=0))
+        else:
+            V[mask] = stop
+    return V
+
+
+def reference_tree(instance, options=None, V=None):
+    """An optimal tree extracted by re-pricing every legal action at
+    each node against the value table and taking the tied action of
+    lowest (rank, channel) under the tie preference."""
+    opts = options or po.OracleOptions()
+    if V is None:
+        V = reference_table(instance, opts)
+    n, k = instance.n, instance.state_count
+    probs, costs, rewards = instance.probs, instance.costs, instance.rewards
+    x = 0.0 if opts.altered_threshold is None else float(opts.altered_threshold)
+    ranks = po.oracle._RANKS[opts.tie_preference]
+    allowed = tuple(range(n)) if opts.allowed_backups is None else opts.allowed_backups
+
+    def build(mask, bidx, path):
+        target = V[mask, bidx]
+        cands = []  # (value, (rank, channel-or-0), constructor)
+        if bidx >= 1:
+            b = bidx - 1
+            winner = next(j for j, s in path if s == b)
+            cands.append(
+                (
+                    rewards[b] - x,
+                    (ranks["transmit"], 0),
+                    lambda: po.oracle.TransmitProbed(channel=winner, state=b),
+                )
+            )
+        pool = [j for j in allowed if not (mask >> j) & 1]
+        if pool:
+            ell = max(pool, key=lambda j: (instance.blind_rewards[j], -j))
+            cands.append(
+                (
+                    float(instance.blind_rewards[ell]) - x,
+                    (ranks["backup"], ell),
+                    lambda: po.oracle.TransmitBackup(channel=ell),
+                )
+            )
+        if opts.allow_no_transmit:
+            cands.append((0.0, (ranks["silent"], 0), po.oracle.NoTransmit))
+        for j in range(n):
+            if (mask >> j) & 1 or j == opts.forbidden_probe:
+                continue
+            child = V[mask | (1 << j)]
+            val = float(probs[:, j] @ child[np.maximum(bidx - 1, np.arange(k)) + 1])
+            val -= costs[j]
+
+            def probe_maker(j=j):
+                kids = tuple(
+                    build(mask | (1 << j), max(bidx - 1, s) + 1, path + ((j, s),))
+                    for s in range(k)
+                )
+                return po.oracle.Probe(channel=j, children=kids)
+
+            cands.append((val, (ranks["probe"], j), probe_maker))
+        best = max(v for v, _, _ in cands)
+        assert best >= target - 1e-9, "extraction drifted from the table"
+        tied = [(key, make) for v, key, make in cands if v >= best - po.oracle.TIE_TOL]
+        tied.sort(key=lambda t: t[0])
+        return tied[0][1]()
+
+    return po.DecisionTree(root=build(0, 0, ()), state_count=k, n=n, names=instance.names)
 
 
 # -- grid reference for the rate-capped dual bound ----------------------

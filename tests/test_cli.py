@@ -201,6 +201,20 @@ class TestOracle:
         assert doc["value"] == pytest.approx(expect, abs=1e-9)
         assert doc["probes_worst_case"] <= 3
 
+    @pytest.mark.parametrize(
+        "extra, sends",
+        [((), 1.0), (("--threshold", "0.5", "--tie-preference", "prefer-silent"), 0.49)],
+    )
+    def test_reports_the_tree_transmit_probability(self, tmp_path, capsys, extra, sends):
+        ipath = write_instance(tmp_path, seed=11, n=5)
+        assert run("oracle", ipath, *extra) == 0
+        doc = json.loads(capsys.readouterr().out)
+        inst = po.load_instance(ipath)
+        tree = po.DecisionTree.from_dict(doc["tree"], inst)
+        expect = po.evaluate_policy(inst, tree).transmit_prob
+        assert doc["transmit_prob"] == pytest.approx(expect, abs=1e-12)
+        assert doc["transmit_prob"] == pytest.approx(sends, abs=0.01)
+
     def test_dot_export(self, tmp_path, capsys):
         ipath = write_instance(tmp_path, seed=8, n=3)
         dot = tmp_path / "tree.dot"

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import probeopt as po
 from probeopt import multi_state
 from helpers import (
+    argsort_sequence,
     draw_instance,
     mask_levels,
     reference_search,
@@ -145,6 +146,22 @@ class TestConstruction:
                 assert po.probe_levels(inst, backup, x) == mask_levels(
                     inst, backup, x
                 ), f"fallback {backup}, price {x}"
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10**6), st.lists(st.integers(0, 11), max_size=6))
+    def test_probe_sequence_matches_the_full_argsort(self, seed, copies):
+        # repeated columns give exactly tied scores at every level
+        base = draw_instance(seed, n_hi=12, k_hi=7)
+        cols = list(range(base.n)) + [c % base.n for c in copies]
+        np.random.default_rng(seed).shuffle(cols)
+        inst = po.Instance.from_arrays(
+            base.rewards, base.probs[:, cols], base.costs[cols]
+        )
+        ws = multi_state._Workspace(inst)
+        seq, start, end = argsort_sequence(inst)
+        assert ws.seq.tolist() == seq.tolist()
+        assert ws.start.tolist() == start.tolist()
+        assert ws.end.tolist() == end.tolist()
 
     def test_a_score_equal_to_the_bar_stays_out(self):
         # channel 0's score at level 1 is 1 - 0.25 / 0.5 = 0.5 exactly,

@@ -1,5 +1,9 @@
 """Brute-force ground truth: the bitmask table, tree extraction, class
-restrictions, structural diagnostics, and the rate-capped benchmark."""
+restrictions, structural diagnostics, and the rate-capped benchmark.
+
+The layered pass is pinned against the mask-by-mask table and the
+re-pricing tree extraction kept in ``helpers`` (``reference_table``,
+``reference_tree``)."""
 
 import os
 import subprocess
@@ -9,10 +13,33 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import probeopt as po
 import probeopt.oracle as oracle_module
-from helpers import draw_instance, grid_dual_bound, slow_report
+from helpers import (
+    draw_instance,
+    grid_dual_bound,
+    reference_table,
+    reference_tree,
+    slow_report,
+)
+
+TIE_PREFERENCES = ("default", "prefer-backup", "prefer-silent", "prefer-transmit")
+
+
+def run_script(script: str, *flags: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that imports this checkout."""
+    env = dict(os.environ)
+    src = str(Path(po.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *flags, "-c", textwrap.dedent(script)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
 
 
 class TestExactDP:
@@ -56,6 +83,82 @@ class TestExactDP:
         with pytest.raises(po.TooLarge):
             po.exact_dp(inst)
         po.exact_dp(inst, po.OracleOptions(max_channels=15))  # opt-in works
+
+
+class TestLayeredPass:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 10**6),
+        st.sampled_from(TIE_PREFERENCES),
+        st.sampled_from([None, 0.0, 0.3, "r_max"]),
+        st.sampled_from(
+            [
+                {},
+                {"allow_no_transmit": False},
+                {"forbidden_probe": 0},
+                {"allowed_backups": ()},
+                {"allowed_backups": (1,)},
+            ]
+        ),
+        st.booleans(),
+    )
+    def test_matches_the_mask_by_mask_reference(
+        self, seed, preference, charge, restriction, negative_base
+    ):
+        inst = draw_instance(seed, n_lo=2, n_hi=8, k_hi=5)
+        if negative_base:
+            # the oracle takes an unvalidated instance with a negative
+            # base reward, where silence can beat every send
+            inst = po.Instance.from_arrays(
+                (-0.5, *inst.rewards[1:]), inst.probs, inst.costs, validate=False
+            )
+        opts = po.OracleOptions(
+            altered_threshold=inst.max_reward if charge == "r_max" else charge,
+            tie_preference=preference,
+            **restriction,
+        )
+        res = po.exact_dp(inst, opts)
+        V = reference_table(inst, opts)
+        assert np.array_equal(np.isneginf(res.table), np.isneginf(V))
+        live = np.isfinite(V)
+        tol = 1e-15 * max(1.0, inst.max_reward)
+        assert np.abs(res.table[live] - V[live]).max() <= tol
+        assert res.tree.to_dict() == reference_tree(inst, opts, V).to_dict()
+        sends = po.evaluate_policy(inst, res.tree).transmit_prob
+        assert abs(res.transmit_prob - sends) <= 1e-12
+
+    def test_single_channel(self):
+        inst = po.Instance.from_arrays((0.0, 1.0), [[0.4], [0.6]], (0.1,))
+        for opts in (po.OracleOptions(), po.OracleOptions(allowed_backups=())):
+            res = po.exact_dp(inst, opts)
+            np.testing.assert_array_equal(res.table, reference_table(inst, opts))
+            assert res.tree.to_dict() == reference_tree(inst, opts).to_dict()
+
+    def test_drifted_extraction_raises_even_without_asserts(self):
+        script = """
+            import dataclasses
+            import probeopt as po
+            from probeopt import oracle
+
+            if __debug__ is not {debug}:
+                raise SystemExit("asserts are not as this run expects")
+            inst = po.counterexample_instance(0.1)
+            res = po.exact_dp(inst)
+            if res.actions[0, 0] < 0:
+                raise SystemExit("the optimum should probe first")
+            actions = res.actions.copy()
+            actions[0, 0] = oracle._SILENT  # worth 0, the table says more
+            try:
+                dataclasses.replace(res, actions=actions).tree
+            except oracle.ExtractionDrift as exc:
+                print(exc)
+            else:
+                raise SystemExit("a doctored action table went unnoticed")
+            """
+        for flags, debug in (((), True), (("-O",), False)):
+            proc = run_script(script.format(debug=debug), *flags)
+            assert proc.returncode == 0, proc.stderr
+            assert "extracted tree is worth 0.0" in proc.stdout
 
 
 class TestRestrictions:
@@ -275,7 +378,7 @@ class TestRateCappedBenchmark:
 
 
 def test_bound_and_certificate_need_no_scipy():
-    script = textwrap.dedent(
+    proc = run_script(
         """
         import sys
         sys.modules["scipy"] = None
@@ -286,11 +389,5 @@ def test_bound_and_certificate_need_no_scipy():
         bound = po.rate_constrained_optimum(inst, 0.5)
         assert po.dual_certificate(inst, 0.5, bound).ok
         """
-    )
-    env = dict(os.environ)
-    src = str(Path(po.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
