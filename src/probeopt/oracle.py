@@ -398,11 +398,13 @@ def _check_options(instance: Instance, options: OracleOptions) -> None:
         )
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _lattice(n: int, k: int):
     """The subset lattice of n channels, cut into the steps of the
-    layered pass over K states; it depends on nothing else, so every
-    instance of that shape shares it.
+    layered pass over K states.  Only the last shape's lattice is kept:
+    the solves that reuse one are the repeated solves of one instance
+    (its exact optimum and each solve of its dual bound), and a
+    lattice takes under twice the memory of one result's tables.
 
     ``order`` lists the masks by popcount, ascending mask within a
     popcount, and ``pos`` inverts it.  ``m_idx[b, s]`` is the child's
@@ -417,35 +419,49 @@ def _lattice(n: int, k: int):
     from the full mask down to the empty one.
     """
     size = 1 << n
-    count = np.zeros(1, dtype=np.int64)
-    for _ in range(n):
-        count = np.concatenate([count, count + 1])
-    order = np.argsort(count, kind="stable")
+    free = (np.arange(size)[:, None] >> np.arange(n)) & 1 == 0
+    nfree = free.sum(axis=1)
+    order = np.argsort(-nfree, kind="stable")
     pos = np.empty(size, dtype=np.intp)
     pos[order] = np.arange(size)
-    m_idx = np.maximum(np.arange(k + 1)[:, None] - 1, np.arange(k)[None, :]) + 1
+    m_idx = np.maximum.outer(np.arange(-1, k), np.arange(k)) + 1
     m_idx = np.concatenate([m_idx, m_idx + k + 1])
-    width = np.bincount(count, minlength=n + 1)
-    end = np.cumsum(width)
-    channels = np.arange(n)
+    # every (mask, free channel) pair, mask by mask in ``order``; ``who``
+    # holds each mask's candidate codes (its free channels, then the
+    # three closing codes), so a pair's code sits at the pair's own
+    # index plus three places for every earlier mask
+    row, jj = np.nonzero(free[order])
+    kid = pos[order[row] | (1 << jj)].astype(np.min_scalar_type(size))
+    jj = jj.astype(np.int8)
+    ends = np.cumsum(nfree[order] + 3)
+    who = np.empty(ends[-1], dtype=np.int8)
+    who[np.arange(jj.size) + 3 * row] = jj
+    who[ends[:, None] + np.arange(-3, 0)] = (_TRANSMIT, _BACKUP, _SILENT)
+    rows = np.arange(min(size, _CHUNK))[:, None]
+    # every caller shares these arrays and the views cut from them
+    for arr in (order, pos, m_idx, jj, kid, who, rows):
+        arr.flags.writeable = False
     steps = []
     for c in range(n, -1, -1):
         f = n - c
+        # the layer's first row, and the pairs of all the rows before it
+        start = sum(math.comb(n, i) for i in range(c))
+        first = sum(math.comb(n, i) * (n - i) for i in range(c)) - start * f
         step = max(1, _CHUNK // (2 * (k + 1) * k * f or 1))
-        for lo in range(end[c] - width[c], end[c], step):
-            hi = min(lo + step, end[c])
-            masks = order[lo:hi, None]
-            jj = np.nonzero((masks >> channels) & 1 == 0)[1].reshape(hi - lo, f)
-            who = np.empty((hi - lo, f + 3), dtype=np.int8)
-            who[:, :f] = jj
-            who[:, f:] = (_TRANSMIT, _BACKUP, _SILENT)
-            kid = pos[masks | (1 << jj)].ravel().astype(np.min_scalar_type(size))
-            jj = jj.ravel().astype(np.min_scalar_type(n))
-            rows = np.arange(hi - lo)[:, None]
-            steps.append((lo, hi, f, jj, kid, who, rows))
-    # every caller shares these arrays
-    for a in (order, pos, m_idx, *(a for s in steps for a in s[3:])):
-        a.flags.writeable = False
+        for lo in range(start, start + math.comb(n, c), step):
+            hi = min(lo + step, start + math.comb(n, c))
+            a, b = first + lo * f, first + hi * f
+            steps.append(
+                (
+                    lo,
+                    hi,
+                    f,
+                    jj[a:b],
+                    kid[a:b],
+                    who[a + 3 * lo : b + 3 * hi].reshape(hi - lo, f + 3),
+                    rows[: hi - lo],
+                )
+            )
     return order, pos, m_idx, tuple(steps)
 
 
@@ -487,11 +503,11 @@ def _tabulate(instance: Instance, options: OracleOptions):
         closing[:w, 2] = -np.inf
     closing[w:, :2] = 1.0
     ranks = _RANKS[options.tie_preference]
-    closing_rank = [ranks["transmit"], ranks["backup"], ranks["silent"]]
-    rank = [
-        np.array([ranks["probe"]] * f + closing_rank, dtype=np.int8)
-        for f in range(n + 1)
-    ]
+    # a step with f free channels ranks its candidates by rank[n - f:]
+    rank = np.array(
+        [ranks["probe"]] * n + [ranks["transmit"], ranks["backup"], ranks["silent"]],
+        dtype=np.int8,
+    )
     # a barred probe costs infinitely much, so it is never picked
     price = instance.costs.copy()
     if options.forbidden_probe is not None:
@@ -514,7 +530,7 @@ def _tabulate(instance: Instance, options: OracleOptions):
         # the tied candidate of lowest rank; among probes the first,
         # which is the lowest channel
         tied = cand[:, :w] >= (best - TIE_TOL)[:, :, None]
-        pick = np.where(tied, rank[f], np.int8(len(ranks))).argmin(axis=2)
+        pick = np.where(tied, rank[n - f :], np.int8(len(ranks))).argmin(axis=2)
         VS[lo:hi, :w] = best
         VS[lo:hi, w:] = cand[rows, send_cols, pick]
         A[lo:hi] = who[rows, pick]
