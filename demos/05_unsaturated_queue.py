@@ -24,9 +24,8 @@ def main():
     mix = po.solve_unsaturated(inst, args.rate, args.slack)
 
     print(f"arrivals at {args.rate}, transmit target {mix.effective_rate:.4f}")
-    print(f"mixture: alpha={mix.alpha:.4f} between prices "
-          f"{mix.multiplier_low:.4f} and {mix.multiplier_high:.4f} "
-          f"({mix.construction})")
+    print(f"mixture: alpha={mix.alpha:.4f} between two policies optimal "
+          f"at price {mix.multiplier_low:.4f} ({mix.construction})")
     print(f"  busy-slot transmit prob {mix.transmit_prob:.6f}")
     print(f"  busy-slot gain          {mix.busy_slot_gain:.6f}")
     print(f"  predicted busy fraction {mix.busy_fraction:.4f}")

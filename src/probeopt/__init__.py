@@ -65,6 +65,7 @@ from .generate import (
 )
 from .lagrange import (
     BracketNotFound,
+    CutSearchStalled,
     DegenerateBound,
     MixedPolicy,
     MultiplierPair,

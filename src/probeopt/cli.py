@@ -35,7 +35,7 @@ from .core import (
 from .generate import COST_REGIMES, PROB_SHAPES, GenSpec, generate
 from .lagrange import (
     BracketNotFound,
-    DegenerateBound,
+    CutSearchStalled,
     MixedPolicy,
     solve_unsaturated,
 )
@@ -53,7 +53,7 @@ from .simulator import (
 INPUT_ERROR = 2
 SOLVER_ERROR = 3
 
-_GIVE_UP = (TooLarge, CandidateBudgetExceeded, DegenerateBound, BracketNotFound)
+_GIVE_UP = (TooLarge, CandidateBudgetExceeded, BracketNotFound, CutSearchStalled)
 
 
 class _CliError(Exception):

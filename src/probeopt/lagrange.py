@@ -3,25 +3,29 @@
 When packets arrive at rate well below one per slot, always running the
 saturated policy wastes transmissions.  The fix: charge the slot a
 price x per transmission and run the best one-fallback policy for the
-charged objective.  Raising x makes the policy choosier, and its
-transmission probability only ever falls, so a price can be bracketed
-where the transmission rate crosses any target in (0, 1).  The rate is
-a step function of the price, so the target is usually not hit
-exactly; instead two nearby prices straddling it are mixed with a coin
-flip per busy slot.  Keeping the pair close together (how close is set
-by the slack and a crude lower bound on the constrained optimum) keeps
-the mixture's gain within the one-fallback family's usual factor of
-the rate-constrained optimum, up to the slack.
+charged objective.  Its charged value is the upper envelope of the
+lines ``gain - x * transmit`` of the policies it picks, so it is convex
+in x and its transmission rate only falls as x rises.  A target rate in
+(0, 1) is usually met only at a kink, where a line transmitting at
+least the target crosses one transmitting at most.  A cutting-plane
+search (Kelley's method, shared with the dual bound in
+:mod:`probeopt.oracle`) finds that price exactly, and the two policies
+optimal there are mixed with a coin flip per busy slot: by LP duality
+the best mixture the one-fallback family offers at that rate.
 
 The queue is run a notch faster than the arrivals: the mixture is
 tuned to transmit at rate (1 + slack) * arrival rate whenever the
 queue is nonempty, which keeps it stable and busy roughly a
-1 / (1 + slack) fraction of slots.
+1 / (1 + slack) fraction of slots.  ``find_rate_bracket`` and
+``select_multiplier_pair`` (a grid bracket and a bisected price pair)
+are public but off the solve path.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +34,7 @@ from .multi_state import ThresholdPolicy, best_reserve_backup
 
 __all__ = [
     "BracketNotFound",
+    "CutSearchStalled",
     "DegenerateBound",
     "MixedPolicy",
     "MultiplierPair",
@@ -54,6 +59,50 @@ class DegenerateBound(ProbingError):
     pass
 
 
+class CutSearchStalled(ProbingError):
+    """The cut search did not close within ``MAX_CUTS`` cuts."""
+
+
+# Cap on the solves between the end cuts.  The most seen is 7 (n up to
+# 2000, K up to 16), so reaching it means a wrong cut, not a hard case.
+MAX_CUTS = 64
+CUT_TOL = 1e-12  # a new cut this close to the model closes the search
+
+
+class _Cut(NamedTuple):
+    """The line ``gain - x * transmit`` of one policy, found optimal at
+    ``price``; ``payload`` is whatever the solve returned with it."""
+
+    price: float
+    gain: float
+    transmit: float
+    payload: object
+
+
+def _kink(solve, rate: float, hi: _Cut, lo: _Cut) -> tuple[float, _Cut, _Cut]:
+    """Kelley's cut search for the price where the charged optimum's
+    rate crosses ``rate``, from end cuts with ``hi.transmit > rate >
+    lo.transmit``.  ``solve(x)`` gives the gain, transmit probability
+    and payload of a policy optimal at price x.  Each step solves where
+    ``hi`` and ``lo`` cross; if the new cut is no higher there, both
+    are optimal and the price and both are returned, else it replaces
+    the one on its side.  A cut at exactly ``rate`` is returned twice."""
+    for _ in range(MAX_CUTS):
+        x = (hi.gain - lo.gain) / (hi.transmit - lo.transmit)
+        x = min(max(x, hi.price), lo.price)
+        cut = _Cut(x, *solve(x))
+        model = max(c.gain - x * c.transmit for c in (hi, lo))
+        if cut.gain - x * cut.transmit <= model + CUT_TOL:
+            return x, hi, lo
+        if cut.transmit == rate:
+            return x, cut, cut
+        if cut.transmit > rate:
+            hi = cut
+        else:
+            lo = cut
+    raise CutSearchStalled(f"no kink for rate {rate} within {MAX_CUTS} cuts")
+
+
 def candidate_thresholds(instance: Instance) -> np.ndarray:
     """Prices where the charged policy can change shape: every reward,
     every fallback mean, and sentinels below and above them all.  The
@@ -66,11 +115,13 @@ def candidate_thresholds(instance: Instance) -> np.ndarray:
     )
 
 
-def _gated(instance: Instance, price: float) -> tuple[ThresholdPolicy, GainReport]:
-    """Best one-fallback policy for the charged objective at ``price``,
-    reported at face value (no charge folded in)."""
+def _gated(instance: Instance, price: float) -> tuple[float, float, ThresholdPolicy]:
+    """Gain and transmit probability at face value (no charge folded
+    in) of the best one-fallback policy for the charged objective at
+    ``price``, and the policy."""
     policy = best_reserve_backup(instance, price)
-    return policy, evaluate_policy(instance, policy)
+    report = evaluate_policy(instance, policy)
+    return report.gain, report.transmit_prob, policy
 
 
 @dataclass(frozen=True)
@@ -89,8 +140,8 @@ def find_rate_bracket(instance: Instance, rate: float) -> RateBracket:
     if not 0.0 < rate < 1.0:
         raise RateOutOfRange(f"target rate must be in (0, 1), got {rate}")
     cands = candidate_thresholds(instance)
-    s_lo = _gated(instance, cands[0])[1].transmit_prob
-    s_hi = _gated(instance, cands[-1])[1].transmit_prob
+    s_lo = _gated(instance, cands[0])[1]
+    s_hi = _gated(instance, cands[-1])[1]
     if s_lo < rate or s_hi > rate:
         raise BracketNotFound(
             f"rate {rate} outside the achievable range [{s_hi}, {s_lo}]"
@@ -98,7 +149,7 @@ def find_rate_bracket(instance: Instance, rate: float) -> RateBracket:
     lo, hi = 0, len(cands) - 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        s_mid = _gated(instance, cands[mid])[1].transmit_prob
+        s_mid = _gated(instance, cands[mid])[1]
         if s_mid >= rate:
             lo, s_lo = mid, s_mid
         else:
@@ -128,18 +179,9 @@ class MultiplierPair:
 
 
 def _pair(side, x_lo, x_hi, construction) -> MultiplierPair:
-    p_lo, rep_lo = side(x_lo)
-    p_hi, rep_hi = side(x_hi)
+    (g_lo, s_lo, p_lo), (g_hi, s_hi, p_hi) = side(x_lo), side(x_hi)
     return MultiplierPair(
-        multiplier_low=float(x_lo),
-        multiplier_high=float(x_hi),
-        s_minus=rep_lo.transmit_prob,
-        s_plus=rep_hi.transmit_prob,
-        gain_minus=rep_lo.gain,
-        gain_plus=rep_hi.gain,
-        policy_minus=p_lo,
-        policy_plus=p_hi,
-        construction=construction,
+        float(x_lo), float(x_hi), s_lo, s_hi, g_lo, g_hi, p_lo, p_hi, construction
     )
 
 
@@ -153,13 +195,7 @@ def select_multiplier_pair(
     immediately.  The flatness can fail (probe lists move inside the
     interval), so the straddle is checked and bisection takes over when
     it does not hold.  Each price is searched at most once."""
-    sides: dict[float, tuple[ThresholdPolicy, GainReport]] = {}
-
-    def side(x):
-        if x not in sides:
-            sides[x] = _gated(instance, x)
-        return sides[x]
-
+    side = functools.cache(lambda x: _gated(instance, x))
     if bracket.s_low == rate:
         return _pair(side, bracket.threshold_low, bracket.threshold_low, "exact")
     if bracket.s_high == rate:
@@ -179,7 +215,7 @@ def select_multiplier_pair(
     hi = bracket.threshold_high
     while hi - lo > delta:
         mid = 0.5 * (lo + hi)
-        if side(mid)[1].transmit_prob >= rate:
+        if side(mid)[1] >= rate:
             lo = mid
         else:
             hi = mid
@@ -190,13 +226,19 @@ def select_multiplier_pair(
 class MixedPolicy:
     """Coin-flip mixture of two charged policies for a busy slot.
 
-    With probability ``alpha`` the slot runs ``policy_plus`` (the
-    higher price, transmitting at most the target rate), otherwise
-    ``policy_minus``; the weights are chosen so the mixture transmits
-    at exactly ``effective_rate`` while busy.  ``busy_slot_gain`` is
-    the mixture's expected face-value gain in a busy slot;
+    With probability ``alpha`` the slot runs ``policy_plus``
+    (transmitting at most the target rate), otherwise ``policy_minus``
+    (at least); the weights are chosen so the mixture transmits at
+    exactly ``effective_rate`` while busy.  ``busy_slot_gain`` is the
+    mixture's expected face-value gain in a busy slot;
     ``steady_state_gain`` discounts it by the long-run fraction of
-    slots the queue keeps the server busy."""
+    slots the queue keeps the server busy.
+
+    ``construction`` says how the pair was found: ``"kink"`` when both
+    policies are optimal at one price (``multiplier_low ==
+    multiplier_high``), ``"exact"`` when one policy transmits at the
+    target rate itself (both sides are that policy, ``alpha`` is 1).
+    Documents without the field load as ``"loaded"``."""
 
     policy_minus: ThresholdPolicy
     policy_plus: ThresholdPolicy
@@ -239,16 +281,7 @@ class MixedPolicy:
     def to_dict(self, names: tuple[str, ...] | None = None) -> dict:
         return {
             "kind": "mixed",
-            "alpha": self.alpha,
-            "arrival_rate": self.arrival_rate,
-            "slack": self.slack,
-            "effective_rate": self.effective_rate,
-            "multiplier_low": self.multiplier_low,
-            "multiplier_high": self.multiplier_high,
-            "s_minus": self.s_minus,
-            "s_plus": self.s_plus,
-            "gain_minus": self.gain_minus,
-            "gain_plus": self.gain_plus,
+            **{name: getattr(self, name) for name in _NUMBERS},
             "construction": self.construction,
             "policy_minus": self.policy_minus.to_dict(names),
             "policy_plus": self.policy_plus.to_dict(names),
@@ -256,24 +289,24 @@ class MixedPolicy:
 
     @classmethod
     def from_dict(cls, data: dict, instance: Instance | None = None) -> "MixedPolicy":
-        alpha = float(data["alpha"])
-        if not 0.0 <= alpha <= 1.0:
-            raise ProbingError(f"mixing weight alpha must be in [0, 1], got {alpha}")
+        numbers = {name: float(data[name]) for name in _NUMBERS}
+        if not 0.0 <= numbers["alpha"] <= 1.0:
+            raise ProbingError(
+                f"mixing weight alpha must be in [0, 1], got {numbers['alpha']}"
+            )
         return cls(
             policy_minus=ThresholdPolicy.from_dict(data["policy_minus"], instance),
             policy_plus=ThresholdPolicy.from_dict(data["policy_plus"], instance),
-            alpha=alpha,
-            arrival_rate=float(data["arrival_rate"]),
-            slack=float(data["slack"]),
-            effective_rate=float(data["effective_rate"]),
-            multiplier_low=float(data["multiplier_low"]),
-            multiplier_high=float(data["multiplier_high"]),
-            s_minus=float(data["s_minus"]),
-            s_plus=float(data["s_plus"]),
-            gain_minus=float(data["gain_minus"]),
-            gain_plus=float(data["gain_plus"]),
             construction=data.get("construction", "loaded"),
+            **numbers,
         )
+
+
+# The mixture's numeric fields, in the order its documents list them.
+_NUMBERS = (
+    "alpha", "arrival_rate", "slack", "effective_rate", "multiplier_low",
+    "multiplier_high", "s_minus", "s_plus", "gain_minus", "gain_plus",
+)
 
 
 def solve_unsaturated(
@@ -283,10 +316,11 @@ def solve_unsaturated(
 
     The mixture transmits at rate arrival_rate * (1 + slack) while
     busy, so the queue drains faster than it fills and the server
-    settles near a 1 / (1 + slack) busy fraction.  Raises
-    RateOutOfRange when that effective rate leaves (0, 1) and
-    DegenerateBound when the instance offers no positive gain to
-    calibrate the pair separation against."""
+    settles near a 1 / (1 + slack) busy fraction.  Its two policies are
+    both optimal at the kink price, found by the cut search from end
+    cuts at the prices -1 (every slot transmits) and 2 (none does).
+    Raises RateOutOfRange when the effective rate leaves (0, 1) and
+    BracketNotFound when the end cuts do not straddle it."""
     if slack <= 0.0:
         raise RateOutOfRange(f"slack must be positive, got {slack}")
     effective = arrival_rate * (1.0 + slack)
@@ -295,36 +329,28 @@ def solve_unsaturated(
             f"need 0 < arrival_rate and arrival_rate * (1 + slack) < 1, "
             f"got {arrival_rate} at slack {slack}"
         )
-    bracket = find_rate_bracket(instance, effective)
-    if bracket.s_low == effective or bracket.s_high == effective:
-        pair = select_multiplier_pair(instance, effective, bracket, 1.0)
-    else:
-        unpriced = evaluate_policy(instance, best_reserve_backup(instance, None)).gain
-        floor_gain = max(unpriced, float(instance.blind_rewards.max()))
-        q_lower = effective * floor_gain
-        if q_lower <= 0.0:
-            raise DegenerateBound(
-                "no positive-gain policy to size the pair separation with"
-            )
-        width = bracket.threshold_high - bracket.threshold_low
-        delta = min(2.0 * slack * q_lower / 3.0, 0.5 * width)
-        pair = select_multiplier_pair(instance, effective, bracket, delta)
-    if pair.s_minus == pair.s_plus:
-        alpha = 1.0
-    else:
-        alpha = (pair.s_minus - effective) / (pair.s_minus - pair.s_plus)
+    solve = functools.partial(_gated, instance)
+    hi = _Cut(-1.0, *solve(-1.0))
+    lo = _Cut(2.0, *solve(2.0))
+    if hi.transmit < effective or lo.transmit > effective:
+        raise BracketNotFound(
+            f"rate {effective} outside the achievable range "
+            f"[{lo.transmit}, {hi.transmit}]"
+        )
+    price, hi, lo = _kink(solve, effective, hi, lo)
+    alpha = 1.0 if hi is lo else (hi.transmit - effective) / (hi.transmit - lo.transmit)
     return MixedPolicy(
-        policy_minus=pair.policy_minus,
-        policy_plus=pair.policy_plus,
+        policy_minus=hi.payload,
+        policy_plus=lo.payload,
         alpha=float(alpha),
         arrival_rate=float(arrival_rate),
         slack=float(slack),
         effective_rate=float(effective),
-        multiplier_low=pair.multiplier_low,
-        multiplier_high=pair.multiplier_high,
-        s_minus=pair.s_minus,
-        s_plus=pair.s_plus,
-        gain_minus=pair.gain_minus,
-        gain_plus=pair.gain_plus,
-        construction=pair.construction,
+        multiplier_low=float(price),
+        multiplier_high=float(price),
+        s_minus=hi.transmit,
+        s_plus=lo.transmit,
+        gain_minus=hi.gain,
+        gain_plus=lo.gain,
+        construction="exact" if hi is lo else "kink",
     )

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +40,7 @@ from .core import (
     UnknownChannel,
     evaluate_policy,
 )
+from .lagrange import _Cut, _kink
 
 __all__ = [
     "TooLarge",
@@ -774,80 +774,52 @@ class RateConstrainedBound:
     tree_lo: DecisionTree = field(repr=False)
 
 
-class _Cut(NamedTuple):
-    """One tree's line ``gain + L * (rate - transmit)``; the dual g is
-    the upper envelope of these lines over all trees."""
-
-    result: OracleResult
-    gain: float
-    transmit: float
-
-
-def _cut(result: OracleResult) -> _Cut:
-    """The cut of the tree ``result`` describes, read off its tables:
-    the plain gain is the charged value plus the charge it paid."""
-    charge = result.options.altered_threshold or 0.0
-    transmit = result.transmit_prob
-    return _Cut(result, result.value + charge * transmit, transmit)
-
-
 def rate_constrained_optimum(
     instance: Instance, rate: float, *, max_channels: int = 14
 ) -> RateConstrainedBound:
     """Minimize the dual exactly by Kelley's cutting-plane method.
 
     g is convex and piecewise linear with slope ``rate - transmit`` of
-    the optimal tree.  The search keeps one falling cut (transmit above
-    the rate) and one rising cut, solves where they cross, and stops
-    once g there is no higher than the cuts; otherwise the new tree's
-    cut replaces the one on its side.  A cut whose slope points out of
-    ``[0, max_reward]`` at an end, or is flat, marks a minimizer.  Cuts
-    come from the solves' tables; only the two final trees are built.
+    the optimal tree.  End cuts come from the prefer-transmit tree at 0
+    and the prefer-silent tree at ``max_reward``; a slope pointing out
+    of ``[0, max_reward]`` at an end marks a minimizer there, otherwise
+    the cut search of :mod:`probeopt.lagrange` (shared with
+    ``solve_unsaturated``) closes in on the kink.  Cuts come from the
+    solves' tables; only the two final trees are built.
     """
     if not 0.0 < rate < 1.0:
         raise InfeasibleRate(f"rate must lie in (0, 1), got {rate!r}")
     rmax = instance.max_reward
     evaluations = 0
+    last: OracleResult | None = None
 
-    def solve(L: float, tie_preference: str = "default") -> OracleResult:
-        nonlocal evaluations
+    def solve(L: float, tie_preference: str = "default"):
+        # the plain gain is the charged value plus the charge it paid
+        nonlocal evaluations, last
         evaluations += 1
-        return altered_optimum(
+        last = altered_optimum(
             instance, L, tie_preference=tie_preference, max_channels=max_channels
         )
+        return last.value + L * last.transmit_prob, last.transmit_prob, last
 
-    def finish(L: float, result: OracleResult, hi: _Cut, lo: _Cut):
+    def finish(L: float, hi: _Cut, lo: _Cut) -> RateConstrainedBound:
+        # g at the final price is the last solve's value
         return RateConstrainedBound(
-            value=float(L * rate + result.value),
+            value=float(L * rate + last.value),
             multiplier=float(L),
             rate=float(rate),
             evaluations=evaluations,
-            tree_hi=hi.result.tree,
-            tree_lo=lo.result.tree,
+            tree_hi=hi.payload.tree,
+            tree_lo=lo.payload.tree,
         )
 
-    result = solve(0.0, "prefer-transmit")
-    hi = _cut(result)
+    hi = _Cut(0.0, *solve(0.0, "prefer-transmit"))
     if hi.transmit <= rate:
-        return finish(0.0, result, hi, hi)
-    result = solve(rmax, "prefer-silent")
-    lo = _cut(result)
+        return finish(0.0, hi, hi)
+    lo = _Cut(rmax, *solve(rmax, "prefer-silent"))
     if lo.transmit >= rate:
-        return finish(rmax, result, lo, lo)
-    while True:
-        L = (hi.gain - lo.gain) / (hi.transmit - lo.transmit)
-        L = min(max(L, 0.0), rmax)
-        result = solve(L)
-        model = max(c.gain + L * (rate - c.transmit) for c in (hi, lo))
-        if L * rate + result.value <= model + TIE_TOL:
-            return finish(L, result, hi, lo)
-        cut = _cut(result)
-        if cut.transmit == rate:
-            return finish(L, result, cut, cut)
-        if cut.transmit > rate:
-            hi = cut
-        else:
-            lo = cut
+        return finish(rmax, lo, lo)
+    return finish(*_kink(solve, rate, hi, lo))
 
 
 @dataclass(frozen=True, eq=False)

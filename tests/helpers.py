@@ -497,6 +497,55 @@ def grid_dual_bound(instance, rate: float) -> float:
     )
 
 
+# -- three-stage reference for the queue mixture --------------------------
+
+
+def three_stage_unsaturated(instance, arrival_rate, slack=0.05):
+    """The queue mixture by the route that preceded the kink search:
+    bisection over ``candidate_thresholds`` for a bracket, then a price
+    pair at most ``delta`` apart inside it (midpoint first, bisection
+    if that does not straddle), with ``delta`` sized from a crude lower
+    bound on the gain.  Raises ``DegenerateBound`` when that bound is
+    not positive.  Searches go through ``lagrange.best_reserve_backup``
+    so a counter patched there sees them all."""
+    lagrange = po.lagrange
+    effective = arrival_rate * (1.0 + slack)
+    bracket = po.find_rate_bracket(instance, effective)
+    if bracket.s_low == effective or bracket.s_high == effective:
+        pair = po.select_multiplier_pair(instance, effective, bracket, 1.0)
+    else:
+        unpriced = po.evaluate_policy(
+            instance, lagrange.best_reserve_backup(instance, None)
+        ).gain
+        q_lower = effective * max(unpriced, float(instance.blind_rewards.max()))
+        if q_lower <= 0.0:
+            raise po.DegenerateBound(
+                "no positive-gain policy to size the pair separation with"
+            )
+        width = bracket.threshold_high - bracket.threshold_low
+        delta = min(2.0 * slack * q_lower / 3.0, 0.5 * width)
+        pair = po.select_multiplier_pair(instance, effective, bracket, delta)
+    if pair.s_minus == pair.s_plus:
+        alpha = 1.0
+    else:
+        alpha = (pair.s_minus - effective) / (pair.s_minus - pair.s_plus)
+    return po.MixedPolicy(
+        policy_minus=pair.policy_minus,
+        policy_plus=pair.policy_plus,
+        alpha=float(alpha),
+        arrival_rate=float(arrival_rate),
+        slack=float(slack),
+        effective_rate=float(effective),
+        multiplier_low=pair.multiplier_low,
+        multiplier_high=pair.multiplier_high,
+        s_minus=pair.s_minus,
+        s_plus=pair.s_plus,
+        gain_minus=pair.gain_minus,
+        gain_plus=pair.gain_plus,
+        construction=pair.construction,
+    )
+
+
 # -- slot-by-slot references for the simulator's draws -------------------
 
 

@@ -182,14 +182,20 @@ class TestSolve:
         ipath = write_instance(tmp_path)
         assert run("solve", ipath, "--mode", "unsaturated", "--rate", 1.5) == 2
 
-    def test_unsaturated_degenerate_give_up(self, tmp_path):
-        # every channel is all base-state mass, nothing to calibrate on
+    def test_unsaturated_all_off_instance(self, tmp_path):
+        # every channel certainly off: the kink sits at price 0 between
+        # always sending and never sending, both worth nothing
         path = tmp_path / "flat.json"
+        out = tmp_path / "mix.json"
         inst = po.Instance.from_arrays(
             [0.0, 1.0], [[1.0, 1.0], [0.0, 0.0]], [0.1, 0.1]
         )
         path.write_text(json.dumps(po.instance_to_dict(inst)))
-        assert run("solve", path, "--mode", "unsaturated", "--rate", 0.5) == 3
+        code = run("solve", path, "--mode", "unsaturated", "--rate", 0.5, "-o", out)
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["report"]["transmit_prob"] == pytest.approx(0.525, abs=1e-12)
+        assert doc["report"]["busy_slot_gain"] == 0.0
 
 
 class TestOracle:

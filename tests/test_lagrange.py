@@ -1,16 +1,33 @@
 """Price-gated mixtures for rate-limited transmission.
 
-The chain under test: candidate price grid, bracket search on the
-monotone transmission rate, close-pair selection, and the final
-two-policy mix with its busy-slot guarantee.
+Under test: the cut search for the kink price and the two-policy mix
+built there with its busy-slot guarantee, pinned against the older
+three-stage route (candidate price grid, bracket search on the
+monotone transmission rate, close-pair selection), which stays public.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import probeopt as po
 from probeopt import lagrange
-from helpers import draw_instance, slow_report
+from helpers import draw_instance, slow_report, three_stage_unsaturated
+
+
+def counted_searches(mp):
+    """Record the price of every fallback search made through
+    ``lagrange`` while ``mp`` is active."""
+    prices = []
+    search = lagrange.best_reserve_backup
+
+    def counted(instance, threshold=None):
+        prices.append(threshold)
+        return search(instance, threshold)
+
+    mp.setattr(lagrange, "best_reserve_backup", counted)
+    return prices
 
 
 def coin_instance():
@@ -60,20 +77,16 @@ class TestBracket:
                 po.find_rate_bracket(inst, rate)
 
     def test_searches_each_price_once(self, monkeypatch):
-        prices = []
-        search = lagrange.best_reserve_backup
-
-        def counted(instance, threshold=None):
-            prices.append(threshold)
-            return search(instance, threshold)
-
-        monkeypatch.setattr(lagrange, "best_reserve_backup", counted)
+        prices = counted_searches(monkeypatch)
         for seed in range(12):
             inst = draw_instance(seed, n_lo=2, n_hi=8, k_hi=4)
             for rate in (0.15, 0.55, 0.95):
                 prices.clear()
                 po.find_rate_bracket(inst, rate)
                 assert len(prices) == len(set(prices)) >= 2
+                prices.clear()
+                po.solve_unsaturated(inst, rate, 0.05)
+                assert len(prices) == len(set(prices)) >= 3
 
 
 class TestPairSelection:
@@ -92,20 +105,13 @@ class TestPairSelection:
                     )
 
     def test_searches_each_price_once(self, monkeypatch):
-        prices = []
-        search = lagrange.best_reserve_backup
-
-        def counted(instance, threshold=None):
-            prices.append(threshold)
-            return search(instance, threshold)
-
         cases = [(coin_instance(), 0.5)] + [
             (draw_instance(seed, n_lo=2, n_hi=8, k_hi=4), rate)
             for seed in range(12)
             for rate in (0.3, 0.6, 0.9)
         ]
         cases = [(inst, rate, po.find_rate_bracket(inst, rate)) for inst, rate in cases]
-        monkeypatch.setattr(lagrange, "best_reserve_backup", counted)
+        prices = counted_searches(monkeypatch)
         constructions = set()
         for inst, rate, br in cases:
             for delta in (1e-4, 0.5 * (br.threshold_high - br.threshold_low)):
@@ -123,6 +129,73 @@ class TestPairSelection:
         pair = po.select_multiplier_pair(inst, 0.5, br, 1e-3)
         assert pair.construction == "exact"
         assert pair.multiplier_low == pair.multiplier_high
+
+
+class TestKinkSearch:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.floats(0.05, 0.9))
+    def test_matches_or_beats_the_three_stage_reference(self, seed, lam):
+        inst = draw_instance(seed, n_lo=1, n_hi=10, k_hi=5)
+        with pytest.MonkeyPatch.context() as mp:
+            prices = counted_searches(mp)
+            mix = po.solve_unsaturated(inst, lam, 0.05)
+            searches = len(prices)
+            prices.clear()
+            try:
+                ref = three_stage_unsaturated(inst, lam, 0.05)
+            except po.DegenerateBound:
+                ref = None
+        assert abs(mix.transmit_prob - mix.effective_rate) <= 1e-12
+        if ref is not None:
+            assert mix.busy_slot_gain >= ref.busy_slot_gain - 1e-12
+            assert searches <= len(prices)
+        # both sides are optimal at the kink price
+        x = mix.multiplier_low
+        assert mix.multiplier_high == x
+        best = po.evaluate_policy(inst, po.best_reserve_backup(inst, x))
+        for gain, s in ((mix.gain_minus, mix.s_minus), (mix.gain_plus, mix.s_plus)):
+            assert abs((gain - x * s) - (best.gain - x * best.transmit_prob)) <= 1e-12
+
+    def test_cut_hitting_the_rate_is_both_sides(self):
+        # the coin probed and sent when on transmits at exactly 0.5, and
+        # that policy alone is optimal at the first crossing price
+        lam = 0.5 / 1.05
+        assert lam * 1.05 == 0.5
+        mix = po.solve_unsaturated(coin_instance(), lam, 0.05)
+        assert mix.construction == "exact"
+        assert mix.alpha == 1.0
+        assert mix.policy_minus is mix.policy_plus
+        assert mix.s_minus == mix.s_plus == 0.5
+
+    def test_cut_that_never_closes_raises(self):
+        # every doctored cut sits far above the model, so the search
+        # never closes and must stop at the cap rather than spin
+        calls = []
+
+        def solve(x):
+            calls.append(x)
+            return 10.0 * len(calls), (0.9 if len(calls) % 2 else 0.1), None
+
+        hi = lagrange._Cut(-1.0, 1.0, 1.0, None)
+        lo = lagrange._Cut(2.0, 0.0, 0.0, None)
+        with pytest.raises(po.CutSearchStalled):
+            lagrange._kink(solve, 0.5, hi, lo)
+        assert len(calls) == lagrange.MAX_CUTS
+
+    def test_solve_unsaturated_gives_up_on_a_doctored_cut(self, monkeypatch):
+        inst = draw_instance(3, n_lo=3, n_hi=5, k_hi=3)
+        calls = []
+        gated = lagrange._gated
+
+        def doctored(instance, price):
+            calls.append(price)
+            gain, transmit, policy = gated(instance, price)
+            return gain + 10.0 * len(calls), transmit, policy
+
+        monkeypatch.setattr(lagrange, "_gated", doctored)
+        with pytest.raises(po.CutSearchStalled):
+            po.solve_unsaturated(inst, 0.5, 0.05)
+        assert len(calls) == 2 + lagrange.MAX_CUTS
 
 
 class TestSolveUnsaturated:
@@ -172,13 +245,21 @@ class TestSolveUnsaturated:
         with pytest.raises(po.RateOutOfRange):
             po.solve_unsaturated(inst, 0.5, 0.0)
 
-    def test_degenerate_instance_refused(self):
-        # every channel certainly off: no policy earns anything
+    def test_all_off_instance_meets_the_rate_at_price_zero(self):
+        # every channel certainly off: no policy earns anything, so the
+        # kink is at price 0 between always sending and never sending
         inst = po.Instance.from_arrays(
             (0.0, 1.0), [[1.0, 1.0], [0.0, 0.0]], (0.1, 0.1)
         )
-        with pytest.raises(po.DegenerateBound):
-            po.solve_unsaturated(inst, 0.5, 0.05)
+        mix = po.solve_unsaturated(inst, 0.5, 0.05)
+        assert mix.construction == "kink"
+        assert mix.multiplier_low == mix.multiplier_high == 0.0
+        assert mix.transmit_prob == pytest.approx(mix.effective_rate, abs=1e-12)
+        assert po.evaluate_policy(inst, mix).transmit_prob == pytest.approx(
+            mix.effective_rate, abs=1e-12
+        )
+        bound = po.rate_constrained_optimum(inst, mix.effective_rate).value
+        assert mix.busy_slot_gain == 0.0 == bound
 
     def test_serialization_round_trip(self):
         inst = draw_instance(9, n_lo=2, n_hi=4, k_hi=3)
