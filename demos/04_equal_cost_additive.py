@@ -3,7 +3,8 @@
 The scheme promises a gain within eps * (top reward) of optimal.  It
 either decides probes are cheap enough to treat as free, or coarsens
 values onto a grid and searches short probe backbones.  The printed
-certificate shows which branch ran and how much enumeration it bought.
+certificate shows which branch ran and how many probed sets the
+backbone search solved.
 """
 
 import numpy as np
@@ -30,5 +31,5 @@ for eps in (0.3, 0.2, 0.1, 0.05):
 
 print("\nthe loose runs decide the shared cost sits under eps * top reward,")
 print("treat probes as free, and accept the cheaper policy that comes out;")
-print("the strict runs pay for backbone enumeration and land closer, here")
-print("on the optimum itself.")
+print("the strict runs pay for a backbone search over probed sets and land")
+print("closer, here on the optimum itself.")

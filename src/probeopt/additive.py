@@ -10,7 +10,7 @@ additive epsilon * (top reward):
   cost against the unrestricted optimum.
 
 * Otherwise rewards are coarsened onto a grid of width epsilon / 2 and
-  the solver enumerates policies of a restricted shape: a backbone of
+  the solver searches policies of a restricted shape: a backbone of
   probes that keeps going while observations stay at or below an
   escape state i, ending in a blind send of a designated fallback; the
   first observation above i ("an escape") hands the slot to a
@@ -20,12 +20,13 @@ additive epsilon * (top reward):
   the backbone past the first escape with probability more than
   epsilon / 2 each, so backbones longer than h = 1 + ceil(log(eps/2) /
   log(1 - eps/2)) add less than (epsilon / 2) * (top reward) and are
-  not enumerated.
+  not searched.
 
 Some optimal policy has exactly this backbone-plus-escapes shape for
-the right fallback and escape state, so enumerating every (fallback,
-escape state, backbone) triple and keeping the best loses only the
-coarsening and truncation budgets.  The winner is mapped back to the
+the right fallback and escape state, so the best backbone of the best
+(fallback, escape state) pair loses only the coarsening and truncation
+budgets; each pair's search runs over probed sets, not orderings.
+The winner is mapped back to the
 original reward scale before it is returned: decisions fire on the
 grid cell of each observation, transmitted rewards are the original
 ones, so the reported gain can only improve on the bucketed figure.
@@ -330,7 +331,7 @@ def _translate_subtree(
     return escape_state + 1, levels
 
 
-# -- backbone enumeration -----------------------------------------------
+# -- backbone search over probed sets -----------------------------------
 
 
 def best_prefix_policy(
@@ -343,14 +344,19 @@ def best_prefix_policy(
     _counter: list | None = None,
 ) -> tuple[PrefixTreePolicy, float]:
     """Best backbone-plus-escapes policy for one (fallback, escape
-    state) pair, searching backbones up to ``max_length`` probes (all
-    lengths when None).  Every backbone prefix is itself a candidate;
-    escape continuations are optimal by construction, so only the
-    backbone is enumerated.  Returns the policy and its gain."""
+    state) pair, over backbones of up to ``max_length`` probes (all
+    lengths when None).  Returns the policy and its gain.  What a
+    backbone earns past its probed set depends only on that set, so the
+    search is one recursion over sets, each solved once:
+    W(used) = max(blind, max_m [esc(m, rest) - c + cont[m] W(used + m)]).
+    Ties go to stopping, then to the lowest channel: the first backbone
+    in lexicographic order among equals."""
     if not 0 <= backup < instance.n:
         raise UnknownChannel(f"backup index {backup} out of range")
     if not 0 <= escape_state < instance.state_count:
         raise IndexError(f"escape state {escape_state} out of range")
+    if max_length is not None and max_length < 0:
+        raise ValueError(f"max_length must be >= 0, got {max_length}")
     memo = {} if _memo is None else _memo
     counter = [0] if _counter is None else _counter
     k = instance.state_count
@@ -362,9 +368,7 @@ def best_prefix_policy(
     pool = [j for j in range(instance.n) if j != backup]
     cap = len(pool) if max_length is None else min(max_length, len(pool))
     everything = frozenset(range(instance.n))
-
-    best_val = -np.inf
-    best_pi: tuple[int, ...] = ()
+    table: dict = {}
 
     def escape_value(m: int, remaining: frozenset) -> float:
         total = 0.0
@@ -374,40 +378,35 @@ def best_prefix_policy(
                 total += p * (r[s] + _escape_subtree(instance, remaining, s, memo)[0])
         return total
 
-    def rec(acc: float, reach: float, used: frozenset, prefix: tuple) -> None:
-        nonlocal best_val, best_pi
+    def best_from(used: frozenset) -> tuple[float, tuple[int, ...]]:
+        if used in table:
+            return table[used]
         counter[0] += 1
-        val = acc + reach * blind_l
-        if val > best_val:
-            best_val, best_pi = val, prefix
-        if len(prefix) == cap or reach <= 0.0:
-            return
-        for m in pool:
+        best = (blind_l, ())
+        for m in (pool if len(used) < cap else ()):
             if m in used:
                 continue
             taken = used | {m}
-            esc = escape_value(m, everything - taken)
-            rec(
-                acc + reach * (esc - costs[m]),
-                reach * float(cont[m]),
-                taken,
-                prefix + (m,),
-            )
+            val, tail = escape_value(m, everything - taken) - costs[m], ()
+            if cont[m] > 0.0:  # a probe nothing passes ends the backbone
+                w, tail = best_from(taken)
+                val += cont[m] * w
+            if val > best[0]:
+                best = (val, (m,) + tail)
+        table[used] = best
+        return best
 
-    rec(0.0, 1.0, frozenset(), ())
+    best_val, best_pi = best_from(frozenset())
 
     subtrees = []
-    probed: set[int] = set()
-    for m in best_pi:
-        probed.add(m)
-        remaining = everything - probed
-        per_state = tuple(
-            _translate_subtree(
-                *_escape_subtree(instance, remaining, s, memo)[1:], s
+    for t in range(len(best_pi)):
+        rest = everything.difference(best_pi[: t + 1])
+        subtrees.append(
+            tuple(
+                _translate_subtree(*_escape_subtree(instance, rest, s, memo)[1:], s)
+                for s in range(escape_state + 1, k)
             )
-            for s in range(escape_state + 1, k)
         )
-        subtrees.append(per_state)
     policy = PrefixTreePolicy(
         backup=backup,
         escape_min=escape_state + 1,
@@ -474,7 +473,8 @@ def _lift(
 @dataclass(frozen=True)
 class AdditiveCertificate:
     """What the solver actually did: which branch ran, the coarsening
-    and enumeration parameters, and the winner's coarse-scale gain (the
+    and search parameters (``candidates`` counts the probed sets the
+    backbone searches solved), and the winner's coarse-scale gain (the
     quantity the guarantee is proved for; the reported original-scale
     gain can only be higher)."""
 
@@ -503,10 +503,10 @@ def additive_approx(
     """Equal-cost policy within epsilon * (top reward) of the optimum.
 
     Requires every channel to charge the same probing cost.  Raises
-    CandidateBudgetExceeded before enumerating when the backbone count
-    n * cells * sum over lengths of P(n - 1, length) would pass
-    ``max_candidates``; the count is polynomial for fixed epsilon but
-    grows quickly with n once h exceeds a handful."""
+    CandidateBudgetExceeded before searching when the probed-set count
+    n * cells * sum over sizes t <= min(h, n - 1) of C(n - 1, t) would
+    pass ``max_candidates``; that count bounds ``candidates`` and is at
+    most n * cells * 2^(n - 1)."""
     if not 0.0 < epsilon <= 1.0:
         raise EpsilonOutOfRange(f"epsilon must be in (0, 1], got {epsilon}")
     costs = instance.costs
@@ -542,11 +542,10 @@ def additive_approx(
     h = 1 + math.ceil(math.log(half) / math.log(1.0 - half))
     n = instance.n
     cap = min(h, n - 1)
-    per_pair = sum(math.perm(n - 1, t) for t in range(cap + 1))
-    count = n * kc * per_pair
+    count = n * kc * sum(math.comb(n - 1, t) for t in range(cap + 1))
     if count > max_candidates:
         raise CandidateBudgetExceeded(
-            f"{count} backbone candidates exceed the budget of {max_candidates}"
+            f"{count} probed-set candidates exceed the budget of {max_candidates}"
         )
 
     memo: dict = {}

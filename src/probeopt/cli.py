@@ -309,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="saturated mode: charge per transmission",
     )
     p.add_argument("--epsilon", type=float, default=0.1, help="additive mode")
-    p.add_argument("--max-candidates", type=int, default=10**8)
+    p.add_argument("--max-candidates", type=int, default=10**8, help="additive mode")
     p.add_argument("--rate", type=float, default=None, help="unsaturated mode")
     p.add_argument("--slack", type=float, default=0.05)
     p.add_argument("-o", "--output", default=None)

@@ -366,6 +366,71 @@ def prefix_class_optimum(instance, backup: int, escape_state: int) -> float:
     return best
 
 
+def permutation_prefix_policy(
+    instance, backup: int, escape_state: int, max_length=None, memo=None
+):
+    """The backbone search as a depth-first walk over ordered backbones,
+    the package's own escape subtrees priced at every prefix (``memo``
+    is their cache, shareable with ``best_prefix_policy``'s).  Keeps the
+    first strictly better prefix in walk order, so among ties the first
+    backbone in lexicographic order wins, a prefix before its
+    extensions.  Returns the policy and its value."""
+    from probeopt.additive import _escape_subtree, _translate_subtree
+
+    k = instance.state_count
+    probs, r, costs = instance.probs, instance.rewards, instance.costs
+    blind = float(probs[:, backup] @ r)
+    cont = probs[: escape_state + 1].sum(axis=0)
+    pool = [j for j in range(instance.n) if j != backup]
+    cap = len(pool) if max_length is None else min(max_length, len(pool))
+    everything = frozenset(range(instance.n))
+    memo = {} if memo is None else memo
+    found = SimpleNamespace(val=-np.inf, backbone=())
+
+    def escape_value(m: int, remaining: frozenset) -> float:
+        total = 0.0
+        for s in range(escape_state + 1, k):
+            p = probs[s, m]
+            if p > 0.0:
+                total += p * (r[s] + _escape_subtree(instance, remaining, s, memo)[0])
+        return total
+
+    def walk(acc: float, reach: float, used: frozenset, prefix: tuple) -> None:
+        val = acc + reach * blind
+        if val > found.val:
+            found.val, found.backbone = val, prefix
+        if len(prefix) == cap or reach <= 0.0:
+            return
+        for m in pool:
+            if m not in used:
+                taken = used | {m}
+                esc = escape_value(m, everything - taken)
+                walk(
+                    acc + reach * (esc - costs[m]),
+                    reach * float(cont[m]),
+                    taken,
+                    prefix + (m,),
+                )
+
+    walk(0.0, 1.0, frozenset(), ())
+    subtrees = []
+    for t in range(len(found.backbone)):
+        rest = everything.difference(found.backbone[: t + 1])
+        subtrees.append(
+            tuple(
+                _translate_subtree(*_escape_subtree(instance, rest, s, memo)[1:], s)
+                for s in range(escape_state + 1, k)
+            )
+        )
+    policy = po.PrefixTreePolicy(
+        backup=backup,
+        escape_min=escape_state + 1,
+        backbone=found.backbone,
+        subtrees=tuple(subtrees),
+    )
+    return policy, float(found.val)
+
+
 # -- the oracle's table and tree, one mask at a time --------------------
 
 

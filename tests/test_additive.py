@@ -1,11 +1,20 @@
 """Equal-cost additive-error scheme: the cheap-probe shortcut, the
 reward-bucketed backbone search, and the executable policies it emits."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import probeopt as po
-from helpers import draw_instance, prefix_class_optimum, slow_report
+from helpers import (
+    draw_instance,
+    permutation_prefix_policy,
+    prefix_class_optimum,
+    slow_report,
+)
 
 
 def equal_cost_instance(seed, n_lo=2, n_hi=5, k_hi=4, cost_range=(0.05, 0.3)):
@@ -13,6 +22,12 @@ def equal_cost_instance(seed, n_lo=2, n_hi=5, k_hi=4, cost_range=(0.05, 0.3)):
         seed, n_lo=n_lo, n_hi=n_hi, k_hi=k_hi,
         cost_regime="equal", cost_range=cost_range,
     )
+
+
+def probed_set_bound(n, cert):
+    """The budget's count: n * cells * sum of C(n - 1, t), t <= min(h, n - 1)."""
+    cap = min(cert.path_bound, n - 1)
+    return n * cert.cell_count * sum(math.comb(n - 1, t) for t in range(cap + 1))
 
 
 class TestInputChecks:
@@ -33,6 +48,16 @@ class TestInputChecks:
         inst = equal_cost_instance(3, n_lo=5, n_hi=5, cost_range=(0.25, 0.3))
         with pytest.raises(po.CandidateBudgetExceeded):
             po.additive_approx(inst, 0.25, max_candidates=1)
+
+    def test_candidate_budget_counts_probed_sets(self):
+        inst = equal_cost_instance(3, n_lo=5, n_hi=5, cost_range=(0.25, 0.3))
+        cert = po.additive_approx(inst, 0.25).certificate
+        assert cert.branch == "coarsened"
+        sets = probed_set_bound(inst.n, cert)
+        at_budget = po.additive_approx(inst, 0.25, max_candidates=sets)
+        assert at_budget.certificate.candidates == cert.candidates
+        with pytest.raises(po.CandidateBudgetExceeded):
+            po.additive_approx(inst, 0.25, max_candidates=sets - 1)
 
 
 class TestShiftedRewards:
@@ -79,11 +104,11 @@ class TestCoarsenedBranch:
         assert cert.branch == "coarsened"
         assert cert.epsilon == eps
         assert cert.probe_cost == float(inst.costs[0])
-        import math
         half = eps / 2
         assert cert.path_bound == 1 + math.ceil(math.log(half) / math.log(1 - half))
         assert cert.cell_count <= math.ceil(2 / eps) + 1
         assert 0 < cert.candidates <= cert.budget
+        assert cert.candidates <= probed_set_bound(inst.n, cert)
         assert 0 <= cert.backup < inst.n
 
     def test_additive_guarantee_small_sweep(self):
@@ -156,6 +181,52 @@ class TestPrefixSearch:
                         val, abs=1e-9
                     )
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 10**6),
+        st.integers(2, 7),
+        st.integers(2, 4),
+        st.sampled_from(po.PROB_SHAPES),
+        st.sampled_from([None, 1, 2]),
+        st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=2),
+        st.booleans(),
+    )
+    def test_matches_the_permutation_search(
+        self, seed, n, k, shape, max_length, copies, sure_top
+    ):
+        # copied columns tie backbones exactly; a channel sure to read
+        # the top state passes nothing, so no backbone steps past it
+        # (coarsening can merge a channel's mass into the top cell, so
+        # the scheme's instances skip validation too)
+        base = draw_instance(
+            seed, n_lo=n, n_hi=n, k_lo=k, k_hi=k, prob_shape=shape,
+            cost_regime="equal",
+        )
+        probs = base.probs.copy()
+        for dst, src in copies:
+            probs[:, dst % n] = probs[:, src % n]
+        if sure_top:
+            probs[:, seed % n] = np.eye(k)[-1]
+        inst = po.Instance.from_arrays(
+            base.rewards, probs, base.costs, validate=False
+        )
+        memo: dict = {}
+        for backup in range(n):
+            for i in range(k):
+                pol, val = po.best_prefix_policy(
+                    inst, backup, i, max_length, _memo=memo
+                )
+                ref, want = permutation_prefix_policy(
+                    inst, backup, i, max_length, memo
+                )
+                where = f"fallback {backup}, floor {i}"
+                assert pol.backbone == ref.backbone, where
+                assert pol.to_dict() == ref.to_dict(), where
+                assert val == pytest.approx(want, abs=1e-12), where
+                assert po.evaluate_policy(inst, pol).gain == pytest.approx(
+                    val, abs=1e-9
+                ), where
+
     def test_top_escape_floor_degenerates_to_blind(self):
         inst = equal_cost_instance(2, n_lo=3, n_hi=4)
         top = inst.state_count - 1
@@ -174,3 +245,5 @@ class TestPrefixSearch:
             po.best_prefix_policy(inst, inst.n, 0)
         with pytest.raises(IndexError):
             po.best_prefix_policy(inst, 0, inst.state_count)
+        with pytest.raises(ValueError):
+            po.best_prefix_policy(inst, 0, 0, max_length=-1)
