@@ -26,10 +26,12 @@ Some optimal policy has exactly this backbone-plus-escapes shape for
 the right fallback and escape state, so the best backbone of the best
 (fallback, escape state) pair loses only the coarsening and truncation
 budgets; each pair's search runs over probed sets, not orderings.
-The winner is mapped back to the
-original reward scale before it is returned: decisions fire on the
-grid cell of each observation, transmitted rewards are the original
-ones, so the reported gain can only improve on the bucketed figure.
+Each escape subtree is one no-fallback policy per escape state, built
+on its shifted scale over all channels and cut to the unprobed ones.
+The winner is mapped back to the original reward scale before it is
+returned: decisions fire on the grid cell of each observation,
+transmitted rewards are the original ones, so the reported gain can
+only improve on the bucketed figure.
 """
 
 from __future__ import annotations
@@ -217,8 +219,8 @@ class PrefixTreePolicy:
             # observations, then close on its best find or fall back
             # to the channel in hand
             send_min, levels = self.subtrees[t][s - self.escape_min]
+            # a find at level u also stops every lower level
             best, best_chan = -1, None
-            done = False
             for u, mem in levels:
                 if best >= u:
                     break
@@ -228,10 +230,7 @@ class PrefixTreePolicy:
                     if sc > best:
                         best, best_chan = sc, c
                     if sc >= u:
-                        done = True
                         break
-                if done:
-                    break
             if best_chan is not None and best >= send_min:
                 return probed, ("transmit", best_chan, best)
             return probed, ("transmit", m, s)
@@ -265,21 +264,26 @@ class PrefixTreePolicy:
     @classmethod
     def from_dict(cls, data: dict, instance: Instance | None = None) -> "PrefixTreePolicy":
         idx = instance.index_of if instance is not None else (lambda s: int(s) - 1)
+        escape_min = int(data["escape_min"])
+
+        def subtree(q: int, entry: dict):
+            # entries are positional, so each must name the state it serves
+            if entry["state"] != escape_min + q:
+                raise PolicyStructureError(
+                    f"subtree entry {q} is for state {entry['state']}, "
+                    f"expected {escape_min + q}"
+                )
+            return int(entry["send_min"]), tuple(
+                (int(lv["level"]), tuple(idx(c) for c in lv["channels"]))
+                for lv in entry["levels"]
+            )
+
         return cls(
             backup=idx(data["backup"]),
-            escape_min=int(data["escape_min"]),
+            escape_min=escape_min,
             backbone=tuple(idx(c) for c in data["backbone"]),
             subtrees=tuple(
-                tuple(
-                    (
-                        int(entry["send_min"]),
-                        tuple(
-                            (int(lv["level"]), tuple(idx(c) for c in lv["channels"]))
-                            for lv in entry["levels"]
-                        ),
-                    )
-                    for entry in per_state
-                )
+                tuple(subtree(q, entry) for q, entry in enumerate(per_state))
                 for per_state in data["subtrees"]
             ),
         )
@@ -290,45 +294,38 @@ class PrefixTreePolicy:
 
 def _escape_subtree(
     instance: Instance, remaining: frozenset, escape_state: int, memo: dict
-) -> tuple[float, ThresholdPolicy, tuple[int, ...]]:
+) -> tuple[float, tuple[tuple[int, tuple[int, ...]], ...]]:
     """Best no-fallback continuation after holding ``escape_state`` with
-    only ``remaining`` unprobed, scored on the shifted reward scale.
-    The send-or-hold call at the end is free to hold, so the subtree is
-    built with a zero decision bar.  Memoized: the value only depends
-    on the remaining set and the escape state."""
-    key = (remaining, escape_state)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    order = tuple(sorted(remaining))
-    r = instance.rewards
-    k = instance.state_count
-    sub_rewards = np.concatenate([[0.0], r[escape_state + 1 :] - r[escape_state]])
-    probs = instance.probs[:, order]
-    sub_probs = np.vstack(
-        [probs[: escape_state + 1].sum(axis=0), probs[escape_state + 1 :]]
-    )
-    sub = Instance.from_arrays(
-        sub_rewards, sub_probs, instance.costs[list(order)], validate=False
-    )
-    policy = reserve_backup_policy(sub, None, 0.0)
-    gain = evaluate_policy(sub, policy).gain
-    out = (float(gain), policy, order)
-    memo[key] = out
-    return out
+    only ``remaining`` unprobed, scored on the shifted reward scale with
+    a zero decision bar (the end call is free to hold): its value and
+    its level lists (shifted levels, host channel ids).
 
-
-def _translate_subtree(
-    policy: ThresholdPolicy, order: tuple[int, ...], escape_state: int
-) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
-    """Map a shifted-scale subtree back to host states and channel ids.
-    Shifted state u corresponds to host state escape_state + u for
-    u >= 1; the send floor is the first state past the escape."""
-    levels = tuple(
-        (escape_state + u, tuple(order[c] for c in mem))
-        for u, mem in policy.levels
-    )
-    return escape_state + 1, levels
+    One shifted instance over all n channels and its no-fallback policy
+    are built per escape state (``memo[escape_state]``); a remaining
+    set's subtree is those lists cut to the set, priced on that
+    instance.  The cut is exact (see ``_Workspace``): a channel's level
+    ``top[j]`` depends only on its own column; with no fallback and a
+    zero bar the floor on the shifted scale is always level 1; the
+    floor's stretch of ``seq`` runs by descending score, so cutting it
+    to a subset keeps the same channels before or after the cut; and
+    ties go by index, which a subset keeps."""
+    s = escape_state
+    if s not in memo:
+        probs = instance.probs
+        sub = Instance.from_arrays(
+            shifted_rewards(instance.rewards, s)[s:],
+            np.vstack([probs[: s + 1].sum(axis=0), probs[s + 1 :]]),
+            instance.costs,
+            validate=False,
+        )
+        memo[s] = (sub, reserve_backup_policy(sub, None, 0.0).levels, {})
+    sub, levels, cuts = memo[s]
+    hit = cuts.get(remaining)
+    if hit is None:
+        kept = ((u, [c for c in mem if c in remaining]) for u, mem in levels)
+        policy = ThresholdPolicy(None, 0.0, [(u, mem) for u, mem in kept if mem])
+        hit = cuts[remaining] = (evaluate_policy(sub, policy).gain, policy.levels)
+    return hit
 
 
 # -- backbone search over probed sets -----------------------------------
@@ -368,11 +365,12 @@ def best_prefix_policy(
     pool = [j for j in range(instance.n) if j != backup]
     cap = len(pool) if max_length is None else min(max_length, len(pool))
     everything = frozenset(range(instance.n))
+    escapes = range(escape_state + 1, k)
     table: dict = {}
 
     def escape_value(m: int, remaining: frozenset) -> float:
         total = 0.0
-        for s in range(escape_state + 1, k):
+        for s in escapes:
             p = probs[s, m]
             if p > 0.0:
                 total += p * (r[s] + _escape_subtree(instance, remaining, s, memo)[0])
@@ -398,20 +396,20 @@ def best_prefix_policy(
 
     best_val, best_pi = best_from(frozenset())
 
-    subtrees = []
-    for t in range(len(best_pi)):
-        rest = everything.difference(best_pi[: t + 1])
-        subtrees.append(
-            tuple(
-                _translate_subtree(*_escape_subtree(instance, rest, s, memo)[1:], s)
-                for s in range(escape_state + 1, k)
-            )
-        )
+    def emit(rest: frozenset, s: int):
+        # shifted state u is host state s + u; any find beats the hold
+        levels = _escape_subtree(instance, rest, s, memo)[1]
+        return s + 1, tuple((s + u, mem) for u, mem in levels)
+
+    subtrees = tuple(
+        tuple(emit(everything - set(best_pi[: t + 1]), s) for s in escapes)
+        for t in range(len(best_pi))
+    )
     policy = PrefixTreePolicy(
         backup=backup,
         escape_min=escape_state + 1,
         backbone=best_pi,
-        subtrees=tuple(subtrees),
+        subtrees=subtrees,
     )
     return policy, float(best_val)
 

@@ -225,7 +225,7 @@ def _cmd_simulate(args) -> int:
         data = data["policy"]
     try:
         policy = policy_from_dict(data, inst)
-    except (ProbingError, KeyError, ValueError) as exc:
+    except (ProbingError, KeyError, TypeError, ValueError) as exc:
         raise _CliError(f"{args.policy}: not a usable policy ({exc})")
     config = SimConfig(
         slots=args.slots,

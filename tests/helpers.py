@@ -366,17 +366,47 @@ def prefix_class_optimum(instance, backup: int, escape_state: int) -> float:
     return best
 
 
+def reference_escape_subtree(instance, remaining, escape_state: int, cache=None):
+    """The escape subtree built the long way: a sub-instance over just
+    the ``remaining`` channels (in index order) on the shifted reward
+    scale, its own no-fallback level-list policy under a zero bar, and
+    that policy's lists mapped back to host states and channel ids
+    (shifted state u is host state escape_state + u; the send floor is
+    the first state past the escape).  Returns (value on the shifted
+    scale, (send_min, levels)).  ``cache`` memoizes per (remaining set,
+    escape state)."""
+    key = (frozenset(remaining), escape_state)
+    if cache is not None and key in cache:
+        return cache[key]
+    order = tuple(sorted(remaining))
+    r = instance.rewards
+    sub_rewards = np.concatenate([[0.0], r[escape_state + 1 :] - r[escape_state]])
+    probs = instance.probs[:, order]
+    sub_probs = np.vstack(
+        [probs[: escape_state + 1].sum(axis=0), probs[escape_state + 1 :]]
+    )
+    sub = po.Instance.from_arrays(
+        sub_rewards, sub_probs, instance.costs[list(order)], validate=False
+    )
+    policy = po.reserve_backup_policy(sub, None, 0.0)
+    levels = tuple(
+        (escape_state + u, tuple(order[c] for c in mem)) for u, mem in policy.levels
+    )
+    out = (float(po.evaluate_policy(sub, policy).gain), (escape_state + 1, levels))
+    if cache is not None:
+        cache[key] = out
+    return out
+
+
 def permutation_prefix_policy(
-    instance, backup: int, escape_state: int, max_length=None, memo=None
+    instance, backup: int, escape_state: int, max_length=None, cache=None
 ):
     """The backbone search as a depth-first walk over ordered backbones,
-    the package's own escape subtrees priced at every prefix (``memo``
-    is their cache, shareable with ``best_prefix_policy``'s).  Keeps the
-    first strictly better prefix in walk order, so among ties the first
+    escapes priced by ``reference_escape_subtree`` at every prefix
+    (``cache`` is its memo, never the package's).  Keeps the first
+    strictly better prefix in walk order, so among ties the first
     backbone in lexicographic order wins, a prefix before its
     extensions.  Returns the policy and its value."""
-    from probeopt.additive import _escape_subtree, _translate_subtree
-
     k = instance.state_count
     probs, r, costs = instance.probs, instance.rewards, instance.costs
     blind = float(probs[:, backup] @ r)
@@ -384,7 +414,7 @@ def permutation_prefix_policy(
     pool = [j for j in range(instance.n) if j != backup]
     cap = len(pool) if max_length is None else min(max_length, len(pool))
     everything = frozenset(range(instance.n))
-    memo = {} if memo is None else memo
+    cache = {} if cache is None else cache
     found = SimpleNamespace(val=-np.inf, backbone=())
 
     def escape_value(m: int, remaining: frozenset) -> float:
@@ -392,7 +422,8 @@ def permutation_prefix_policy(
         for s in range(escape_state + 1, k):
             p = probs[s, m]
             if p > 0.0:
-                total += p * (r[s] + _escape_subtree(instance, remaining, s, memo)[0])
+                sub_val = reference_escape_subtree(instance, remaining, s, cache)[0]
+                total += p * (r[s] + sub_val)
         return total
 
     def walk(acc: float, reach: float, used: frozenset, prefix: tuple) -> None:
@@ -418,7 +449,7 @@ def permutation_prefix_policy(
         rest = everything.difference(found.backbone[: t + 1])
         subtrees.append(
             tuple(
-                _translate_subtree(*_escape_subtree(instance, rest, s, memo)[1:], s)
+                reference_escape_subtree(instance, rest, s, cache)[1]
                 for s in range(escape_state + 1, k)
             )
         )

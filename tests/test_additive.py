@@ -1,6 +1,7 @@
 """Equal-cost additive-error scheme: the cheap-probe shortcut, the
 reward-bucketed backbone search, and the executable policies it emits."""
 
+import itertools
 import math
 
 import numpy as np
@@ -13,8 +14,10 @@ from helpers import (
     draw_instance,
     permutation_prefix_policy,
     prefix_class_optimum,
+    reference_escape_subtree,
     slow_report,
 )
+from probeopt.additive import _escape_subtree
 
 
 def equal_cost_instance(seed, n_lo=2, n_hi=5, k_hi=4, cost_range=(0.05, 0.3)):
@@ -148,6 +151,32 @@ class TestPrefixTreeExecution:
             assert rep.transmit_prob == pytest.approx(tx, abs=1e-12)
             np.testing.assert_allclose(rep.state_mass, mass, atol=1e-12)
 
+    def test_escape_entries_must_follow_their_states(self):
+        # n=4 K=4, backbone channel 1, escapes at states 2 and 3: swapping
+        # the two entries would run each escape on the other's subtree
+        inst = draw_instance(
+            4, n_lo=4, n_hi=4, k_lo=4, k_hi=4, cost_regime="equal"
+        )
+        policy = po.PrefixTreePolicy(
+            backup=0,
+            escape_min=2,
+            backbone=(1,),
+            subtrees=(((3, ((3, (2, 3)),)), (4, ())),),
+        )
+        doc = policy.to_dict(inst.names)
+        back = po.policy_from_dict(doc, inst)
+        assert back.subtrees == policy.subtrees
+        doc["subtrees"][0].reverse()
+        swapped = po.PrefixTreePolicy(
+            backup=0, escape_min=2, backbone=(1,),
+            subtrees=(policy.subtrees[0][::-1],),
+        )
+        assert po.evaluate_policy(inst, swapped).gain != po.evaluate_policy(
+            inst, policy
+        ).gain
+        with pytest.raises(po.PolicyStructureError, match="state"):
+            po.policy_from_dict(doc, inst)
+
     def test_serialization_round_trip(self):
         found = False
         for seed in range(12):
@@ -210,14 +239,17 @@ class TestPrefixSearch:
         inst = po.Instance.from_arrays(
             base.rewards, probs, base.costs, validate=False
         )
+        # each side keeps its own subtree cache, so a wrong subtree in
+        # the package cannot price the reference's escapes too
         memo: dict = {}
+        ref_cache: dict = {}
         for backup in range(n):
             for i in range(k):
                 pol, val = po.best_prefix_policy(
                     inst, backup, i, max_length, _memo=memo
                 )
                 ref, want = permutation_prefix_policy(
-                    inst, backup, i, max_length, memo
+                    inst, backup, i, max_length, ref_cache
                 )
                 where = f"fallback {backup}, floor {i}"
                 assert pol.backbone == ref.backbone, where
@@ -226,6 +258,51 @@ class TestPrefixSearch:
                 assert po.evaluate_policy(inst, pol).gain == pytest.approx(
                     val, abs=1e-9
                 ), where
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 7),
+        st.integers(2, 5),
+        st.sampled_from(po.PROB_SHAPES),
+        st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=2),
+        st.booleans(),
+        st.lists(st.integers(1, 4), max_size=2),
+    )
+    def test_subtrees_match_the_per_set_reference(
+        self, seed, n, k, shape, copies, sure_top, emptied
+    ):
+        # copied columns tie exactly; a sure-top column passes nothing;
+        # emptied states hold no mass on any channel, as coarsening
+        # can leave them, so the instance skips validation
+        base = draw_instance(
+            seed, n_lo=n, n_hi=n, k_lo=k, k_hi=k, prob_shape=shape,
+            cost_regime="equal",
+        )
+        probs = base.probs.copy()
+        for dst, src in copies:
+            probs[:, dst % n] = probs[:, src % n]
+        for v in emptied:
+            if v < k - 1:
+                probs[0] += probs[v]
+                probs[v] = 0.0
+        if sure_top:
+            probs[:, seed % n] = np.eye(k)[-1]
+        inst = po.Instance.from_arrays(
+            base.rewards, probs, base.costs, validate=False
+        )
+        memo: dict = {}
+        for size in range(1, n + 1):
+            for remaining in map(frozenset, itertools.combinations(range(n), size)):
+                for s in range(k):
+                    val, levels = _escape_subtree(inst, remaining, s, memo)
+                    want, reference = reference_escape_subtree(
+                        inst, remaining, s
+                    )
+                    host = (s + 1, tuple((s + u, mem) for u, mem in levels))
+                    where = f"remaining {sorted(remaining)}, escape state {s}"
+                    assert host == reference, where
+                    assert val == want, where
 
     def test_top_escape_floor_degenerates_to_blind(self):
         inst = equal_cost_instance(2, n_lo=3, n_hi=4)

@@ -399,11 +399,38 @@ class TestSimulate:
             "--replications", 2, "-o", tmp_path / "sim.json",
         ) == 2
 
-    def test_unusable_policy_file(self, tmp_path):
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("kind", "oracle-bones"),
+            ("backbone", 3),
+            ("subtrees", 5),
+            ("subtree levels", None),
+            ("threshold levels", 7),
+        ],
+        ids=[
+            "unknown-kind", "backbone-number", "subtrees-number",
+            "subtree-levels-null", "threshold-levels-number",
+        ],
+    )
+    def test_unusable_policy_file(self, tmp_path, capsys, field, value):
         ipath = write_instance(tmp_path)
+        a, b, c = (ch["name"] for ch in json.loads(ipath.read_text())["channels"][:3])
+        entry = {"state": 2, "send_min": 2, "levels": [{"level": 2, "channels": [c]}]}
+        doc = {
+            "kind": "prefix-tree", "backup": a, "escape_min": 2,
+            "backbone": [b], "subtrees": [[entry]],
+        }
+        if field == "subtree levels":
+            entry["levels"] = value
+        elif field == "threshold levels":
+            doc = {"kind": "threshold", "backup": a, "threshold": None, "levels": value}
+        else:
+            doc[field] = value
         ppath = tmp_path / "pol.json"
-        ppath.write_text(json.dumps({"kind": "oracle-bones"}))
+        ppath.write_text(json.dumps(doc))
         assert run("simulate", ipath, "--policy", ppath) == 2
+        assert "not a usable policy" in capsys.readouterr().err
 
 
 REPO = Path(__file__).resolve().parents[1]
