@@ -26,8 +26,10 @@ Some optimal policy has exactly this backbone-plus-escapes shape for
 the right fallback and escape state, so the best backbone of the best
 (fallback, escape state) pair loses only the coarsening and truncation
 budgets; each pair's search runs over probed sets, not orderings.
-Each escape subtree is one no-fallback policy per escape state, built
-on its shifted scale over all channels and cut to the unprobed ones.
+Each escape subtree is cut from its escape state's no-fallback level
+lists, built once on the shifted scale over all channels: they keep
+the unprobed channels and are priced by their stop profile.  Subtrees
+share the threshold policies' level-list check, price, walk and codec.
 The winner is mapped back to the original reward scale before it is
 returned: decisions fire on the grid cell of each observation,
 transmitted rewards are the original ones, so the reported gain can
@@ -51,9 +53,14 @@ from .core import (
     evaluate_policy,
 )
 from .multi_state import (
-    ThresholdPolicy,
+    _check_levels,
+    _frozen_levels,
+    _integer,
+    _levels_from_dict,
+    _levels_to_dict,
     _stop_profile,
     _workspace,
+    probe_levels,
     reserve_backup_policy,
 )
 
@@ -120,20 +127,11 @@ class PrefixTreePolicy:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "backbone", tuple(int(j) for j in self.backbone))
-        object.__setattr__(
-            self,
-            "subtrees",
-            tuple(
-                tuple(
-                    (
-                        int(send_min),
-                        tuple((int(u), tuple(int(c) for c in mem)) for u, mem in levels),
-                    )
-                    for send_min, levels in per_state
-                )
-                for per_state in self.subtrees
-            ),
+        subtrees = tuple(
+            tuple((int(m), _frozen_levels(levels)) for m, levels in per_state)
+            for per_state in self.subtrees
         )
+        object.__setattr__(self, "subtrees", subtrees)
 
     def validate(self, instance: Instance) -> None:
         k = instance.state_count
@@ -154,26 +152,11 @@ class PrefixTreePolicy:
                 raise PolicyStructureError(
                     f"backbone slot {t}: need one subtree per escape state"
                 )
-            probed = set(self.backbone[: t + 1])
             for send_min, levels in per_state:
                 if not 0 <= send_min <= k:
                     raise PolicyStructureError(f"send_min {send_min} out of range")
-                seen = set(probed)
-                last_u = None
-                for u, mem in levels:
-                    if last_u is not None and u >= last_u:
-                        raise PolicyStructureError("subtree levels must descend")
-                    last_u = u
-                    if not 0 <= u < k:
-                        raise PolicyStructureError(f"subtree level {u} out of range")
-                    for c in mem:
-                        if not 0 <= c < instance.n:
-                            raise UnknownChannel(f"subtree probes channel {c}")
-                        if c in seen:
-                            raise RepeatedProbe(
-                                f"channel {c} probed twice on one path"
-                            )
-                        seen.add(c)
+                # level-list rules, counting the backbone probes on the path
+                _check_levels(levels, instance, set(self.backbone[: t + 1]))
 
     def _gain_report(self, instance: Instance, altered_threshold=None) -> GainReport:
         self.validate(instance)
@@ -196,8 +179,7 @@ class PrefixTreePolicy:
                 if w <= 0.0:
                     continue
                 send_min, levels = self.subtrees[t][s - self.escape_min]
-                arrays = [(u, np.array(mem, dtype=int)) for u, mem in levels]
-                sub_cost, stopped, none = _stop_profile(ws, arrays)
+                sub_cost, stopped, none = _stop_profile(ws, levels)
                 cost += w * sub_cost
                 mass += w * np.where(states >= send_min, stopped, 0.0)
                 mass[s] += w * (none + float(stopped[:send_min].sum()))
@@ -219,18 +201,15 @@ class PrefixTreePolicy:
             # observations, then close on its best find or fall back
             # to the channel in hand
             send_min, levels = self.subtrees[t][s - self.escape_min]
-            # a find at level u also stops every lower level
+            # a probe runs only while the best find is below its level
             best, best_chan = -1, None
-            for u, mem in levels:
+            for u, c in ((u, c) for u, mem in levels for c in mem):
                 if best >= u:
                     break
-                for c in mem:
-                    probed.append(c)
-                    sc = int(states[c])
-                    if sc > best:
-                        best, best_chan = sc, c
-                    if sc >= u:
-                        break
+                probed.append(c)
+                sc = int(states[c])
+                if sc > best:
+                    best, best_chan = sc, c
             if best_chan is not None and best >= send_min:
                 return probed, ("transmit", best_chan, best)
             return probed, ("transmit", m, s)
@@ -250,10 +229,7 @@ class PrefixTreePolicy:
                     {
                         "state": self.escape_min + q,
                         "send_min": send_min,
-                        "levels": [
-                            {"level": u, "channels": [nm(c) for c in mem]}
-                            for u, mem in levels
-                        ],
+                        "levels": _levels_to_dict(levels, nm),
                     }
                     for q, (send_min, levels) in enumerate(per_state)
                 ]
@@ -263,22 +239,22 @@ class PrefixTreePolicy:
 
     @classmethod
     def from_dict(cls, data: dict, instance: Instance | None = None) -> "PrefixTreePolicy":
+        """Load a document, validated against ``instance`` when given."""
         idx = instance.index_of if instance is not None else (lambda s: int(s) - 1)
-        escape_min = int(data["escape_min"])
+        escape_min = _integer(data["escape_min"], "escape_min")
 
         def subtree(q: int, entry: dict):
             # entries are positional, so each must name the state it serves
-            if entry["state"] != escape_min + q:
+            if _integer(entry["state"], "state") != escape_min + q:
                 raise PolicyStructureError(
                     f"subtree entry {q} is for state {entry['state']}, "
                     f"expected {escape_min + q}"
                 )
-            return int(entry["send_min"]), tuple(
-                (int(lv["level"]), tuple(idx(c) for c in lv["channels"]))
-                for lv in entry["levels"]
+            return _integer(entry["send_min"], "send_min"), _levels_from_dict(
+                entry["levels"], idx
             )
 
-        return cls(
+        policy = cls(
             backup=idx(data["backup"]),
             escape_min=escape_min,
             backbone=tuple(idx(c) for c in data["backbone"]),
@@ -287,6 +263,9 @@ class PrefixTreePolicy:
                 for per_state in data["subtrees"]
             ),
         )
+        if instance is not None:
+            policy.validate(instance)
+        return policy
 
 
 # -- escape subtrees ----------------------------------------------------
@@ -300,10 +279,10 @@ def _escape_subtree(
     a zero decision bar (the end call is free to hold): its value and
     its level lists (shifted levels, host channel ids).
 
-    One shifted instance over all n channels and its no-fallback policy
-    are built per escape state (``memo[escape_state]``); a remaining
-    set's subtree is those lists cut to the set, priced on that
-    instance.  The cut is exact (see ``_Workspace``): a channel's level
+    One shifted instance over all n channels and its no-fallback level
+    lists are built per escape state (``memo[escape_state]``); a
+    remaining set's subtree is those lists cut to the set, priced by
+    their stop profile on that instance.  The cut is exact (see ``_Workspace``): a channel's level
     ``top[j]`` depends only on its own column; with no fallback and a
     zero bar the floor on the shifted scale is always level 1; the
     floor's stretch of ``seq`` runs by descending score, so cutting it
@@ -318,13 +297,16 @@ def _escape_subtree(
             instance.costs,
             validate=False,
         )
-        memo[s] = (sub, reserve_backup_policy(sub, None, 0.0).levels, {})
+        memo[s] = (sub, probe_levels(sub, None, 0.0), {})
     sub, levels, cuts = memo[s]
     hit = cuts.get(remaining)
     if hit is None:
-        kept = ((u, [c for c in mem if c in remaining]) for u, mem in levels)
-        policy = ThresholdPolicy(None, 0.0, [(u, mem) for u, mem in kept if mem])
-        hit = cuts[remaining] = (evaluate_policy(sub, policy).gain, policy.levels)
+        kept = ((u, tuple(c for c in mem if c in remaining)) for u, mem in levels)
+        kept = tuple((u, mem) for u, mem in kept if mem)
+        # with no fallback, a zero bar and no charge every stop is sent:
+        # the gain is the stopped reward less the probing cost
+        cost, stopped, _ = _stop_profile(_workspace(sub), kept)
+        hit = cuts[remaining] = (float(stopped @ sub.rewards) - float(cost), kept)
     return hit
 
 
@@ -450,12 +432,8 @@ def _lift(
         for s in range(escape_min, k):
             cell = int(cell_of[s])
             send_min, levels = per_cell[cell - policy.escape_min]
-            per_state.append(
-                (
-                    int(first_of[send_min]),
-                    tuple((int(first_of[u]), mem) for u, mem in levels),
-                )
-            )
+            lifted = tuple((int(first_of[u]), mem) for u, mem in levels)
+            per_state.append((int(first_of[send_min]), lifted))
         subtrees.append(tuple(per_state))
     return PrefixTreePolicy(
         backup=policy.backup,

@@ -9,11 +9,13 @@ is a prefix of it with the fallback taken out.  Execution probes the
 lists top level first, best candidate first, and stops as soon as an
 observation reaches the level being worked; the slot then closes by
 sending the best probed channel, the fallback blind, or nothing,
-whichever the decision rule picks.  The evaluators here are exact and
-O(n K) per policy.  The best of the one-fallback family lands within a
-constant factor of the unrestricted optimum; the search scores all
-n + 1 choices together in O(n (K + log n)) per price, after an O(n K)
-build per instance that every price shares.
+whichever the decision rule picks.  Prefix-tree escape subtrees are
+level lists too, checked, priced and serialized by the same code here
+(and walked by the simulator's one routine).  The evaluators here are
+exact and O(n K) per policy.  The best of the one-fallback family
+lands within a constant factor of the unrestricted optimum; the search
+scores all n + 1 choices together in O(n (K + log n)) per price, after
+an O(n K) build per instance that every price shares.
 
 With two states (on/off) the family holds the optimum: keep one
 channel blind (or none), probe the others that pay for themselves by
@@ -27,6 +29,7 @@ goes to no fallback first, then to the lowest channel index.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,7 +176,7 @@ def _cut(ws: _Workspace, floor: int, bar):
 
 def _probe_lists(
     instance: Instance, bar: float, backup: int | None
-) -> tuple[int, list[tuple[int, np.ndarray]]]:
+) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
     """The floor and the nonempty probe lists under one bar, top level
     first, each in probing order: the floor is the first level whose
     reward beats the bar, and the lists are ``seq`` up to the floor's
@@ -184,12 +187,13 @@ def _probe_lists(
     if backup is not None:
         chans = chans[chans != backup]
     if not chans.size:
-        return floor, []
+        return floor, ()
     level = ws.top[chans]
     edges = [0, *(np.flatnonzero(level[1:] != level[:-1]) + 1).tolist(), chans.size]
-    return floor, [
-        (int(level[a]), chans[a:b]) for a, b in zip(edges[:-1], edges[1:])
-    ]
+    return floor, tuple(
+        (int(level[a]), tuple(chans[a:b].tolist()))
+        for a, b in zip(edges[:-1], edges[1:])
+    )
 
 
 def probe_floor(
@@ -205,8 +209,7 @@ def probe_levels(
     instance: Instance, backup: int | None, threshold: float | None = None
 ) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """The nonempty probe lists, top level first, in probing order."""
-    _, levels = _probe_lists(instance, _bar(instance, backup, threshold), backup)
-    return tuple((u, tuple(mem.tolist())) for u, mem in levels)
+    return _probe_lists(instance, _bar(instance, backup, threshold), backup)[1]
 
 
 def reserve_backup_policy(
@@ -227,11 +230,10 @@ def reserve_backup_policy(
 # -- exact evaluation ---------------------------------------------------
 
 
-def _stop_profile(
-    ws: _Workspace, levels: list[tuple[int, np.ndarray]]
-) -> tuple[float, np.ndarray, float]:
+def _stop_profile(ws: _Workspace, levels) -> tuple[float, np.ndarray, float]:
     """Integrate a level-list probe schedule over all state draws.
 
+    ``levels`` holds (level, channels) pairs as a policy stores them.
     Returns (expected probing cost, stopped, none) where ``stopped[v]``
     is the probability the probing phase ends with best observation
     exactly v, and ``none`` the probability nothing was probed at all.
@@ -247,6 +249,7 @@ def _stop_profile(
     above = np.empty(0, dtype=int)
     prev_u = k
     for u, mem in levels:
+        mem = np.asarray(mem, dtype=int)
         # entering this level kills the run if anything already seen
         # reaches u; split that event by the exact best observation
         prods = np.prod(1.0 - tail[u : prev_u + 1][:, above], axis=1)
@@ -310,7 +313,59 @@ def _close_out(
     return GainReport.assemble(instance, mass, cost, altered_threshold)
 
 
-# -- the policy object --------------------------------------------------
+# -- level lists (their check, order and codec) and the policy object ---
+
+
+def _frozen_levels(levels) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    return tuple((int(u), tuple(int(j) for j in mem)) for u, mem in levels)
+
+
+def _probe_order(levels) -> list[int]:
+    """The channels of level lists, in probing order."""
+    return [j for _, mem in levels for j in mem]
+
+
+def _check_levels(levels, instance: Instance | None, seen: set[int]) -> None:
+    """The rules every level list obeys: levels strictly descending (and
+    in 0..K-1 given an instance), no empty list, channels in range and
+    probed at most once, counting those in ``seen``, which gains them."""
+    last_u = None
+    for u, mem in levels:
+        if last_u is not None and u >= last_u:
+            raise PolicyStructureError(
+                f"levels must strictly descend, got {u} after {last_u}"
+            )
+        last_u = u
+        if not mem:
+            raise PolicyStructureError(f"level {u} has an empty probe list")
+        if instance is not None and not 0 <= u < instance.state_count:
+            raise LevelOutOfRange(
+                f"level {u} outside 0..{instance.state_count - 1}"
+            )
+        for j in mem:
+            if j < 0 or (instance is not None and j >= instance.n):
+                raise UnknownChannel(f"probe index {j} out of range")
+            if j in seen:
+                raise RepeatedProbe(f"channel {j} appears twice on one path")
+            seen.add(j)
+
+
+def _integer(value, what: str) -> int:
+    """A document's integer field: a float or a bool is refused, not cut."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise PolicyStructureError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _levels_to_dict(levels, nm) -> list[dict]:
+    return [{"level": u, "channels": [nm(j) for j in mem]} for u, mem in levels]
+
+
+def _levels_from_dict(entries, idx) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    return tuple(
+        (_integer(lv["level"], "level"), tuple(idx(c) for c in lv["channels"]))
+        for lv in entries
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,26 +385,18 @@ class ThresholdPolicy:
     levels: tuple[tuple[int, tuple[int, ...]], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "levels",
-            tuple(
-                (int(u), tuple(int(j) for j in mem)) for u, mem in self.levels
-            ),
-        )
+        object.__setattr__(self, "levels", _frozen_levels(self.levels))
 
     @property
     def floor(self) -> int | None:
         return self.levels[-1][0] if self.levels else None
 
     def probe_sequence(self) -> tuple[int, ...]:
-        return tuple(j for _, mem in self.levels for j in mem)
+        return tuple(_probe_order(self.levels))
 
     def _gain_report(self, instance: Instance, altered_threshold=None) -> GainReport:
         check_policy_invariants(self, instance)
-        ws = _workspace(instance)
-        arrays = [(u, np.array(mem, dtype=int)) for u, mem in self.levels]
-        cost, stopped, none = _stop_profile(ws, arrays)
+        cost, stopped, none = _stop_profile(_workspace(instance), self.levels)
         return _close_out(
             instance, self.backup, self.threshold, cost, stopped, none,
             altered_threshold,
@@ -364,27 +411,29 @@ class ThresholdPolicy:
             "backup": None if self.backup is None else nm(self.backup),
             "threshold": self.threshold,
             "floor": self.floor,
-            "levels": [
-                {"level": u, "channels": [nm(j) for j in mem]}
-                for u, mem in self.levels
-            ],
+            "levels": _levels_to_dict(self.levels, nm),
         }
 
     @classmethod
     def from_dict(cls, data: dict, instance: Instance | None = None) -> "ThresholdPolicy":
-        if instance is not None:
-            idx = instance.index_of
-        else:
-            idx = lambda name: int(name) - 1
+        """Load a document, checked against ``instance`` when one is
+        given.  A ``floor``, when present, must be the last level."""
+        idx = instance.index_of if instance is not None else (lambda s: int(s) - 1)
         backup = data.get("backup")
-        return cls(
+        threshold = data.get("threshold")
+        threshold = None if threshold is None else float(threshold)
+        _check_threshold(threshold)
+        policy = cls(
             backup=None if backup is None else idx(backup),
-            threshold=data.get("threshold"),
-            levels=tuple(
-                (int(lv["level"]), tuple(idx(c) for c in lv["channels"]))
-                for lv in data.get("levels", ())
-            ),
+            threshold=threshold,
+            levels=_levels_from_dict(data.get("levels", ()), idx),
         )
+        floor = data.get("floor", policy.floor)
+        if (None if floor is None else _integer(floor, "floor")) != policy.floor:
+            raise PolicyStructureError(f"floor {floor!r} is not the last level")
+        if instance is not None:
+            check_policy_invariants(policy, instance)
+        return policy
 
 
 def check_policy_invariants(
@@ -394,34 +443,13 @@ def check_policy_invariants(
     strictly descending and nonempty, no channel probed twice, the
     fallback never probed, indices in range when an instance is given."""
     seen: set[int] = set()
-    last_u = None
-    for u, mem in policy.levels:
-        if last_u is not None and u >= last_u:
-            raise PolicyStructureError(
-                f"levels must strictly descend, got {u} after {last_u}"
-            )
-        last_u = u
-        if not mem:
-            raise PolicyStructureError(f"level {u} has an empty probe list")
-        if instance is not None and not 0 <= u < instance.state_count:
-            raise LevelOutOfRange(
-                f"level {u} outside 0..{instance.state_count - 1}"
-            )
-        for j in mem:
-            if j < 0 or (instance is not None and j >= instance.n):
-                raise UnknownChannel(f"probe index {j} out of range")
-            if j in seen:
-                raise RepeatedProbe(f"channel {j} appears twice in the levels")
-            seen.add(j)
-    if policy.backup is not None:
-        if policy.backup < 0 or (
-            instance is not None and policy.backup >= instance.n
-        ):
-            raise UnknownChannel(f"backup index {policy.backup} out of range")
-        if policy.backup in seen:
-            raise BackupProbed(
-                f"channel {policy.backup} is both fallback and probed"
-            )
+    _check_levels(policy.levels, instance, seen)
+    b = policy.backup
+    if b is not None:
+        if b < 0 or (instance is not None and b >= instance.n):
+            raise UnknownChannel(f"backup index {b} out of range")
+        if b in seen:
+            raise BackupProbed(f"channel {b} is both fallback and probed")
 
 
 # -- the fallback search -------------------------------------------------
@@ -549,8 +577,7 @@ def _fallback_scores(instance: Instance, threshold: float | None) -> np.ndarray:
             rows[live] += (r[v] - x) * (run_on - run_in) + run_in * here
         out[lift] = upward[high] + enter[high] * inner[lift] + rows
 
-    _, levels = _probe_lists(instance, _bar(instance, None, threshold), None)
-    cost, stopped, none = _stop_profile(ws, levels)
+    cost, stopped, none = _stop_profile(ws, probe_levels(instance, None, threshold))
     silent = _close_out(instance, None, threshold, cost, stopped, none, threshold)
     return np.concatenate([[silent.gain], out])
 

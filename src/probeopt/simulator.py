@@ -14,7 +14,8 @@ the observation matrix settles every slot.  Decision trees become
 node-to-channel and node-by-state-to-child tables, once per run, and
 all slots descend together, one vector step per tree level.  Prefix
 trees split the slots by where they leave the backbone and run each
-escape subtree's level list the same way as a level-list policy.
+escape subtree's level lists through the same walk as a level-list
+policy.
 Objects of any other class that only provide ``act`` still run slot
 by slot.
 
@@ -37,7 +38,7 @@ import numpy as np
 from .additive import PrefixTreePolicy
 from .core import Instance, ProbingError
 from .lagrange import MixedPolicy
-from .multi_state import ThresholdPolicy, _selection_masks
+from .multi_state import ThresholdPolicy, _probe_order, _selection_masks
 from .oracle import DecisionTree, Probe, TransmitBackup, TransmitProbed
 
 __all__ = [
@@ -255,12 +256,17 @@ def _outcomes(instance: Instance, policy):
     raise ProbingError(f"cannot simulate a {type(policy).__name__}")
 
 
-def _level_walk(states: np.ndarray, seq: list[int], lev: list[int]):
-    """Run one level list (channels ``seq``, in probing order, with
-    levels ``lev``) on every row of ``states``.  Position t runs while
-    the best observation so far is below lev[t]; position 0 always
-    runs.  Returns the slots-by-positions mask of run probes, a prefix
-    of each row, and the best observation among them."""
+def _level_walk(states: np.ndarray, levels):
+    """Run level lists, (level, channels) pairs as a policy stores
+    them, on every row of ``states``.  Position t of the probing order
+    runs while the best observation so far is below its level; position
+    0 always runs.  Returns the slots-by-positions mask of run probes, a
+    prefix of each row, and the best observation among them (-1 when
+    there is nothing to probe)."""
+    seq = _probe_order(levels)
+    if not seq:
+        return np.zeros((len(states), 0), dtype=bool), np.full(len(states), -1)
+    lev = [u for u, mem in levels for _ in mem]
     obs = states.T[seq]
     executed = np.empty(obs.shape[::-1], dtype=bool)
     executed[:, 0] = True
@@ -273,22 +279,15 @@ def _level_walk(states: np.ndarray, seq: list[int], lev: list[int]):
 
 
 def _threshold_outcomes(instance: Instance, policy: ThresholdPolicy, states):
-    slots = states.shape[0]
     r = instance.rewards
     send_probed, send_blind, none_action = _selection_masks(
         instance, policy.backup, policy.threshold
     )
-    seq = [j for _, mem in policy.levels for j in mem]
-    if seq:
-        lev = [u for u, mem in policy.levels for _ in mem]
-        executed, best = _level_walk(states, seq, lev)
-        cost = executed @ instance.costs[seq]
-        probed_tx, blind_tx = send_probed[best], send_blind[best]
-    else:
-        cost = np.zeros(slots)
-        best = np.zeros(slots, dtype=np.int64)
-        probed_tx = np.zeros(slots, dtype=bool)
-        blind_tx = np.full(slots, none_action == "blind")
+    executed, best = _level_walk(states, policy.levels)
+    cost = executed @ instance.costs[_probe_order(policy.levels)]
+    # a best of -1 (nothing probed) reads the appended no-find action
+    probed_tx = np.append(send_probed, False)[best]
+    blind_tx = np.append(send_blind, none_action == "blind")[best]
     reward = np.where(probed_tx, r[best], 0.0)
     success = probed_tx & (best >= 1)
     if policy.backup is not None:
@@ -359,18 +358,16 @@ def _prefix_outcomes(instance: Instance, policy: PrefixTreePolicy):
     backbone = list(policy.backbone)
     k, low = instance.state_count, policy.escape_min
     costs = instance.costs
-    groups = []  # (code, escape state, send_min, seq, lev, cost by probes run)
+    groups = []  # (code, escape state, send_min, levels, cost by probes run)
     if low < k:
         for t, per_state in enumerate(policy.subtrees):
             for q, (send_min, levels) in enumerate(per_state):
-                seq = [c for _, mem in levels for c in mem]
-                lev = [u for u, mem in levels for _ in mem]
-                head = backbone[: t + 1]
+                path = backbone[: t + 1] + _probe_order(levels)
                 by_count = np.array(
-                    [costs[head + seq[:i]].sum() for i in range(len(seq) + 1)]
+                    [costs[path[:i]].sum() for i in range(t + 1, len(path) + 1)]
                 )
                 code = t * (k - low) + q
-                groups.append((code, low + q, send_min, seq, lev, by_count))
+                groups.append((code, low + q, send_min, levels, by_count))
     full_cost = costs[backbone].sum() if backbone else 0.0
     r = instance.rewards
 
@@ -384,17 +381,13 @@ def _prefix_outcomes(instance: Instance, policy: PrefixTreePolicy):
             at = (obs >= low).argmax(axis=1)
             s_at = obs[rows, at]
             code = np.where(s_at >= low, at * (k - low) + s_at - low, -1)
-            for g, s_esc, send_min, seq, lev, by_count in groups:
+            for g, s_esc, send_min, levels, by_count in groups:
                 idx = np.flatnonzero(code == g)
                 if not idx.size:
                     continue
-                if seq:
-                    executed, best = _level_walk(states[idx], seq, lev)
-                    cost[idx] = by_count[executed.sum(axis=1)]
-                    sent[idx] = np.where(best >= send_min, best, s_esc)
-                else:
-                    cost[idx] = by_count[0]
-                    sent[idx] = s_esc
+                executed, best = _level_walk(states[idx], levels)
+                cost[idx] = by_count[executed.sum(axis=1)]
+                sent[idx] = np.where(best >= send_min, best, s_esc)
         return np.ones(slots, dtype=bool), r[sent], cost, sent >= 1
 
     return outcomes

@@ -194,6 +194,45 @@ class TestPrefixTreeExecution:
         assert found, "no seed produced a backbone winner; widen the sweep"
 
 
+# n=4 K=4 lists over channels 2 and 3, each breaking one level-list rule
+BAD_LEVELS = {
+    "ascending": (((1, (2,)), (2, (3,))), po.PolicyStructureError),
+    "empty-list": (((2, ()),), po.PolicyStructureError),
+    "level-out-of-range": (((4, (2,)),), po.LevelOutOfRange),
+    "unknown-channel": (((2, (4,)),), po.UnknownChannel),
+    "repeated-channel": (((3, (2,)), (2, (2,))), po.RepeatedProbe),
+}
+
+
+def _subtree_policy(levels):
+    """Backbone channel 1, fallback 0, one escape at the top state whose
+    subtree runs ``levels``."""
+    return po.PrefixTreePolicy(
+        backup=0, escape_min=3, backbone=(1,), subtrees=(((4, levels),),)
+    )
+
+
+class TestLevelListRules:
+    """Threshold lists and escape subtrees obey one set of rules."""
+
+    inst = po.generate(po.GenSpec(n=4, state_count=4), 0)
+
+    @pytest.mark.parametrize("case", sorted(BAD_LEVELS))
+    def test_both_kinds_refuse_alike(self, case):
+        levels, err = BAD_LEVELS[case]
+        with pytest.raises(err) as flat:
+            flat_policy = po.ThresholdPolicy(None, None, levels)
+            po.check_policy_invariants(flat_policy, self.inst)
+        with pytest.raises(err) as nested:
+            _subtree_policy(levels).validate(self.inst)
+        assert type(flat.value) is type(nested.value) is err
+
+    def test_subtree_counts_the_backbone_prefix(self):
+        _subtree_policy(((2, (2, 3)),)).validate(self.inst)
+        with pytest.raises(po.RepeatedProbe):
+            _subtree_policy(((2, (1,)),)).validate(self.inst)
+
+
 class TestPrefixSearch:
     def test_matches_brute_force_class_optimum(self):
         # n kept tiny: the reference enumerates every backbone ordering

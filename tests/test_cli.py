@@ -399,34 +399,64 @@ class TestSimulate:
             "--replications", 2, "-o", tmp_path / "sim.json",
         ) == 2
 
+    @staticmethod
+    def _policy_docs(ipath):
+        """A usable prefix-tree document, its one subtree entry, and a
+        usable threshold document, over the first three channels."""
+        a, b, c = (ch["name"] for ch in json.loads(ipath.read_text())["channels"][:3])
+        entry = {"state": 2, "send_min": 2, "levels": [{"level": 2, "channels": [c]}]}
+        prefix = {
+            "kind": "prefix-tree", "backup": a, "escape_min": 2,
+            "backbone": [b], "subtrees": [[entry]],
+        }
+        threshold = {
+            "kind": "threshold", "backup": a, "threshold": None, "floor": 2,
+            "levels": [{"level": 2, "channels": [b, c]}],
+        }
+        return {"prefix": prefix, "entry": entry, "threshold": threshold}
+
+    def test_usable_policy_files(self, tmp_path):
+        # the documents the next test breaks one field at a time
+        ipath = write_instance(tmp_path)
+        docs = self._policy_docs(ipath)
+        for kind in ("prefix", "threshold"):
+            ppath = tmp_path / f"{kind}.json"
+            ppath.write_text(json.dumps(docs[kind]))
+            assert run(
+                "simulate", ipath, "--policy", ppath, "--slots", 200,
+                "--replications", 2, "-o", tmp_path / "sim.json",
+            ) == 0
+
+    # "3" names channel c: generated instances name channels 1..n
     @pytest.mark.parametrize(
-        "field, value",
+        "target, field, value",
         [
-            ("kind", "oracle-bones"),
-            ("backbone", 3),
-            ("subtrees", 5),
-            ("subtree levels", None),
-            ("threshold levels", 7),
+            ("prefix", "kind", "oracle-bones"),
+            ("prefix", "backbone", 3),
+            ("prefix", "subtrees", 5),
+            ("entry", "levels", None),
+            ("threshold", "levels", 7),
+            ("entry", "levels", [{"level": 2, "channels": []}]),
+            ("entry", "levels", [{"level": 3, "channels": ["3"]}]),
+            ("threshold", "threshold", "high"),
+            ("threshold", "threshold", [0.3]),
+            ("threshold", "floor", 1),
+            ("threshold", "levels", [{"level": 1.7, "channels": ["3"]}]),
+            ("entry", "send_min", True),
         ],
         ids=[
             "unknown-kind", "backbone-number", "subtrees-number",
             "subtree-levels-null", "threshold-levels-number",
+            "subtree-channels-empty", "subtree-level-out-of-range",
+            "threshold-string", "threshold-list", "floor-not-last-level",
+            "level-not-integer", "send-min-bool",
         ],
     )
-    def test_unusable_policy_file(self, tmp_path, capsys, field, value):
+    def test_unusable_policy_file(self, tmp_path, capsys, target, field, value):
         ipath = write_instance(tmp_path)
-        a, b, c = (ch["name"] for ch in json.loads(ipath.read_text())["channels"][:3])
-        entry = {"state": 2, "send_min": 2, "levels": [{"level": 2, "channels": [c]}]}
-        doc = {
-            "kind": "prefix-tree", "backup": a, "escape_min": 2,
-            "backbone": [b], "subtrees": [[entry]],
-        }
-        if field == "subtree levels":
-            entry["levels"] = value
-        elif field == "threshold levels":
-            doc = {"kind": "threshold", "backup": a, "threshold": None, "levels": value}
-        else:
-            doc[field] = value
+        docs = self._policy_docs(ipath)
+        docs[target][field] = value
+        doc = docs["threshold" if target == "threshold" else "prefix"]
         ppath = tmp_path / "pol.json"
         ppath.write_text(json.dumps(doc))
         assert run("simulate", ipath, "--policy", ppath) == 2
