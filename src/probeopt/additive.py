@@ -141,6 +141,9 @@ class PrefixTreePolicy:
             raise PolicyStructureError(
                 f"escape_min {self.escape_min} outside 0..{k}"
             )
+        for j in self.backbone:
+            if not 0 <= j < instance.n:
+                raise UnknownChannel(f"backbone index {j} out of range")
         if self.backup in self.backbone:
             raise PolicyStructureError("fallback appears on the backbone")
         if len(set(self.backbone)) != len(self.backbone):

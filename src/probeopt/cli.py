@@ -16,6 +16,7 @@ bracket missing).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -232,7 +233,7 @@ def _cmd_simulate(args) -> int:
         replications=args.replications,
         seed=args.seed,
         arrivals=_parse_arrivals(args.arrivals) if args.arrivals else None,
-        threads=args.threads if args.threads else SimConfig().threads,
+        threads=SimConfig().threads if args.threads is None else args.threads,
     )
     if args.queue:
         if not isinstance(policy, MixedPolicy):
@@ -265,6 +266,9 @@ def _cmd_simulate(args) -> int:
 # -- wiring -------------------------------------------------------------
 
 
+# built once per process: parsing never mutates the parser, and each
+# parse_args call returns a fresh Namespace
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="probeopt",

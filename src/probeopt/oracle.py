@@ -41,6 +41,7 @@ from .core import (
     evaluate_policy,
 )
 from .lagrange import _Cut, _kink
+from .multi_state import _integer
 
 __all__ = [
     "TooLarge",
@@ -317,14 +318,16 @@ class DecisionTree:
                 )
             if "transmit" in node:
                 t = node["transmit"]
-                return TransmitProbed(channel=index[t["channel"]], state=int(t["state"]))
+                return TransmitProbed(
+                    channel=index[t["channel"]], state=_integer(t["state"], "state")
+                )
             if "backup" in node:
                 return TransmitBackup(channel=index[node["backup"]])
             return NoTransmit()
 
         return cls(
             root=dec(data["root"]),
-            state_count=int(data["state_count"]),
+            state_count=_integer(data["state_count"], "state_count"),
             n=n,
             names=names_out,
         )

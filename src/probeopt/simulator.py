@@ -142,6 +142,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.slots <= 0 or self.replications <= 0:
             raise ProbingError("slots and replications must be positive")
+        if self.threads < 1:
+            raise ProbingError(f"threads must be at least 1, got {self.threads}")
 
 
 @dataclass(frozen=True)

@@ -227,6 +227,17 @@ class TestLevelListRules:
             _subtree_policy(levels).validate(self.inst)
         assert type(flat.value) is type(nested.value) is err
 
+    @pytest.mark.parametrize("channel", [-1, 4, 9])
+    def test_backbone_channels_in_range(self, channel):
+        # -1 used to read as the last channel, 9 to die in numpy
+        policy = po.PrefixTreePolicy(
+            backup=0, escape_min=4, backbone=(channel,), subtrees=()
+        )
+        with pytest.raises(po.UnknownChannel):
+            policy.validate(self.inst)
+        with pytest.raises(po.UnknownChannel):
+            po.evaluate_policy(self.inst, policy)
+
     def test_subtree_counts_the_backbone_prefix(self):
         _subtree_policy(((2, (2, 3)),)).validate(self.inst)
         with pytest.raises(po.RepeatedProbe):

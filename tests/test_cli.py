@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import probeopt as po
-from probeopt.cli import main
+from probeopt.cli import _build_parser, main
 
 
 def run(*argv):
@@ -461,6 +461,59 @@ class TestSimulate:
         ppath.write_text(json.dumps(doc))
         assert run("simulate", ipath, "--policy", ppath) == 2
         assert "not a usable policy" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_thread_count_must_be_positive(self, tmp_path, capsys, threads):
+        ipath = write_instance(tmp_path, seed=3)
+        sol = tmp_path / "sol.json"
+        run("solve", ipath, "-o", sol)
+        assert run(
+            "simulate", ipath, "--policy", sol, "--slots", 200,
+            "--replications", 2, "--threads", threads,
+        ) == 2
+        assert "threads must be at least 1" in capsys.readouterr().err
+
+    def test_tree_state_must_be_an_integer(self, tmp_path, capsys):
+        ipath = write_instance(tmp_path, seed=0, n=3)
+        tree = tmp_path / "tree.json"
+        assert run("oracle", ipath, "-o", tree) == 0
+        doc = json.loads(tree.read_text())["tree"]
+        node = doc["root"]
+        while "transmit" not in node:
+            node = node["children"][-1]
+        node["transmit"]["state"] += 0.9
+        tree.write_text(json.dumps(doc))
+        assert run("simulate", ipath, "--policy", tree) == 2
+        assert "not a usable policy" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    """``main`` builds its parser once and keeps no state between calls."""
+
+    def test_one_parser_per_process(self, tmp_path, capsys):
+        parser = _build_parser()
+        path = write_instance(tmp_path)
+        for argv in (["check", path], ["solve", path], ["gen", "-n", 2]):
+            assert run(*argv) == 0
+        assert _build_parser() is parser
+
+    def test_options_do_not_carry_over(self, tmp_path, capsys):
+        path = write_instance(tmp_path)
+        assert run("solve", path) == 0
+        plain = capsys.readouterr().out
+        assert run("solve", path, "--threshold", 0.2) == 0
+        assert capsys.readouterr().out != plain
+        assert run("solve", path) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_usage_error_leaves_the_next_call_alone(self, tmp_path, capsys):
+        path = write_instance(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run("solve", path, "--mode", "bogus")
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run("check", path) == 0
+        assert json.loads(capsys.readouterr().out) == [{"file": str(path), "ok": True}]
 
 
 REPO = Path(__file__).resolve().parents[1]

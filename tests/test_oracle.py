@@ -300,6 +300,21 @@ class TestStructureDiagnostics:
             po.evaluate_policy(inst, tree).gain, abs=1e-15
         )
 
+    @pytest.mark.parametrize("value", [2.9, 2.0, True, "2"])
+    def test_tree_states_must_be_integers(self, value):
+        inst = po.generate(po.GenSpec(n=3, state_count=3), 0)
+        for edit in ("state", "state_count"):
+            doc = po.exact_dp(inst).tree.to_dict()
+            if edit == "state_count":
+                doc["state_count"] = value
+            else:
+                node = doc["root"]
+                while "transmit" not in node:
+                    node = node["children"][-1]
+                node["transmit"]["state"] = value
+            with pytest.raises(po.PolicyStructureError):
+                po.policy_from_dict(doc, inst)
+
 
 class TestRateCappedBenchmark:
     def test_bound_and_certificate(self):

@@ -70,6 +70,9 @@ class TestConfig:
             po.SimConfig(replications=0)
         with pytest.raises(po.ProbingError):
             po.SimConfig(slots=-5)
+        for threads in (0, -2):
+            with pytest.raises(po.ProbingError):
+                po.SimConfig(threads=threads)
 
     def test_thread_count_from_environment(self, monkeypatch):
         monkeypatch.setenv("PROBEOPT_THREADS", "3")
