@@ -103,14 +103,19 @@ def _read_json(path: str) -> dict:
 
 
 def _cmd_gen(args) -> int:
-    spec = GenSpec(
-        n=args.channels,
-        state_count=args.states,
-        prob_shape=args.prob_shape,
-        cost_regime=args.cost_regime,
-        cost_range=(args.cost_lo, args.cost_hi),
-        top_reward_one=args.top_reward_one,
-    )
+    if args.count < 1:
+        raise _CliError(f"--count must be at least 1, got {args.count}")
+    try:
+        spec = GenSpec(
+            n=args.channels,
+            state_count=args.states,
+            prob_shape=args.prob_shape,
+            cost_regime=args.cost_regime,
+            cost_range=(args.cost_lo, args.cost_hi),
+            top_reward_one=args.top_reward_one,
+        )
+    except ValueError as exc:
+        raise _CliError(str(exc))
     import numpy as np
 
     rng = np.random.default_rng(args.seed)

@@ -3,10 +3,13 @@
 Replications are seeded from one SeedSequence spawn, so a (seed,
 slots, replications) triple names the same sample paths on any
 machine.  Within a replication the draws happen in a fixed order:
-the full slots-by-channels state matrix, then the mixture coins,
-then the arrival process.
+the state uniforms (one ``rng.random((slots, n))`` stream, drawn in
+blocks of rows), then the mixture coins, then the arrival process.
+States are stored channels by slots, one contiguous row per channel,
+and only the channels the policy reads are mapped to states.
 
-Every policy kind plays all slots of a replication at once.
+Every policy kind plays all slots of a replication at once; a mixture
+plays each of its policies on the slots its coins give it.
 Level-list policies: the probe sequence is fixed and levels only
 descend along it, so position t is reached exactly when every earlier
 observation sits below position t's level; one running maximum over
@@ -203,78 +206,114 @@ def _summarize(values: np.ndarray) -> tuple[float, float]:
 # -- drawing ------------------------------------------------------------
 
 
+# Rows of uniforms per generator call.  Any block size draws the same
+# stream; this one keeps a block in cache.
+_BLOCK = 2048
+
+
 def _draw_states(
-    instance: Instance, rng: np.random.Generator, slots: int
+    instance: Instance, rng: np.random.Generator, slots: int, channels=None
 ) -> np.ndarray:
-    """Slots-by-channels states, in the narrowest unsigned dtype that
-    holds K - 1.  A uniform u lands in the state counting the
-    cumulative probabilities at or below it, capped at K - 1 so a sum
-    that rounds short of 1 cannot produce state K."""
-    u = rng.random((slots, instance.n))
-    cum = np.cumsum(instance.probs, axis=0)
-    out = np.zeros(u.shape, dtype=np.min_scalar_type(instance.state_count - 1))
-    for s in range(instance.state_count - 1):
-        out += u >= cum[s]
+    """Channels-by-slots states, in the narrowest unsigned dtype that
+    holds K - 1.  The uniforms are the stream of one
+    ``rng.random((slots, n))`` call, drawn in blocks of rows; only
+    ``channels`` (default all) are mapped, the other rows stay 0.  A
+    uniform u lands in the state counting the cumulative probabilities
+    at or below it, capped at K - 1 so a sum that rounds short of 1
+    cannot produce state K."""
+    n = instance.n
+    read = np.arange(n) if channels is None else np.asarray(channels, dtype=np.intp)
+    u = np.empty((read.size, slots))
+    block = np.empty((min(slots, _BLOCK), n))
+    for lo in range(0, slots, _BLOCK):
+        rows = block[: slots - lo]
+        rng.random(out=rows)
+        u[:, lo : lo + len(rows)] = rows.T[read]
+    out = np.zeros((n, slots), dtype=np.min_scalar_type(instance.state_count - 1))
+    mapped = np.zeros(u.shape, dtype=out.dtype)
+    for cum in np.cumsum(instance.probs[:, read], axis=0)[:-1]:
+        mapped += u >= cum[:, None]
+    out[read] = mapped
     return out
 
 
 # -- per-slot outcomes under one policy ---------------------------------
 #
-# Each builder turns a policy into a function of the state matrix that
-# returns (transmit, reward, cost, success) per slot, as if every slot
-# were played.  Builders run once per simulate call, so replications
-# share the tables.  The tree kinds sum each path's probing cost as
-# ``costs[list(probed)].sum()``, the expression of the slot-by-slot
-# walk, so they reproduce that walk's figures bit for bit.
+# Each builder turns a policy into a function of the channels-by-slots
+# state matrix that returns (transmit, reward, cost, success) per slot,
+# as if every slot were played, and lists the sorted channels that
+# function reads, the only rows the draw maps.  Builders run once per
+# simulate call, so replications share the tables.  The tree kinds sum
+# each path's probing cost as ``costs[list(probed)].sum()``, the
+# expression of the slot-by-slot walk, so they reproduce that walk's
+# figures bit for bit.
 
 
 def _player(instance: Instance, policy):
-    """(states, rng) -> per-slot outcomes; a mixture flips its coins
-    from ``rng`` right after the state draw."""
+    """(states, rng) -> per-slot outcomes, and the channels they read.
+    A mixture flips its coins from ``rng`` right after the state draw
+    and plays each side on its own slots only."""
     if isinstance(policy, MixedPolicy):
-        plus = _outcomes(instance, policy.policy_plus)
-        minus = _outcomes(instance, policy.policy_minus)
+        plus, read_plus = _outcomes(instance, policy.policy_plus)
+        minus, read_minus = _outcomes(instance, policy.policy_minus)
 
         def play(states, rng):
-            coins = rng.random(states.shape[0]) < policy.alpha
-            return tuple(
-                np.where(coins, p, m) for p, m in zip(plus(states), minus(states))
-            )
+            heads = rng.random(states.shape[1]) < policy.alpha
+            on, off = np.flatnonzero(heads), np.flatnonzero(~heads)
+            merged = []
+            for p, m in zip(
+                plus(_columns(states, read_plus, on)),
+                minus(_columns(states, read_minus, off)),
+            ):
+                out = np.empty(heads.shape, dtype=np.result_type(p, m))
+                out[on], out[off] = p, m
+                merged.append(out)
+            return tuple(merged)
 
-        return play
-    outcomes = _outcomes(instance, policy)
-    return lambda states, rng: outcomes(states)
+        return play, sorted(set(read_plus) | set(read_minus))
+    outcomes, read = _outcomes(instance, policy)
+    return (lambda states, rng: outcomes(states)), read
+
+
+def _columns(states: np.ndarray, rows, slots: np.ndarray) -> np.ndarray:
+    """``states`` at ``slots``, copying only ``rows``; the rest are 0."""
+    out = np.zeros((states.shape[0], slots.size), dtype=states.dtype)
+    for j in rows:
+        out[j] = states[j].take(slots)
+    return out
 
 
 def _outcomes(instance: Instance, policy):
     if isinstance(policy, ThresholdPolicy):
-        return partial(_threshold_outcomes, instance, policy)
+        read = {*_probe_order(policy.levels), policy.backup} - {None}
+        return partial(_threshold_outcomes, instance, policy), sorted(read)
     if isinstance(policy, DecisionTree):
         return _tree_outcomes(instance, policy)
     if isinstance(policy, PrefixTreePolicy):
         return _prefix_outcomes(instance, policy)
     if hasattr(policy, "act"):
-        return partial(_generic_outcomes, instance, policy)
+        return partial(_generic_outcomes, instance, policy), list(range(instance.n))
     raise ProbingError(f"cannot simulate a {type(policy).__name__}")
 
 
 def _level_walk(states: np.ndarray, levels):
     """Run level lists, (level, channels) pairs as a policy stores
-    them, on every row of ``states``.  Position t of the probing order
+    them, on every slot of ``states``.  Position t of the probing order
     runs while the best observation so far is below its level; position
-    0 always runs.  Returns the slots-by-positions mask of run probes, a
-    prefix of each row, and the best observation among them (-1 when
+    0 always runs.  Returns the positions-by-slots mask of run probes, a
+    prefix of each column, and the best observation among them (-1 when
     there is nothing to probe)."""
     seq = _probe_order(levels)
+    slots = states.shape[1]
     if not seq:
-        return np.zeros((len(states), 0), dtype=bool), np.full(len(states), -1)
+        return np.zeros((0, slots), dtype=bool), np.full(slots, -1)
     lev = [u for u, mem in levels for _ in mem]
-    obs = states.T[seq]
-    executed = np.empty(obs.shape[::-1], dtype=bool)
-    executed[:, 0] = True
+    obs = states[seq]
+    executed = np.empty(obs.shape, dtype=bool)
+    executed[0] = True
     best = obs[0].copy()
     for t in range(1, len(seq)):
-        run = executed[:, t]
+        run = executed[t]
         np.less(best, lev[t], out=run)
         np.maximum(best, obs[t] * run, out=best)
     return executed, best
@@ -286,14 +325,16 @@ def _threshold_outcomes(instance: Instance, policy: ThresholdPolicy, states):
         instance, policy.backup, policy.threshold
     )
     executed, best = _level_walk(states, policy.levels)
-    cost = executed @ instance.costs[_probe_order(policy.levels)]
+    # slots by positions, as BLAS orders each row's sum by the layout
+    by_slot = np.ascontiguousarray(executed.T)
+    cost = by_slot @ instance.costs[_probe_order(policy.levels)]
     # a best of -1 (nothing probed) reads the appended no-find action
     probed_tx = np.append(send_probed, False)[best]
     blind_tx = np.append(send_blind, none_action == "blind")[best]
     reward = np.where(probed_tx, r[best], 0.0)
     success = probed_tx & (best >= 1)
     if policy.backup is not None:
-        bstate = states[:, policy.backup]
+        bstate = states[policy.backup]
         reward = reward + np.where(blind_tx, r[bstate], 0.0)
         success |= blind_tx & (bstate >= 1)
     transmit = probed_tx | blind_tx
@@ -337,19 +378,20 @@ def _tree_outcomes(instance: Instance, tree: DecisionTree):
         dtype=np.intp,
     )
     depth = max(len(path) for _, path, _ in nodes)
+    read = {nd.channel for nd in node_objs if isinstance(nd, (Probe, TransmitBackup))}
     r = instance.rewards
 
     def outcomes(states):
-        rows = np.arange(states.shape[0])
-        at = np.zeros(states.shape[0], dtype=np.intp)
+        cols = np.arange(states.shape[1])
+        at = np.zeros(states.shape[1], dtype=np.intp)
         for _ in range(depth):
-            at = child[at, states[rows, channel[at]]]
+            at = child[at, states[channel[at], cols]]
         transmit = sends[at]
-        s = np.where(blind[at], states[rows, sent_channel[at]], sent_state[at])
+        s = np.where(blind[at], states[sent_channel[at], cols], sent_state[at])
         reward = np.where(transmit, r[s], 0.0)
         return transmit, reward, path_cost[at], transmit & (s >= 1)
 
-    return outcomes
+    return outcomes, sorted(read)
 
 
 def _prefix_outcomes(instance: Instance, policy: PrefixTreePolicy):
@@ -371,39 +413,39 @@ def _prefix_outcomes(instance: Instance, policy: PrefixTreePolicy):
                 code = t * (k - low) + q
                 groups.append((code, low + q, send_min, levels, by_count))
     full_cost = costs[backbone].sum() if backbone else 0.0
+    read = {policy.backup, *backbone}
+    read.update(j for *_, levels, _ in groups for j in _probe_order(levels))
     r = instance.rewards
 
     def outcomes(states):
-        slots = states.shape[0]
-        sent = states[:, policy.backup].copy()
+        slots = states.shape[1]
+        sent = states[policy.backup].copy()
         cost = np.full(slots, full_cost)
         if groups:
-            rows = np.arange(slots)
-            obs = states[:, backbone]
-            at = (obs >= low).argmax(axis=1)
-            s_at = obs[rows, at]
+            obs = states[backbone]
+            at = (obs >= low).argmax(axis=0)
+            s_at = obs[at, np.arange(slots)]
             code = np.where(s_at >= low, at * (k - low) + s_at - low, -1)
             for g, s_esc, send_min, levels, by_count in groups:
                 idx = np.flatnonzero(code == g)
                 if not idx.size:
                     continue
-                executed, best = _level_walk(states[idx], levels)
-                cost[idx] = by_count[executed.sum(axis=1)]
+                executed, best = _level_walk(states[:, idx], levels)
+                cost[idx] = by_count[executed.sum(axis=0)]
                 sent[idx] = np.where(best >= send_min, best, s_esc)
         return np.ones(slots, dtype=bool), r[sent], cost, sent >= 1
 
-    return outcomes
+    return outcomes, sorted(read)
 
 
 def _generic_outcomes(instance: Instance, policy, states):
-    slots = states.shape[0]
+    slots = states.shape[1]
     r = instance.rewards
     transmit = np.zeros(slots, dtype=bool)
     reward = np.zeros(slots)
     cost = np.zeros(slots)
     success = np.zeros(slots, dtype=bool)
-    for t in range(slots):
-        row = states[t]
+    for t, row in enumerate(states.T):
         probed, action = policy.act(row)
         cost[t] = instance.costs[list(probed)].sum() if probed else 0.0
         if action[0] == "transmit":
@@ -436,11 +478,11 @@ def simulate_saturated(
     policies."""
     if config is None:
         config = SimConfig()
-    play = _player(instance, policy)
+    play, read = _player(instance, policy)
 
     def worker(seq: np.random.SeedSequence):
         rng = np.random.Generator(np.random.PCG64(seq))
-        states = _draw_states(instance, rng, config.slots)
+        states = _draw_states(instance, rng, config.slots, read)
         transmit, reward, cost, success = play(states, rng)
         return (
             float(reward.mean() - cost.mean()),
@@ -481,11 +523,11 @@ def simulate_unsaturated(
     if config is None:
         config = SimConfig()
     arrivals = config.arrivals or BernoulliArrivals(policy.arrival_rate)
-    play = _player(instance, policy)
+    play, read = _player(instance, policy)
 
     def worker(seq: np.random.SeedSequence):
         rng = np.random.Generator(np.random.PCG64(seq))
-        states = _draw_states(instance, rng, config.slots)
+        states = _draw_states(instance, rng, config.slots, read)
         transmit, reward, cost, success = play(states, rng)
         arr = arrivals.draw(rng, config.slots).astype(np.int64)
         # backlog via running minimum: increments ignore idle slots

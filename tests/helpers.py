@@ -673,13 +673,34 @@ def draw_states_searchsorted(instance, rng, slots: int) -> np.ndarray:
     return out
 
 
+def reference_draw_states(instance, rng, slots: int) -> np.ndarray:
+    """Slots-by-channels states from one ``rng.random((slots, n))``
+    call, every channel mapped: a uniform u lands in the state counting
+    the cumulative probabilities at or below it, capped at K - 1."""
+    u = rng.random((slots, instance.n))
+    cum = np.cumsum(instance.probs, axis=0)
+    out = np.zeros(u.shape, dtype=np.min_scalar_type(instance.state_count - 1))
+    for s in range(instance.state_count - 1):
+        out += u >= cum[s]
+    return out
+
+
 def fixed_uniforms(u):
     """A stand-in generator whose ``random`` hands back ``u``, so a
-    test can put uniforms exactly on a boundary."""
+    test can put uniforms exactly on a boundary.  Asked for a ``size``
+    it returns all of ``u``; asked to fill ``out`` it writes the next
+    ``len(out)`` rows of ``u``, so row blocks read ``u`` in order."""
     u = np.asarray(u, dtype=float)
+    taken = 0
 
-    def random(size=None):
-        assert np.empty(size).shape == u.shape
-        return u.copy()
+    def random(size=None, out=None):
+        nonlocal taken
+        if out is None:
+            assert np.empty(size).shape == u.shape
+            return u.copy()
+        assert out.shape[1:] == u.shape[1:] and taken + len(out) <= len(u)
+        out[...] = u[taken : taken + len(out)]
+        taken += len(out)
+        return out
 
     return SimpleNamespace(random=random)

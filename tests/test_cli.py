@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import probeopt as po
-from probeopt.cli import _build_parser, main
+from probeopt.cli import INPUT_ERROR, _build_parser, main
 
 
 def run(*argv):
@@ -56,6 +56,21 @@ class TestGen:
         assert run("gen", "-n", 2, "--seed", 1) == 0
         doc = json.loads(capsys.readouterr().out)
         assert "rewards" in doc
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["-n", 0], "need at least one channel"),
+            (["-n", 2, "-K", 1], "need at least two states"),
+            (["-n", 2, "--cost-lo", 1.5], "cost_range must sit inside [0, 1)"),
+            (["-n", 2, "--count", -3], "--count must be at least 1, got -3"),
+            (["-n", 2, "--count", 0], "--count must be at least 1, got 0"),
+        ],
+    )
+    def test_bad_spec_is_an_input_error(self, argv, message, capsys):
+        assert run("gen", *argv) == INPUT_ERROR
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
 
     @pytest.mark.parametrize("k", [2, 3, 4, 8, 16])
     def test_generated_files_pass_check_and_load_exactly(self, tmp_path, k):

@@ -7,9 +7,14 @@ much slack the sample sizes need.
 """
 
 import itertools
+from functools import partial
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import probeopt as po
 from probeopt import simulator
@@ -19,7 +24,9 @@ from helpers import (
     draw_states_searchsorted,
     fixed_uniforms,
     markov_draw_loop,
+    reference_draw_states,
     run_exhaust,
+    run_threshold,
     slow_report,
 )
 
@@ -294,10 +301,10 @@ class TestFastPathsMatchTheLoops:
         u = np.repeat(edges[:, None], inst.n, axis=1)
         fast = simulator._draw_states(inst, fixed_uniforms(u), u.shape[0])
         ref = draw_states_searchsorted(inst, fixed_uniforms(u), u.shape[0])
-        assert np.array_equal(fast, ref)
+        assert np.array_equal(fast, ref.T)
         fast = simulator._draw_states(inst, np.random.default_rng(1), 5_000)
         ref = draw_states_searchsorted(inst, np.random.default_rng(1), 5_000)
-        assert np.array_equal(fast, ref)
+        assert np.array_equal(fast, ref.T)
 
     def test_state_draw_needs_a_wider_dtype_past_256_states(self):
         k = 300
@@ -305,19 +312,22 @@ class TestFastPathsMatchTheLoops:
         fast = simulator._draw_states(inst, np.random.default_rng(2), 4_000)
         assert fast.dtype == np.uint16
         ref = draw_states_searchsorted(inst, np.random.default_rng(2), 4_000)
-        assert np.array_equal(fast, ref)
+        assert np.array_equal(fast, ref.T)
         assert fast.max() > 255
         cum = np.cumsum(inst.probs, axis=0)
         u = np.concatenate([cum[:-1], [np.ones(inst.n) - 1e-17]])
         fast = simulator._draw_states(inst, fixed_uniforms(u), k)
         ref = draw_states_searchsorted(inst, fixed_uniforms(u), k)
-        assert np.array_equal(fast, ref)
+        assert np.array_equal(fast, ref.T)
 
     @staticmethod
     def _same_as_the_walk(inst, policy, seed):
-        states = simulator._draw_states(inst, np.random.default_rng(seed), 3_000)
-        fast = simulator._outcomes(inst, policy)(states)
-        slow = simulator._generic_outcomes(inst, policy, states)
+        # the tree reads only the rows it declares; the walk sees them all
+        outcomes, read = simulator._outcomes(inst, policy)
+        rng = np.random.default_rng(seed)
+        fast = outcomes(simulator._draw_states(inst, rng, 3_000, read))
+        states = reference_draw_states(inst, np.random.default_rng(seed), 3_000)
+        slow = simulator._generic_outcomes(inst, policy, states.T)
         for a, b in zip(fast, slow):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
@@ -361,6 +371,161 @@ class TestFastPathsMatchTheLoops:
             for pol in policies:
                 self._same_as_the_walk(inst, pol, seed)
                 self._same_as_the_walk(recosted, pol, seed)
+
+
+BLOCK = simulator._BLOCK
+
+POLICY_KINDS = (
+    "threshold",
+    "blind",
+    "silent",
+    "mixture",
+    "tree-default",
+    "tree-prefer-backup",
+    "tree-prefer-silent",
+    "tree-prefer-transmit",
+    "prefix",
+    "act",
+)
+
+
+def _policy(kind, inst, seed):
+    g = np.random.default_rng(seed)
+    if kind == "threshold":
+        return po.best_reserve_backup(inst)
+    if kind == "blind":
+        backup = int(np.argmax(inst.blind_rewards))
+        return po.ThresholdPolicy(backup=backup, threshold=None, levels=())
+    if kind == "silent":  # reads no channel at all
+        return po.ThresholdPolicy(backup=None, threshold=None, levels=())
+    if kind == "mixture":
+        try:
+            return po.solve_unsaturated(inst, float(g.uniform(0.2, 0.7)), 0.05)
+        except po.ProbingError:
+            assume(False)
+    if kind.startswith("tree-"):
+        options = po.OracleOptions(tie_preference=kind.removeprefix("tree-"))
+        return po.exact_dp(inst, options).tree
+    if kind == "prefix":
+        backup = int(g.integers(inst.n))
+        escape = int(g.integers(inst.state_count))
+        return po.best_prefix_policy(inst, backup, escape_state=escape)[0]
+    order = [int(j) for j in g.permutation(inst.n)[: g.integers(inst.n + 1)]]
+    return run_exhaust(order, None if g.random() < 0.3 else int(g.integers(inst.n)))
+
+
+def _walk(inst, policy, states):
+    """Slot-by-slot outcomes on channels-by-slots ``states``."""
+    if isinstance(policy, po.ThresholdPolicy):
+        policy = SimpleNamespace(act=partial(run_threshold, inst, policy))
+    return simulator._generic_outcomes(inst, policy, states)
+
+
+def _probes(policy) -> int:
+    """Most probe positions of a level-list side of ``policy``."""
+    if isinstance(policy, po.MixedPolicy):
+        return max(_probes(policy.policy_plus), _probes(policy.policy_minus))
+    if isinstance(policy, po.ThresholdPolicy):
+        return len(policy.probe_sequence())
+    return 0
+
+
+def _full_draw(instance, rng, slots, channels=None):
+    """Every channel mapped, from one slots-by-channels draw."""
+    return np.ascontiguousarray(reference_draw_states(instance, rng, slots).T)
+
+
+class TestReadOnlyRowBlockDraw:
+    """The channels-by-slots draw in row blocks, mapping only the
+    channels a policy reads, against one slots-by-channels draw that
+    maps every channel."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 10**6),
+        st.sampled_from(POLICY_KINDS),
+        st.sampled_from([1, 7, BLOCK - 1, BLOCK + 3]),
+    )
+    def test_read_rows_and_outcomes_match_the_full_draw(self, seed, kind, slots):
+        inst = draw_instance(seed, n_lo=1, n_hi=6, k_lo=2, k_hi=5)
+        policy = _policy(kind, inst, seed)
+        play, read = simulator._player(inst, policy)
+        assert read == sorted(set(read))
+        if kind in ("silent", "blind"):
+            assert len(read) == (kind == "blind")
+        if kind == "act":
+            assert read == list(range(inst.n))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        states = simulator._draw_states(inst, rng, slots, read)
+        ref = reference_draw_states(inst, ref_rng, slots).T
+        assert states.shape == ref.shape and states.dtype == ref.dtype
+        assert np.array_equal(states[read], ref[read])
+        assert not np.delete(states, read, axis=0).any()
+        fast = play(states, rng)
+        if isinstance(policy, po.MixedPolicy):
+            heads = ref_rng.random(slots) < policy.alpha
+            plus = _walk(inst, policy.policy_plus, ref)
+            minus = _walk(inst, policy.policy_minus, ref)
+            slow = tuple(np.where(heads, p, m) for p, m in zip(plus, minus))
+        else:
+            slow = _walk(inst, policy, ref)
+        assert rng.random() == ref_rng.random()
+        for name, a, b in zip(("transmit", "reward", "cost", "success"), fast, slow):
+            assert a.dtype == b.dtype, name
+            if name == "cost" and _probes(policy) >= 4:
+                # BLAS adds four or more probe costs pairwise, the walk
+                # from left to right
+                np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
+            else:
+                assert np.array_equal(a, b), name
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from(POLICY_KINDS))
+    def test_seeded_runs_match_runs_on_the_full_draw(self, seed, kind):
+        inst = draw_instance(seed, n_lo=1, n_hi=6, k_lo=2, k_hi=5)
+        policy = _policy(kind, inst, seed)
+        runs = [po.simulate_saturated]
+        if isinstance(policy, po.MixedPolicy):
+            runs.append(po.simulate_unsaturated)
+        for run, threads in itertools.product(runs, (1, 2)):
+            cfg = po.SimConfig(
+                slots=BLOCK + 5, replications=3, seed=seed, threads=threads
+            )
+            got = run(inst, policy, cfg)
+            with mock.patch.object(simulator, "_draw_states", _full_draw):
+                want = run(inst, policy, cfg)
+            assert got.rep_gains == want.rep_gains
+            assert got.to_dict() == want.to_dict()
+
+    @pytest.mark.parametrize("slots", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+    def test_block_edges_keep_the_stream(self, slots):
+        inst = draw_instance(31, n_lo=5, n_hi=5, k_lo=4, k_hi=4)
+        silent = po.ThresholdPolicy(backup=None, threshold=None, levels=())
+        assert simulator._player(inst, silent)[1] == []
+        for read in (None, [1, 3], []):
+            rng = np.random.default_rng(slots)
+            ref_rng = np.random.default_rng(slots)
+            states = simulator._draw_states(inst, rng, slots, read)
+            ref = reference_draw_states(inst, ref_rng, slots).T
+            rows = list(range(inst.n)) if read is None else read
+            assert np.array_equal(states[rows], ref[rows])
+            assert not np.delete(states, rows, axis=0).any()
+            # every uniform is used up, mapped or not
+            assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("slots", [BLOCK, 3 * BLOCK + 7])
+    def test_fixed_uniforms_across_blocks(self, slots):
+        # boundary uniforms cycled over several blocks of rows
+        probs = np.array(
+            [[0.5, 0.0, 0.25], [0.0, 0.0, 0.25], [0.5, 1.0, 0.0], [0.0, 0.0, 0.5]]
+        )
+        inst = po.Instance.from_arrays([0.0, 0.3, 0.6, 1.0], probs, [0.1, 0.0, 0.2])
+        edges = np.unique(np.concatenate([np.cumsum(probs, axis=0).ravel(), [0.0]]))
+        u = np.resize(edges, (slots, inst.n))
+        fast = simulator._draw_states(inst, fixed_uniforms(u), slots, [0, 2])
+        ref = draw_states_searchsorted(inst, fixed_uniforms(u), slots).T
+        assert np.array_equal(fast[[0, 2]], ref[[0, 2]])
+        assert not fast[1].any()
 
 
 # rep_gains of the parent of the vectorized simulator, which walked
