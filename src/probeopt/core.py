@@ -170,7 +170,9 @@ class Instance:
     @cached_property
     def probs(self) -> np.ndarray:
         """State distributions, shape ``(K, n)``, one column per channel."""
-        out = np.column_stack([ch.probs for ch in self.channels])
+        # stacked by rows and copied, so the result is C-contiguous, as
+        # np.column_stack would give it
+        out = np.array([ch.probs for ch in self.channels]).T.copy()
         out.setflags(write=False)
         return out
 
@@ -248,9 +250,16 @@ class Instance:
         return inst
 
     def index_of(self, name: str) -> int:
+        """The index of the first channel called ``name``."""
+        index = self.__dict__.get("_name_index")
+        if index is None:
+            index = {}
+            for j, nm in enumerate(self.names):
+                index.setdefault(nm, j)
+            self.__dict__["_name_index"] = index
         try:
-            return self.names.index(name)
-        except ValueError:
+            return index[name]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise UnknownChannel(f"no channel named {name!r}") from None
 
     def __repr__(self) -> str:
@@ -286,6 +295,14 @@ def validate_instance(
       channel can never reveal anything and the tail recursions divide
       by zero one level down.
     * "duplicate-name".
+
+    Violations are listed in this order: the instance-wide ones (shape
+    floor, non-finite rewards, base reward, increase, range), then each
+    channel's in channel order.  A channel lists "duplicate-name",
+    "non-finite" cost, "negative-cost", then either "bad-prob-shape"
+    alone or "non-finite" probabilities, "prob-out-of-range",
+    "probs-not-normalized" and "certain-top-state" (judged after any
+    rescaling).
     """
     violations: list[Violation] = []
     r = instance.rewards
@@ -319,13 +336,34 @@ def validate_instance(
                 )
             )
 
-    seen: set[str] = set()
-    repaired: list[ChannelStats] = []
+    # the per-channel checks, loosened to flags and taken at once over
+    # the (n, K) stack of the distributions with K entries; only the
+    # flagged channels walk the checks themselves, in channel order
+    channels = instance.channels
+    shaped = [ch.probs.shape == (k,) for ch in channels]
+    rows = [ch.probs for ch, ok in zip(channels, shaped) if ok]
+    probs = np.array(rows, dtype=float).reshape(len(rows), k)
+    # a row sums along its contiguous axis, in ch.probs.sum()'s order;
+    # a non-finite entry makes a non-finite sum
+    suspect = ~(np.abs(probs.sum(axis=1) - 1.0) <= PROB_TOL)
+    suspect |= ((probs < -PROB_TOL) | (probs > 1.0 + PROB_TOL)).any(axis=1)
+    if k >= 2:  # a rescaled row is suspect already
+        suspect |= probs[:, -1] >= 1.0 - PROB_TOL
+    flagged = np.ones(len(channels), dtype=bool)  # wrong shapes always report
+    flagged[shaped] = suspect
+    cost = np.array([ch.cost for ch in channels], dtype=float)
+    flagged |= ~((cost >= 0.0) & (cost < math.inf))
+    first: dict[str, int] = {}
+    for j, ch in enumerate(channels):
+        if first.setdefault(ch.name, j) != j:
+            flagged[j] = True
+
+    repaired = list(channels)
     any_repair = False
-    for ch in instance.channels:
-        if ch.name in seen:
+    for j in np.flatnonzero(flagged).tolist():
+        ch = channels[j]
+        if first[ch.name] != j:
             violations.append(Violation("duplicate-name", ch.name, "name reused"))
-        seen.add(ch.name)
         if not math.isfinite(ch.cost):
             violations.append(Violation("non-finite", ch.name, f"cost = {ch.cost!r}"))
         if ch.cost < 0.0:
@@ -333,7 +371,7 @@ def validate_instance(
                 Violation("negative-cost", ch.name, f"cost = {ch.cost!r}")
             )
         p = ch.probs
-        if p.shape != (k,):
+        if not shaped[j]:
             violations.append(
                 Violation(
                     "bad-prob-shape",
@@ -341,7 +379,6 @@ def validate_instance(
                     f"expected {k} state probabilities, got shape {p.shape}",
                 )
             )
-            repaired.append(ch)
             continue
         total = float(p.sum())
         # only a non-finite sum can hide a non-finite entry
@@ -355,7 +392,9 @@ def validate_instance(
             )
         if abs(total - 1.0) > PROB_TOL:
             if renormalize and total > PROB_TOL:
-                ch = ChannelStats(name=ch.name, cost=ch.cost, probs=p / total)
+                ch = repaired[j] = ChannelStats(
+                    name=ch.name, cost=ch.cost, probs=p / total
+                )
                 any_repair = True
             else:
                 violations.append(
@@ -371,7 +410,6 @@ def validate_instance(
                     "top state must have probability < 1",
                 )
             )
-        repaired.append(ch)
 
     if violations:
         raise InstanceValidationError(violations)

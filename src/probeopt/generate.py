@@ -100,22 +100,36 @@ def _costs(spec: GenSpec, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(lo, hi, size=spec.n)
 
 
+def _rows(spec: GenSpec, rng: np.random.Generator, count: int) -> np.ndarray:
+    """The next ``count`` distributions of the stream, one per row."""
+    if spec.prob_shape == "uniform":
+        # numpy fills the rows one after another, as ``count`` single
+        # draws would
+        return rng.dirichlet(np.ones(spec.state_count), size=count)
+    return np.array([_one_distribution(spec, rng) for _ in range(count)])
+
+
 def generate(spec: GenSpec, rng: np.random.Generator | int | None = None) -> Instance:
-    """Draw one validated instance according to ``spec``."""
+    """Draw one validated instance according to ``spec``.
+
+    The stream contract: after the rewards, ``rng`` yields one
+    distribution after another; a row whose top state is (nearly)
+    certain is skipped, and the first ``n`` rows kept become channels
+    1..n; the costs come last.  Rows are drawn only as many as needed,
+    so the generator ends where drawing one channel at a time would
+    leave it, and a (spec, seed) pair names the same instance across
+    versions.
+    """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     rewards = _rewards(spec, rng)
-    cols = []
-    for _ in range(spec.n):
-        while True:
-            p = _one_distribution(spec, rng)
-            # resample the (measure-zero, but finite-precision) corner
-            # where the top state would be certain
-            if p[-1] < 1.0 - 1e-9:
-                break
-        cols.append(p)
-    probs = np.column_stack(cols)
-    return Instance.from_arrays(rewards, probs, _costs(spec, rng))
+    rows = np.empty((0, spec.state_count))
+    while len(rows) < spec.n:
+        more = _rows(spec, rng, spec.n - len(rows))
+        # skip the (measure-zero, but finite-precision) corner where the
+        # top state would be certain
+        rows = np.concatenate([rows, more[more[:, -1] < 1.0 - 1e-9]])
+    return Instance.from_arrays(rewards, rows.T, _costs(spec, rng))
 
 
 def counterexample_instance(delta: float = 0.1) -> Instance:

@@ -329,6 +329,9 @@ def _check_levels(levels, instance: Instance | None, seen: set[int]) -> None:
     """The rules every level list obeys: levels strictly descending (and
     in 0..K-1 given an instance), no empty list, channels in range and
     probed at most once, counting those in ``seen``, which gains them."""
+    k = n = None
+    if instance is not None:
+        k, n = instance.state_count, instance.n
     last_u = None
     for u, mem in levels:
         if last_u is not None and u >= last_u:
@@ -338,12 +341,10 @@ def _check_levels(levels, instance: Instance | None, seen: set[int]) -> None:
         last_u = u
         if not mem:
             raise PolicyStructureError(f"level {u} has an empty probe list")
-        if instance is not None and not 0 <= u < instance.state_count:
-            raise LevelOutOfRange(
-                f"level {u} outside 0..{instance.state_count - 1}"
-            )
+        if k is not None and not 0 <= u < k:
+            raise LevelOutOfRange(f"level {u} outside 0..{k - 1}")
         for j in mem:
-            if j < 0 or (instance is not None and j >= instance.n):
+            if j < 0 or (n is not None and j >= n):
                 raise UnknownChannel(f"probe index {j} out of range")
             if j in seen:
                 raise RepeatedProbe(f"channel {j} appears twice on one path")

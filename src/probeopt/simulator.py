@@ -243,7 +243,7 @@ def _draw_states(
 # state matrix that returns (transmit, reward, cost, success) per slot,
 # as if every slot were played, and lists the sorted channels that
 # function reads, the only rows the draw maps.  Builders run once per
-# simulate call, so replications share the tables.  The tree kinds sum
+# simulate call, so replications share the tables.  Every kind sums
 # each path's probing cost as ``costs[list(probed)].sum()``, the
 # expression of the slot-by-slot walk, so they reproduce that walk's
 # figures bit for bit.
@@ -285,8 +285,10 @@ def _columns(states: np.ndarray, rows, slots: np.ndarray) -> np.ndarray:
 
 def _outcomes(instance: Instance, policy):
     if isinstance(policy, ThresholdPolicy):
-        read = {*_probe_order(policy.levels), policy.backup} - {None}
-        return partial(_threshold_outcomes, instance, policy), sorted(read)
+        seq = _probe_order(policy.levels)
+        by_count = _path_costs(instance.costs, seq, 0)
+        read = {*seq, policy.backup} - {None}
+        return partial(_threshold_outcomes, instance, policy, by_count), sorted(read)
     if isinstance(policy, DecisionTree):
         return _tree_outcomes(instance, policy)
     if isinstance(policy, PrefixTreePolicy):
@@ -319,15 +321,21 @@ def _level_walk(states: np.ndarray, levels):
     return executed, best
 
 
-def _threshold_outcomes(instance: Instance, policy: ThresholdPolicy, states):
+def _path_costs(costs: np.ndarray, path: list, first: int) -> np.ndarray:
+    """The walk's cost of a slot that runs the first i probes of
+    ``path``, for i = first..len(path)."""
+    return np.array([costs[path[:i]].sum() for i in range(first, len(path) + 1)])
+
+
+def _threshold_outcomes(
+    instance: Instance, policy: ThresholdPolicy, by_count: np.ndarray, states
+):
     r = instance.rewards
     send_probed, send_blind, none_action = _selection_masks(
         instance, policy.backup, policy.threshold
     )
     executed, best = _level_walk(states, policy.levels)
-    # slots by positions, as BLAS orders each row's sum by the layout
-    by_slot = np.ascontiguousarray(executed.T)
-    cost = by_slot @ instance.costs[_probe_order(policy.levels)]
+    cost = by_count[executed.sum(axis=0)]
     # a best of -1 (nothing probed) reads the appended no-find action
     probed_tx = np.append(send_probed, False)[best]
     blind_tx = np.append(send_blind, none_action == "blind")[best]
@@ -407,9 +415,7 @@ def _prefix_outcomes(instance: Instance, policy: PrefixTreePolicy):
         for t, per_state in enumerate(policy.subtrees):
             for q, (send_min, levels) in enumerate(per_state):
                 path = backbone[: t + 1] + _probe_order(levels)
-                by_count = np.array(
-                    [costs[path[:i]].sum() for i in range(t + 1, len(path) + 1)]
-                )
+                by_count = _path_costs(costs, path, t + 1)
                 code = t * (k - low) + q
                 groups.append((code, low + q, send_min, levels, by_count))
     full_cost = costs[backbone].sum() if backbone else 0.0

@@ -10,12 +10,15 @@ vectorized algebra, so agreement is evidence rather than tautology.
 
 from __future__ import annotations
 
+import importlib
 import itertools
+import math
 from types import SimpleNamespace
 
 import numpy as np
 
 import probeopt as po
+from probeopt.core import PROB_TOL
 
 
 def draw_instance(
@@ -704,3 +707,115 @@ def fixed_uniforms(u):
         return out
 
     return SimpleNamespace(random=random)
+
+
+# -- per-channel references for the instance generator and validator ------
+
+
+def reference_generate(spec, rng=None) -> po.Instance:
+    """The generator one channel at a time: draw a channel's
+    distribution, and draw it again while its top state is (nearly)
+    certain."""
+    gen = importlib.import_module("probeopt.generate")
+    if not isinstance(rng, np.random.Generator):
+        rng = np.random.default_rng(rng)
+    rewards = gen._rewards(spec, rng)
+    cols = []
+    for _ in range(spec.n):
+        while True:
+            p = gen._one_distribution(spec, rng)
+            if p[-1] < 1.0 - 1e-9:
+                break
+        cols.append(p)
+    return po.Instance.from_arrays(
+        rewards, np.column_stack(cols), gen._costs(spec, rng)
+    )
+
+
+def reference_validate(
+    instance, *, allow_positive_base_reward=False, renormalize=False
+) -> po.Instance:
+    """The validator with one pass of scalar checks per channel."""
+    tol = PROB_TOL
+    violations = []
+    r = instance.rewards
+    k = instance.state_count
+
+    if k < 2:
+        violations.append(
+            po.Violation("too-few-states", None, f"need at least 2 states, got {k}")
+        )
+    if instance.n < 1:
+        violations.append(po.Violation("no-channels", None, "need at least one channel"))
+    if not np.all(np.isfinite(r)):
+        violations.append(po.Violation("non-finite", None, f"rewards = {r.tolist()!r}"))
+    if k >= 1:
+        if not allow_positive_base_reward and r[0] != 0.0:
+            violations.append(
+                po.Violation("nonzero-base-reward", None, f"rewards[0] = {r[0]!r}")
+            )
+        if np.any(np.diff(r) <= 0):
+            violations.append(
+                po.Violation(
+                    "non-increasing-rewards",
+                    None,
+                    f"rewards must be strictly increasing, got {r.tolist()!r}",
+                )
+            )
+        if np.any(r < 0.0) or np.any(r > 1.0 + tol):
+            violations.append(
+                po.Violation(
+                    "reward-out-of-range", None, f"rewards outside [0, 1]: {r.tolist()!r}"
+                )
+            )
+
+    seen = set()
+    repaired = []
+    any_repair = False
+    for ch in instance.channels:
+        if ch.name in seen:
+            violations.append(po.Violation("duplicate-name", ch.name, "name reused"))
+        seen.add(ch.name)
+        if not math.isfinite(ch.cost):
+            violations.append(po.Violation("non-finite", ch.name, f"cost = {ch.cost!r}"))
+        if ch.cost < 0.0:
+            violations.append(po.Violation("negative-cost", ch.name, f"cost = {ch.cost!r}"))
+        p = ch.probs
+        if p.shape != (k,):
+            violations.append(
+                po.Violation(
+                    "bad-prob-shape",
+                    ch.name,
+                    f"expected {k} state probabilities, got shape {p.shape}",
+                )
+            )
+            repaired.append(ch)
+            continue
+        total = float(p.sum())
+        if not math.isfinite(total) and not np.all(np.isfinite(p)):
+            violations.append(po.Violation("non-finite", ch.name, f"probs = {p.tolist()!r}"))
+        if np.any(p < -tol) or np.any(p > 1.0 + tol):
+            violations.append(
+                po.Violation("prob-out-of-range", ch.name, f"probs = {p.tolist()!r}")
+            )
+        if abs(total - 1.0) > tol:
+            if renormalize and total > tol:
+                ch = po.ChannelStats(name=ch.name, cost=ch.cost, probs=p / total)
+                any_repair = True
+            else:
+                violations.append(
+                    po.Violation("probs-not-normalized", ch.name, f"mass sums to {total!r}")
+                )
+        if k >= 2 and float(ch.probs[-1]) >= 1.0 - tol:
+            violations.append(
+                po.Violation(
+                    "certain-top-state", ch.name, "top state must have probability < 1"
+                )
+            )
+        repaired.append(ch)
+
+    if violations:
+        raise po.InstanceValidationError(violations)
+    if any_repair:
+        return po.Instance(rewards=instance.rewards, channels=tuple(repaired))
+    return instance

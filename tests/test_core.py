@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import probeopt as po
-from helpers import draw_instance
+from helpers import draw_instance, reference_validate
 
 
 def small_instance():
@@ -45,6 +45,28 @@ class TestInstance:
         assert inst.index_of("right") == 1
         with pytest.raises(po.UnknownChannel):
             inst.index_of("middle")
+
+    def test_index_of_takes_the_first_of_repeated_names(self):
+        inst = po.Instance.from_arrays(
+            (0.0, 1.0),
+            [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]],
+            (0.0, 0.0, 0.0),
+            names=("a", "b", "a"),
+            validate=False,
+        )
+        assert inst.index_of("a") == inst.names.index("a") == 0
+        assert inst.index_of("b") == 1
+        for name in ("c", 1, None, ["a"], {"a": 0}):
+            with pytest.raises(po.UnknownChannel):
+                inst.index_of(name)
+
+    @pytest.mark.parametrize("n, k", [(1, 2), (7, 3), (300, 16)])
+    def test_probs_stack_like_column_stack(self, n, k):
+        inst = po.generate(po.GenSpec(n=n, state_count=k), n)
+        probs = po.Instance(rewards=inst.rewards, channels=inst.channels).probs
+        want = np.column_stack([ch.probs for ch in inst.channels])
+        assert probs.shape == want.shape and np.array_equal(probs, want)
+        assert probs.flags.c_contiguous and not probs.flags.writeable
 
     def test_subset_keeps_channel_identity(self):
         inst = small_instance()
@@ -143,6 +165,128 @@ class TestValidation:
         with pytest.raises(po.InstanceValidationError) as err:
             po.instance_from_dict(doc)
         assert "non-finite" in err.value.codes()
+
+
+# what a corruption does to one channel's (name, cost, probs)
+CORRUPTIONS = {
+    "cost-nan": lambda name, cost, p, x: (name, math.nan, p),
+    "cost-inf": lambda name, cost, p, x: (name, math.inf, p),
+    "cost-neg-inf": lambda name, cost, p, x: (name, -math.inf, p),
+    "cost-negative": lambda name, cost, p, x: (name, -x, p),
+    "prob-nan": lambda name, cost, p, x: (name, cost, _put(p, x, math.nan)),
+    "prob-inf": lambda name, cost, p, x: (name, cost, _put(p, x, math.inf)),
+    "prob-neg-inf": lambda name, cost, p, x: (name, cost, _put(p, x, -math.inf)),
+    "prob-negative": lambda name, cost, p, x: (name, cost, _put(p, x, -x)),
+    "prob-over-one": lambda name, cost, p, x: (name, cost, _put(p, x, 1.0 + x)),
+    "nudge": lambda name, cost, p, x: (name, cost, p * (1.0 + x * 1e-11)),
+    "scaled": lambda name, cost, p, x: (name, cost, p * (0.2 + 2.0 * x)),
+    "shifted": lambda name, cost, p, x: (name, cost, _shift(p, 1.0 + x)),
+    "zero-mass": lambda name, cost, p, x: (name, cost, p * 0.0),
+    "sure-top": lambda name, cost, p, x: (name, cost, _put(p * 0.0, -1, 1.0)),
+    "near-sure-top": lambda name, cost, p, x: (
+        name, cost, _put(_put(p * 0.0, -1, 1.0 - x * 1e-11), 0, x * 1e-11)
+    ),
+    "short": lambda name, cost, p, x: (name, cost, p.ravel()[:-1]),
+    "long": lambda name, cost, p, x: (name, cost, np.append(p, 0.0)),
+    "matrix": lambda name, cost, p, x: (name, cost, p.reshape(1, -1)),
+    "scalar": lambda name, cost, p, x: (name, cost, np.float64(x)),
+}
+
+
+def _put(p, x, value):
+    """A copy of ``p`` with one entry (picked by ``x``) set to ``value``."""
+    p = np.array(p, dtype=float)
+    if p.size:
+        p.flat[x if isinstance(x, int) else int(x * p.size) % p.size] = value
+    return p
+
+
+def _shift(p, d):
+    """``d`` of mass moved from the last entry to the first: the same
+    sum, up to rounding, with entries outside [0, 1]."""
+    p = np.array(p, dtype=float)
+    if p.size:
+        p.flat[0] += d
+        p.flat[-1] -= d
+    return p
+
+
+@st.composite
+def corrupted_instances(draw):
+    k = draw(st.integers(2, 17))
+    inst = po.generate(
+        po.GenSpec(
+            n=draw(st.integers(1, 12)),
+            state_count=k,
+            prob_shape=draw(st.sampled_from(po.PROB_SHAPES)),
+        ),
+        draw(st.integers(0, 2**32 - 1)),
+    )
+    channels = list(inst.channels)
+    hits = st.tuples(
+        st.integers(0, inst.n - 1),
+        st.sampled_from(sorted(CORRUPTIONS) + ["duplicate"]),
+        st.floats(0.0, 1.0, exclude_max=True),
+    )
+    for j, what, x in draw(st.lists(hits, max_size=8)):
+        ch = channels[j]
+        if what == "duplicate":
+            name, cost, p = channels[int(x * inst.n)].name, ch.cost, ch.probs
+        else:
+            name, cost, p = CORRUPTIONS[what](ch.name, ch.cost, ch.probs, x)
+        channels[j] = po.ChannelStats(name=name, cost=cost, probs=p)
+    rewards = draw(
+        st.sampled_from(
+            [inst.rewards, np.linspace(0.1, 1.0, k), np.append(inst.rewards[:-1], np.nan)]
+        )
+    )
+    return po.Instance(rewards=rewards, channels=channels)
+
+
+def _validated(check, inst, **options):
+    try:
+        out = check(inst, **options)
+    except po.InstanceValidationError as err:
+        return str(err), [(v.code, v.channel, v.detail) for v in err.violations]
+    return out, None
+
+
+class TestArrayValidation:
+    """The array checks against the per-channel loop they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(corrupted_instances(), st.booleans(), st.booleans())
+    def test_matches_the_per_channel_loop(self, inst, renormalize, allow_base):
+        options = dict(renormalize=renormalize, allow_positive_base_reward=allow_base)
+        got, found = _validated(po.validate_instance, inst, **options)
+        want, expected = _validated(reference_validate, inst, **options)
+        assert found == expected
+        if expected is not None:
+            assert got == want  # the error text
+            return
+        assert (got is inst) == (want is inst)
+        assert got.rewards.tobytes() == want.rewards.tobytes()
+        assert got.names == want.names
+        for a, b in zip(got.channels, want.channels, strict=True):
+            assert a.cost == b.cost
+            assert a.probs.shape == b.probs.shape
+            assert a.probs.tobytes() == b.probs.tobytes()
+
+    @pytest.mark.parametrize("k", [8, 9, 16, 17, 33])
+    def test_mass_is_summed_row_by_row(self, k):
+        # from K = 8 on, column sums of a (K, n) stack differ from each
+        # channel's own sum, in the reported mass and the repaired rows
+        rng = np.random.default_rng(k)
+        probs = rng.dirichlet(np.ones(k), size=40).T * rng.uniform(0.5, 1.5, 40)
+        inst = po.Instance.from_arrays(
+            np.linspace(0.0, 1.0, k), probs, np.zeros(40), validate=False
+        )
+        found = _validated(po.validate_instance, inst)[1]
+        assert found == _validated(reference_validate, inst)[1]
+        assert {code for code, _, _ in found} == {"probs-not-normalized"}
+        got = po.validate_instance(inst, renormalize=True)
+        want = reference_validate(inst, renormalize=True)
+        assert got.probs.tobytes() == want.probs.tobytes()
 
 
 class TestTailAlgebra:

@@ -1,10 +1,17 @@
 """Instance generator: knob validation, determinism, and the shape
 promises each regime makes."""
 
+import importlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import probeopt as po
+from helpers import reference_generate
+
+gen = importlib.import_module("probeopt.generate")
 
 
 class TestGenSpec:
@@ -88,6 +95,103 @@ class TestGenerate:
         inst = po.generate(spec, 4)
         top = inst.probs[-1]
         assert np.all((top >= 0.5) & (top < 0.95))
+
+
+def _same_instance(a, b):
+    """Byte-equal arrays and equal names."""
+    for field in ("rewards", "probs", "costs"):
+        x, y = getattr(a, field), getattr(b, field)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), field
+    assert a.names == b.names
+
+
+class _SureTopRows(np.random.Generator):
+    """A generator whose Dirichlet rows at the given positions (counted
+    over every row drawn, batched or not) come back with all mass on the
+    top state; the stream underneath is consumed as usual."""
+
+    def __init__(self, seed, sure):
+        super().__init__(np.random.PCG64(seed))
+        self.sure, self.rows = set(sure), 0
+
+    def dirichlet(self, alpha, size=None):
+        out = super().dirichlet(alpha, size)
+        for row in out.reshape(-1, len(alpha)):
+            if self.rows in self.sure:
+                row[:] = 0.0
+                row[-1] = 1.0
+            self.rows += 1
+        return out
+
+
+class TestStreamContract:
+    """The batched draw against the per-channel loop it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 64),
+        st.integers(2, 10),
+        st.sampled_from(po.PROB_SHAPES),
+        st.sampled_from(po.COST_REGIMES),
+        st.sampled_from([(0.0, 0.3), (0.1, 0.1), (0.15, 0.9)]),
+        st.booleans(),
+    )
+    def test_matches_the_per_channel_loop(
+        self, seed, n, k, shape, regime, cost_range, top_one
+    ):
+        spec = po.GenSpec(
+            n=n,
+            state_count=k,
+            prob_shape=shape,
+            cost_regime=regime,
+            cost_range=cost_range,
+            top_reward_one=top_one,
+        )
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        _same_instance(po.generate(spec, rng), reference_generate(spec, ref_rng))
+        assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize(
+        "n, sure",
+        [(1, {0}), (5, {1}), (5, {1, 5}), (5, {0, 4, 5, 6, 8}), (6, {5, 6, 7})],
+    )
+    def test_rejected_rows_are_skipped_in_the_batch_and_the_top_up(self, n, sure):
+        # rows n, n+1, ... are top-up rows; {1, 5} at n=5 rejects one
+        # row of the first batch and the single row drawn to replace it
+        spec = po.GenSpec(n=n, state_count=4, cost_regime="heterogeneous")
+        rng, ref_rng = _SureTopRows(3, sure), _SureTopRows(3, sure)
+        inst = po.generate(spec, rng)
+        _same_instance(inst, reference_generate(spec, ref_rng))
+        assert rng.rows == ref_rng.rows == n + len(sure)
+        assert rng.random() == ref_rng.random()
+        assert np.all(inst.probs[-1] < 1.0)
+
+    @pytest.mark.parametrize("shape", ["spiky-top", "two-point"])
+    def test_rejected_rows_are_skipped_one_row_at_a_time(self, shape, monkeypatch):
+        # these shapes draw a row at a time; certain-top rows at calls 0,
+        # 3 and 4 (4 is the first redraw) must be skipped as the loop did
+        draw = gen._one_distribution
+        calls = {"n": 0}
+
+        def sure_top_at(spec, rng):
+            p = draw(spec, rng)
+            if calls["n"] in (0, 3, 4):
+                p = np.zeros_like(p)
+                p[-1] = 1.0
+            calls["n"] += 1
+            return p
+
+        monkeypatch.setattr(gen, "_one_distribution", sure_top_at)
+        spec = po.GenSpec(n=4, state_count=3, prob_shape=shape)
+        rng = np.random.default_rng(8)
+        inst = po.generate(spec, rng)
+        used = calls["n"]
+        calls["n"] = 0
+        ref_rng = np.random.default_rng(8)
+        _same_instance(inst, reference_generate(spec, ref_rng))
+        assert used == calls["n"] == 7
+        assert rng.random() == ref_rng.random()
 
 
 class TestCounterexample:

@@ -389,3 +389,24 @@ class TestSerialization:
     def test_unknown_kind_rejected(self):
         with pytest.raises(po.ProbingError):
             po.policy_from_dict({"kind": "banded"})
+
+    def test_large_document_decodes_by_name(self):
+        n = 2000
+        base = po.generate(po.GenSpec(n=n, state_count=16), 5)
+        names = [f"ch-{j}" for j in np.random.default_rng(5).permutation(n)]
+        inst = po.Instance.from_arrays(
+            base.rewards, base.probs, base.costs, names=names
+        )
+        pol = po.best_reserve_backup(inst)
+        doc = pol.to_dict(inst.names)
+        back = po.ThresholdPolicy.from_dict(doc, inst)
+        assert (back.backup, back.threshold) == (pol.backup, pol.threshold)
+        assert back.levels == pol.levels
+        scan = inst.names.index  # a linear scan, name by name
+        assert back.levels == tuple(
+            (lv["level"], tuple(scan(c) for c in lv["channels"]))
+            for lv in doc["levels"]
+        )
+        doc["levels"][-1]["channels"][-1] = "ch-none"
+        with pytest.raises(po.UnknownChannel):
+            po.ThresholdPolicy.from_dict(doc, inst)
