@@ -43,7 +43,6 @@ from .core import (
     PolicyStructureError,
     ProbingError,
     RepeatedProbe,
-    TailStats,
     UnknownChannel,
     Violation,
     blind_backup_reward,
@@ -53,7 +52,6 @@ from .core import (
     load_instance,
     round_floats,
     save_instance,
-    tail_stats,
     validate_instance,
 )
 from .generate import (
@@ -80,7 +78,6 @@ from .multi_state import (
     ThresholdPolicy,
     best_reserve_backup,
     check_policy_invariants,
-    probe_floor,
     probe_levels,
     reserve_backup_policy,
 )
@@ -90,10 +87,8 @@ from .oracle import (
     OracleOptions,
     OracleResult,
     RateConstrainedBound,
-    StructureReport,
     TooLarge,
     altered_optimum,
-    backup_structure_check,
     dual_certificate,
     exact_dp,
     rate_constrained_optimum,

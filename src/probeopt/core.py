@@ -10,8 +10,9 @@ probes the sender transmits on one channel, either a probed one (reward
 known) or an unprobed backup (reward is the channel's mean), or stays
 silent.  A policy's gain is expected reward minus expected probing cost.
 
-This module holds the instance container, validation, tail statistics,
-the gain report produced by every evaluator, and JSON serialization.
+This module holds the instance container, validation, the blind-send
+reward, the gain report produced by every evaluator, and JSON
+serialization.
 Solvers live in :mod:`probeopt.multi_state` (the one-fallback search,
 exact at two states, which :mod:`probeopt.two_state` wraps after a
 check that K = 2; near-ties go to no fallback, then the lowest index),
@@ -25,7 +26,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,8 +44,6 @@ __all__ = [
     "ChannelStats",
     "Instance",
     "validate_instance",
-    "TailStats",
-    "tail_stats",
     "blind_backup_reward",
     "GainReport",
     "evaluate_policy",
@@ -193,7 +192,7 @@ class Instance:
         out.setflags(write=False)
         return out
 
-    # -- constructors and transforms ------------------------------------
+    # -- constructors ---------------------------------------------------
 
     @classmethod
     def from_arrays(
@@ -228,23 +227,6 @@ class Instance:
             for j in range(n)
         )
         inst = cls(rewards=np.asarray(rewards, dtype=float), channels=channels)
-        if validate:
-            validate_instance(inst)
-        return inst
-
-    def subset(self, indices: Iterable[int], *, validate: bool = False) -> "Instance":
-        """A new instance over the given channel indices, order preserved."""
-        picked = tuple(self.channels[int(i)] for i in indices)
-        inst = Instance(rewards=self.rewards, channels=picked)
-        if validate:
-            validate_instance(inst)
-        return inst
-
-    def with_rewards(
-        self, rewards: Sequence[float] | np.ndarray, *, validate: bool = False
-    ) -> "Instance":
-        """Same channels, different reward vector."""
-        inst = Instance(rewards=np.asarray(rewards, dtype=float), channels=self.channels)
         if validate:
             validate_instance(inst)
         return inst
@@ -416,35 +398,6 @@ def validate_instance(
     if any_repair:
         return Instance(rewards=instance.rewards, channels=tuple(repaired))
     return instance
-
-
-@dataclass(frozen=True)
-class TailStats:
-    """Upper-tail summary of one channel at one state level.
-
-    ``tail_prob`` is the chance the channel sits at ``level`` or above;
-    ``tail_reward`` is the expected reward conditioned on that event, or
-    None when the event has zero probability.
-    """
-
-    level: int
-    tail_prob: float
-    tail_reward: float | None
-
-
-def tail_stats(instance: Instance, channel: int, level: int) -> TailStats:
-    """Tail statistics for ``channel`` at ``level`` (both 0-based)."""
-    k = instance.state_count
-    if not 0 <= channel < instance.n:
-        raise UnknownChannel(f"channel index {channel} out of range 0..{instance.n - 1}")
-    if not 0 <= level < k:
-        raise LevelOutOfRange(f"level {level} out of range 0..{k - 1}")
-    p = instance.channels[channel].probs[level:]
-    mass = float(p.sum())
-    if mass <= 0.0:
-        return TailStats(level=level, tail_prob=0.0, tail_reward=None)
-    mean = float(p @ instance.rewards[level:]) / mass
-    return TailStats(level=level, tail_prob=mass, tail_reward=mean)
 
 
 def blind_backup_reward(instance: Instance, channel: int | None) -> float:

@@ -48,7 +48,6 @@ from .core import (
 
 __all__ = [
     "ThresholdPolicy",
-    "probe_floor",
     "probe_levels",
     "reserve_backup_policy",
     "best_reserve_backup",
@@ -194,15 +193,6 @@ def _probe_lists(
         (int(level[a]), tuple(chans[a:b].tolist()))
         for a, b in zip(edges[:-1], edges[1:])
     )
-
-
-def probe_floor(
-    instance: Instance, backup: int | None, threshold: float | None = None
-) -> int:
-    """Lowest level worth probing for: the first state whose reward
-    strictly beats both the fallback's mean and the decision bar.
-    Equals K when nothing does (the policy then never probes)."""
-    return _probe_lists(instance, _bar(instance, backup, threshold), backup)[0]
 
 
 def probe_levels(

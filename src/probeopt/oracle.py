@@ -9,8 +9,11 @@ probe adds one channel, so a layer reads only the layer above, and each
 step of a layer is one numpy expression).  The same pass fills an
 action table, holding the action the tie preference takes in each
 state, and the probability that the tree it describes transmits; an
-explicit optimal decision tree is then a walk of the action table from
-the root, made on demand and checked against the table's value.
+explicit optimal decision tree is then built from the action table on
+demand, one node object per distinct subtree, and checked against the
+table's value.  Every use of a tree that follows its paths (evaluation,
+the rule check, depth, the simulator's node tables) reads one walk,
+``DecisionTree._walk``, which checks the game rules as it goes.
 Exponential in the channel count, so it refuses instances wider than
 ``OracleOptions.max_channels``.
 
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -35,6 +38,7 @@ from .core import (
     GainReport,
     InconsistentLeaf,
     Instance,
+    PolicyStructureError,
     ProbingError,
     RepeatedProbe,
     UnknownChannel,
@@ -57,8 +61,6 @@ __all__ = [
     "DecisionTree",
     "exact_dp",
     "altered_optimum",
-    "backup_structure_check",
-    "StructureReport",
     "rate_constrained_optimum",
     "RateConstrainedBound",
     "dual_certificate",
@@ -178,26 +180,83 @@ class DecisionTree:
     n: int
     names: tuple[str, ...] | None = None
 
-    # -- evaluation -----------------------------------------------------
+    # -- the walk -------------------------------------------------------
+
+    def _walk(self, instance: Instance | None = None):
+        """Every path of the tree, depth first, the last state's child
+        first.  Yields ``(node, parent, probed)``: the node, the walk
+        position of its parent probe (-1 at the root) and the
+        ``(channel, state)`` pairs probed on the way there.  Checks the
+        game rules as it goes, against ``instance`` when one is given:
+        channels in range, none probed twice, one child per state, a
+        probed send naming a channel and state its path observed, a
+        backup never probed."""
+        k, n = self.state_count, self.n
+        if instance is not None:
+            if k != instance.state_count:
+                raise PolicyStructureError(
+                    f"tree has {k} states, the instance {instance.state_count}"
+                )
+            n = min(n, instance.n)
+        stack = [(self.root, -1, (), 0)]  # the last item masks the probed
+        push = stack.append
+        pos = 0
+        while stack:
+            node, parent, probed, mask = stack.pop()
+            if isinstance(node, Probe):
+                j, children = node.channel, node.children
+                if not 0 <= j < n:
+                    raise UnknownChannel(f"probe of channel index {j}")
+                if mask >> j & 1:
+                    raise RepeatedProbe(f"channel {j} probed twice on one path")
+                if len(children) != k:
+                    raise InconsistentLeaf(
+                        f"probe node needs {k} children, got {len(children)}"
+                    )
+                below = mask | 1 << j
+                for s in range(k):
+                    push((children[s], pos, (*probed, (j, s)), below))
+            elif isinstance(node, TransmitProbed):
+                if (node.channel, node.state) not in probed:
+                    raise InconsistentLeaf(
+                        f"send of channel {node.channel} in state {node.state}, "
+                        f"which its path did not observe"
+                    )
+            elif isinstance(node, TransmitBackup):
+                if not 0 <= node.channel < n:
+                    raise UnknownChannel(f"backup channel index {node.channel}")
+                if mask >> node.channel & 1:
+                    raise BackupProbed(
+                        f"channel {node.channel} probed, then used blind"
+                    )
+            elif not isinstance(node, NoTransmit):
+                raise InconsistentLeaf(f"unknown node {node!r}")
+            yield node, parent, probed
+            pos += 1
 
     def _gain_report(self, instance: Instance, altered_threshold=None) -> GainReport:
         probs = instance.probs
+        # Python floats multiply as numpy's do, and index faster
+        cols, costs = probs.T.tolist(), instance.costs.tolist()
         mass = np.zeros(instance.state_count)
         cost = 0.0
-        stack = [(self.root, 1.0)]
-        while stack:
-            node, reach = stack.pop()
+        reach = []  # by walk position
+        for node, parent, probed in self._walk(instance):
+            p = 1.0
+            if parent >= 0:
+                # a state the probed channel never shows ends the path
+                j, s = probed[-1]
+                w = cols[j][s]
+                p = reach[parent] * w if w > 0.0 else 0.0
+            reach.append(p)
+            if not p:
+                continue
             if isinstance(node, Probe):
-                cost += reach * instance.costs[node.channel]
-                col = probs[:, node.channel]
-                for s, child in enumerate(node.children):
-                    if col[s] > 0.0:
-                        stack.append((child, reach * col[s]))
+                cost += p * costs[node.channel]
             elif isinstance(node, TransmitProbed):
-                mass[node.state] += reach
+                mass[node.state] += p
             elif isinstance(node, TransmitBackup):
-                mass += reach * probs[:, node.channel]
-            # NoTransmit adds nothing
+                mass += p * probs[:, node.channel]
         return GainReport.assemble(instance, mass, cost, altered_threshold)
 
     # -- execution ------------------------------------------------------
@@ -222,54 +281,14 @@ class DecisionTree:
 
     # -- structure ------------------------------------------------------
 
-    def validate(self) -> None:
-        """Walk every path and check the game rules: no channel probed
-        twice, probed-transmit leaves name a channel and state actually
-        observed on their path, backups are never probed channels."""
-
-        def walk(node, seen: dict[int, int]) -> None:
-            if isinstance(node, Probe):
-                j = node.channel
-                if not 0 <= j < self.n:
-                    raise UnknownChannel(f"probe of channel index {j}")
-                if j in seen:
-                    raise RepeatedProbe(f"channel {j} probed twice on one path")
-                if len(node.children) != self.state_count:
-                    raise InconsistentLeaf(
-                        f"probe node needs {self.state_count} children, "
-                        f"got {len(node.children)}"
-                    )
-                for s, child in enumerate(node.children):
-                    walk(child, {**seen, j: s})
-            elif isinstance(node, TransmitProbed):
-                if node.channel not in seen:
-                    raise InconsistentLeaf(
-                        f"transmit of unprobed channel {node.channel}"
-                    )
-                if seen[node.channel] != node.state:
-                    raise InconsistentLeaf(
-                        f"channel {node.channel} observed in state "
-                        f"{seen[node.channel]}, leaf claims {node.state}"
-                    )
-            elif isinstance(node, TransmitBackup):
-                if not 0 <= node.channel < self.n:
-                    raise UnknownChannel(f"backup channel index {node.channel}")
-                if node.channel in seen:
-                    raise BackupProbed(
-                        f"channel {node.channel} probed, then used blind"
-                    )
-            elif not isinstance(node, NoTransmit):
-                raise InconsistentLeaf(f"unknown node {node!r}")
-
-        walk(self.root, {})
+    def validate(self, instance: Instance | None = None) -> None:
+        """Check the game rules on every path (see ``_walk``)."""
+        for _ in self._walk(instance):
+            pass
 
     def depth(self) -> int:
-        def d(node) -> int:
-            if isinstance(node, Probe):
-                return 1 + max(d(c) for c in node.children)
-            return 0
-
-        return d(self.root)
+        """The most probes on one path."""
+        return max(len(probed) for _, _, probed in self._walk())
 
     # -- serialization --------------------------------------------------
 
@@ -300,6 +319,9 @@ class DecisionTree:
 
     @classmethod
     def from_dict(cls, data: dict, instance: Instance | None = None) -> "DecisionTree":
+        """Load a document, checked against ``instance`` when one is
+        given.  A node must probe, transmit, send a backup or say
+        ``"silent": true``."""
         names = tuple(data["channels"])
         if instance is not None:
             index = {name: instance.index_of(name) for name in names}
@@ -311,6 +333,8 @@ class DecisionTree:
             n = len(names)
 
         def dec(node):
+            if not isinstance(node, dict):
+                raise PolicyStructureError(f"tree node {node!r} is not an object")
             if "probe" in node:
                 return Probe(
                     channel=index[node["probe"]],
@@ -323,14 +347,19 @@ class DecisionTree:
                 )
             if "backup" in node:
                 return TransmitBackup(channel=index[node["backup"]])
-            return NoTransmit()
+            if node.get("silent") is True:
+                return NoTransmit()
+            raise PolicyStructureError(f"unknown tree node {node!r}")
 
-        return cls(
+        tree = cls(
             root=dec(data["root"]),
             state_count=_integer(data["state_count"], "state_count"),
             n=n,
             names=names_out,
         )
+        if instance is not None:
+            tree.validate(instance)
+        return tree
 
 
 def tree_to_dot(tree: DecisionTree) -> str:
@@ -564,32 +593,34 @@ class OracleResult:
 
     @cached_property
     def tree(self) -> DecisionTree:
-        """Walk the action table from the root, one node per path.  A
-        probed-channel send names the first channel on the path that
-        showed the best state, a backup the free allowed channel of
-        highest mean (lowest index on a tie); the tree must be worth
-        the table's value."""
+        """The tree the action table describes, built from the root.  A
+        node's subtree depends only on its (mask, best column, sender)
+        key, so each key is built once and equal subtrees are one object.  The sender, the
+        first channel on the path that showed the best state, is what a
+        probed send names; a backup sends on the free allowed channel of
+        highest mean (lowest index on a tie).  The tree must be worth the
+        table's value, and evaluating it checks the game rules."""
         inst, opts = self.instance, self.options
         n, k = inst.n, inst.state_count
         A = self.actions
         allowed = tuple(range(n)) if opts.allowed_backups is None else opts.allowed_backups
         backups = sorted(allowed, key=lambda j: (-inst.blind_rewards[j], j))
 
-        def build(mask: int, bidx: int, path: tuple[tuple[int, int], ...]):
+        @cache
+        def build(mask: int, bidx: int, sender: int | None):
             a = int(A[mask, bidx])
             if a >= 0:
+                # a state above the best so far makes ``a`` the sender
+                below = mask | 1 << a
                 return Probe(
                     channel=a,
                     children=tuple(
-                        build(mask | (1 << a), max(bidx, s + 1), path + ((a, s),))
+                        build(below, max(bidx, s + 1), a if s >= bidx else sender)
                         for s in range(k)
                     ),
                 )
             if a == _TRANSMIT:
-                b = bidx - 1
-                return TransmitProbed(
-                    channel=next(j for j, s in path if s == b), state=b
-                )
+                return TransmitProbed(channel=sender, state=bidx - 1)
             if a == _BACKUP:
                 return TransmitBackup(
                     channel=next(j for j in backups if not (mask >> j) & 1)
@@ -599,9 +630,8 @@ class OracleResult:
             raise ExtractionDrift(f"no legal action at mask {mask}, column {bidx}")
 
         tree = DecisionTree(
-            root=build(0, 0, ()), state_count=k, n=n, names=inst.names
+            root=build(0, 0, None), state_count=k, n=n, names=inst.names
         )
-        tree.validate()
         gain = evaluate_policy(
             inst, tree, altered_threshold=opts.altered_threshold
         ).gain
@@ -617,7 +647,8 @@ def exact_dp(instance: Instance, options: OracleOptions | None = None) -> Oracle
 
     ``result.value`` is exact up to float rounding and
     ``result.transmit_prob`` is read off the same pass; ``result.tree``
-    walks the action table lazily, visiting only the states it reaches.
+    is built from the action table lazily, once per distinct
+    (mask, best observation, sender) key it reaches.
     """
     opts = options or OracleOptions()
     _check_options(instance, opts)
@@ -648,109 +679,6 @@ def altered_optimum(
             tie_preference=tie_preference,
             max_channels=max_channels,
         ),
-    )
-
-
-# -- structural diagnostics --------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class StructureReport:
-    """Outcome of :func:`backup_structure_check`."""
-
-    value: float
-    agree: bool
-    fallback_only: bool
-    best_backup_only: bool
-    notes: tuple[str, ...]
-    default_tree: DecisionTree
-    backup_tree: DecisionTree
-
-    @property
-    def ok(self) -> bool:
-        return self.agree and self.fallback_only and self.best_backup_only
-
-
-def backup_structure_check(
-    instance: Instance, options: OracleOptions | None = None
-) -> StructureReport:
-    """Check how optimal trees use unprobed transmissions.
-
-    Solves twice, once with default tie-breaking and once preferring
-    blind sends, and verifies on both trees that every blind send (a)
-    happens only when it beats the best probed observation and (b) uses
-    the best-mean channel still unprobed.  Both should hold for any
-    optimal tree up to the tie slack; a failure flags a solver bug or a
-    genuinely pathological instance worth a look.
-    """
-    base = options or OracleOptions()
-    res_a = exact_dp(instance, base)
-    res_b = exact_dp(
-        instance,
-        OracleOptions(
-            altered_threshold=base.altered_threshold,
-            allow_no_transmit=base.allow_no_transmit,
-            allowed_backups=base.allowed_backups,
-            forbidden_probe=base.forbidden_probe,
-            tie_preference="prefer-backup",
-            max_channels=base.max_channels,
-        ),
-    )
-    agree = abs(res_a.value - res_b.value) <= 1e-9
-    notes: list[str] = []
-    if not agree:
-        notes.append(
-            f"tie preference moved the value: {res_a.value!r} vs {res_b.value!r}"
-        )
-    x = 0.0 if base.altered_threshold is None else base.altered_threshold
-    allowed = (
-        tuple(range(instance.n))
-        if base.allowed_backups is None
-        else base.allowed_backups
-    )
-    fallback_only = True
-    best_backup_only = True
-
-    def scan(tree: DecisionTree, label: str) -> None:
-        nonlocal fallback_only, best_backup_only
-
-        def walk(node, probed: dict[int, int]) -> None:
-            nonlocal fallback_only, best_backup_only
-            if isinstance(node, Probe):
-                for s, child in enumerate(node.children):
-                    walk(child, {**probed, node.channel: s})
-            elif isinstance(node, TransmitBackup):
-                blind = float(instance.blind_rewards[node.channel])
-                if probed:
-                    seen = instance.rewards[max(probed.values())]
-                    if blind < seen - TIE_TOL:
-                        fallback_only = False
-                        notes.append(
-                            f"{label}: blind send of {node.channel} under a "
-                            f"better observation ({blind!r} < {seen!r})"
-                        )
-                rivals = [j for j in allowed if j not in probed and j != node.channel]
-                if rivals:
-                    top = max(instance.blind_rewards[j] for j in rivals)
-                    if blind < top - TIE_TOL:
-                        best_backup_only = False
-                        notes.append(
-                            f"{label}: blind send of {node.channel} while a "
-                            f"better backup was free ({blind!r} < {top!r})"
-                        )
-
-        walk(tree.root, {})
-
-    scan(res_a.tree, "default")
-    scan(res_b.tree, "prefer-backup")
-    return StructureReport(
-        value=res_a.value,
-        agree=agree,
-        fallback_only=fallback_only,
-        best_backup_only=best_backup_only,
-        notes=tuple(notes),
-        default_tree=res_a.tree,
-        backup_tree=res_b.tree,
     )
 
 

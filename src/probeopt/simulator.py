@@ -350,43 +350,36 @@ def _threshold_outcomes(
 
 
 def _tree_outcomes(instance: Instance, tree: DecisionTree):
-    """Tables over the tree's paths: probe nodes store their channel
-    and one child per state, leaves point to themselves and store how
-    the slot closes.  Every slot then descends ``depth`` steps."""
-    tree.validate()
-    k = tree.state_count
-    # (node, channels probed on the way there, their cost), by node id
-    nodes = [(tree.root, [], 0.0)]
-    channel, child, path_cost = [], [], []
-    for i, (node, path, cost) in enumerate(nodes):  # grows while it is read
-        path_cost.append(cost)
+    """Tables over the tree's paths, checked against the instance by
+    the walk that lists them: probe nodes store their channel and one
+    child per state, leaves point to themselves and store how the slot
+    closes.  Every slot then descends ``depth`` steps."""
+    walk = list(tree._walk(instance))
+    nodes = [node for node, _, _ in walk]
+    size = len(walk)
+    channel = np.zeros(size, dtype=np.intp)
+    child = np.repeat(np.arange(size)[:, None], tree.state_count, axis=1)
+    path_cost = np.zeros(size)
+    below = {}  # a probe's position -> the cost of its path and itself
+    for i, (node, parent, probed) in enumerate(walk):
+        if parent >= 0:
+            child[parent, probed[-1][1]] = i
+            path_cost[i] = below[parent]
         if isinstance(node, Probe):
-            below = path + [node.channel]
-            below_cost = instance.costs[below].sum()
-            channel.append(node.channel)
-            child.append(range(len(nodes), len(nodes) + k))
-            nodes.extend((c, below, below_cost) for c in node.children)
-        else:
-            channel.append(0)
-            child.append([i] * k)
-    channel = np.array(channel, dtype=np.intp)
-    child = np.array(child, dtype=np.intp)
-    path_cost = np.array(path_cost)
-    node_objs = [nd for nd, _, _ in nodes]
-    sends = np.array(
-        [isinstance(nd, (TransmitProbed, TransmitBackup)) for nd in node_objs]
-    )
-    blind = np.array([isinstance(nd, TransmitBackup) for nd in node_objs])
+            channel[i] = node.channel
+            below[i] = instance.costs[[j for j, _ in probed] + [node.channel]].sum()
+    sends = np.array([isinstance(nd, (TransmitProbed, TransmitBackup)) for nd in nodes])
+    blind = np.array([isinstance(nd, TransmitBackup) for nd in nodes])
     sent_channel = np.array(
-        [nd.channel if isinstance(nd, TransmitBackup) else 0 for nd in node_objs],
+        [nd.channel if isinstance(nd, TransmitBackup) else 0 for nd in nodes],
         dtype=np.intp,
     )
     sent_state = np.array(
-        [nd.state if isinstance(nd, TransmitProbed) else 0 for nd in node_objs],
+        [nd.state if isinstance(nd, TransmitProbed) else 0 for nd in nodes],
         dtype=np.intp,
     )
-    depth = max(len(path) for _, path, _ in nodes)
-    read = {nd.channel for nd in node_objs if isinstance(nd, (Probe, TransmitBackup))}
+    depth = max(len(probed) for _, _, probed in walk)
+    read = {nd.channel for nd in nodes if isinstance(nd, (Probe, TransmitBackup))}
     r = instance.rewards
 
     def outcomes(states):
@@ -476,65 +469,26 @@ def _map_replications(worker, seeds, threads: int) -> list:
     return [worker(s) for s in seeds]
 
 
-def simulate_saturated(
-    instance: Instance, policy, config: SimConfig | None = None
-) -> SimReport:
-    """Run ``policy`` every slot and compare against its analytic
-    figures.  Accepts level-list, mixed, backbone, and decision-tree
-    policies."""
-    if config is None:
-        config = SimConfig()
+def _replicate(instance: Instance, policy, config: SimConfig, arrivals) -> SimReport:
+    """The replication loop of both entry points.  Each replication
+    seeds its generator, draws states, plays them and, when
+    ``arrivals`` is given, feeds the queue; its means are one row of
+    the report."""
     play, read = _player(instance, policy)
 
     def worker(seq: np.random.SeedSequence):
         rng = np.random.Generator(np.random.PCG64(seq))
         states = _draw_states(instance, rng, config.slots, read)
         transmit, reward, cost, success = play(states, rng)
-        return (
-            float(reward.mean() - cost.mean()),
-            float(transmit.mean()),
-            float(cost.mean()),
-            float(success.mean()),
-        )
-
-    seeds = np.random.SeedSequence(config.seed).spawn(config.replications)
-    rows = np.array(_map_replications(worker, seeds, config.threads))
-    mean_gain, se_gain = _summarize(rows[:, 0])
-    mean_tx, se_tx = _summarize(rows[:, 1])
-    return SimReport(
-        slots=config.slots,
-        replications=config.replications,
-        mean_gain=mean_gain,
-        se_gain=se_gain,
-        mean_transmit=mean_tx,
-        se_transmit=se_tx,
-        mean_probe_cost=float(rows[:, 2].mean()),
-        mean_success=float(rows[:, 3].mean()),
-        busy_fraction=1.0,
-        busy_gain=mean_gain,
-        mean_queue=None,
-        throughput=None,
-        rep_gains=tuple(rows[:, 0]),
-    )
-
-
-def simulate_unsaturated(
-    instance: Instance, policy: MixedPolicy, config: SimConfig | None = None
-) -> SimReport:
-    """Feed a queue and run ``policy`` on busy slots only.
-
-    Arrivals default to Bernoulli at the policy's arrival rate.  A
-    packet landing in a slot may be served in that same slot; the
-    backlog follows max(previous + arrival - service, 0)."""
-    if config is None:
-        config = SimConfig()
-    arrivals = config.arrivals or BernoulliArrivals(policy.arrival_rate)
-    play, read = _player(instance, policy)
-
-    def worker(seq: np.random.SeedSequence):
-        rng = np.random.Generator(np.random.PCG64(seq))
-        states = _draw_states(instance, rng, config.slots, read)
-        transmit, reward, cost, success = play(states, rng)
+        if arrivals is None:
+            return (
+                float(reward.mean() - cost.mean()),
+                float(transmit.mean()),
+                float(cost.mean()),
+                float(success.mean()),
+                1.0,
+                0.0,
+            )
         arr = arrivals.draw(rng, config.slots).astype(np.int64)
         # backlog via running minimum: increments ignore idle slots
         # because service never fires on an empty system anyway
@@ -558,6 +512,7 @@ def simulate_unsaturated(
     mean_gain, se_gain = _summarize(rows[:, 0])
     mean_tx, se_tx = _summarize(rows[:, 1])
     busy_fraction = float(rows[:, 4].mean())
+    queued = arrivals is not None
     return SimReport(
         slots=config.slots,
         replications=config.replications,
@@ -569,7 +524,29 @@ def simulate_unsaturated(
         mean_success=float(rows[:, 3].mean()),
         busy_fraction=busy_fraction,
         busy_gain=mean_gain / busy_fraction if busy_fraction > 0 else float("nan"),
-        mean_queue=float(rows[:, 5].mean()),
-        throughput=mean_tx,
+        mean_queue=float(rows[:, 5].mean()) if queued else None,
+        throughput=mean_tx if queued else None,
         rep_gains=tuple(rows[:, 0]),
     )
+
+
+def simulate_saturated(
+    instance: Instance, policy, config: SimConfig | None = None
+) -> SimReport:
+    """Run ``policy`` every slot and compare against its analytic
+    figures.  Accepts level-list, mixed, backbone, and decision-tree
+    policies."""
+    return _replicate(instance, policy, config or SimConfig(), None)
+
+
+def simulate_unsaturated(
+    instance: Instance, policy: MixedPolicy, config: SimConfig | None = None
+) -> SimReport:
+    """Feed a queue and run ``policy`` on busy slots only.
+
+    Arrivals default to Bernoulli at the policy's arrival rate.  A
+    packet landing in a slot may be served in that same slot; the
+    backlog follows max(previous + arrival - service, 0)."""
+    config = config or SimConfig()
+    arrivals = config.arrivals or BernoulliArrivals(policy.arrival_rate)
+    return _replicate(instance, policy, config, arrivals)

@@ -502,6 +502,18 @@ class TestSimulate:
         assert "not a usable policy" in capsys.readouterr().err
 
 
+    def test_tree_from_another_state_count(self, tmp_path, capsys):
+        # a three-state tree on a four-state instance of the same channels
+        three = write_instance(tmp_path, seed=0, name="i3.json", n=3, state_count=3)
+        four = write_instance(tmp_path, seed=0, name="i4.json", n=3, state_count=4)
+        tree = tmp_path / "t3.json"
+        assert run("oracle", three, "-o", tree) == 0
+        tree.write_text(json.dumps(json.loads(tree.read_text())["tree"]))
+        assert run("simulate", four, "--policy", tree, "--slots", 200) == 2
+        err = capsys.readouterr().err
+        assert "not a usable policy" in err and "3 states" in err
+
+
 class TestParserReuse:
     """``main`` builds its parser once and keeps no state between calls."""
 

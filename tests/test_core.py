@@ -68,20 +68,6 @@ class TestInstance:
         assert probs.shape == want.shape and np.array_equal(probs, want)
         assert probs.flags.c_contiguous and not probs.flags.writeable
 
-    def test_subset_keeps_channel_identity(self):
-        inst = small_instance()
-        sub = inst.subset([1])
-        assert sub.n == 1
-        assert sub.names == ("right",)
-        np.testing.assert_allclose(sub.probs[:, 0], inst.probs[:, 1])
-
-    def test_with_rewards(self):
-        inst = small_instance()
-        swapped = inst.with_rewards((0.0, 0.25, 0.9))
-        assert swapped.rewards[1] == 0.25
-        # original untouched
-        assert inst.rewards[1] == 0.5
-
 
 class TestValidation:
     def test_clean_instance_passes(self):
@@ -290,31 +276,6 @@ class TestArrayValidation:
 
 
 class TestTailAlgebra:
-    def test_known_values(self):
-        # column (0.5, 0.3, 0.2) against rewards (0, 0.5, 1): the tail at
-        # level 1 has mass 0.5 and conditional mean (0.15 + 0.2) / 0.5
-        inst = po.Instance.from_arrays(
-            (0.0, 0.5, 1.0), [[0.5], [0.3], [0.2]], (0.0,)
-        )
-        ts = po.tail_stats(inst, 0, 1)
-        assert ts.tail_prob == pytest.approx(0.5, abs=1e-15)
-        assert ts.tail_reward == pytest.approx(0.7, abs=1e-12)
-
-    def test_empty_tail_has_no_mean(self):
-        inst = po.Instance.from_arrays(
-            (0.0, 0.5, 1.0), [[0.5], [0.5], [0.0]], (0.0,)
-        )
-        ts = po.tail_stats(inst, 0, 2)
-        assert ts.tail_prob == 0.0
-        assert ts.tail_reward is None
-
-    def test_range_checks(self):
-        inst = small_instance()
-        with pytest.raises(po.LevelOutOfRange):
-            po.tail_stats(inst, 0, 3)
-        with pytest.raises(po.UnknownChannel):
-            po.tail_stats(inst, 2, 0)
-
     def test_blind_backup_reward(self):
         inst = small_instance()
         assert po.blind_backup_reward(inst, None) == -1.0

@@ -130,12 +130,17 @@ class TestConstruction:
             [[0.2, 0.1], [0.5, 0.2], [0.3, 0.7]],
             (0.01, 0.01),
         )
+
+        def floor(backup, threshold=None):
+            bar = multi_state._bar(inst, backup, threshold)
+            return multi_state._probe_lists(inst, bar, backup)[0]
+
         # channel 1's blind mean is 0.78: only the top state beats it
-        assert po.probe_floor(inst, 1) == 2
+        assert floor(1) == 2
         # no fallback: anything above the zero-reward base is worth a look
-        assert po.probe_floor(inst, None) == 1
+        assert floor(None) == 1
         # a bar above every reward shuts probing off entirely
-        assert po.probe_floor(inst, None, 1.5) == 3
+        assert floor(None, 1.5) == 3
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**6), st.floats(-0.5, 1.5))
@@ -185,9 +190,11 @@ class TestConstruction:
                 prev_u = u
                 scores = []
                 for j in mem:
-                    ts = po.tail_stats(inst, j, u)
-                    assert ts.tail_prob > 0.0
-                    scores.append(ts.tail_reward - inst.costs[j] / ts.tail_prob)
+                    tail = inst.probs[u:, j]
+                    mass = tail.sum()
+                    assert mass > 0.0
+                    mean = tail @ inst.rewards[u:] / mass
+                    scores.append(mean - inst.costs[j] / mass)
                 assert all(
                     a >= b - 1e-12 for a, b in zip(scores, scores[1:])
                 ), f"seed {seed}: scores not descending at level {u}"

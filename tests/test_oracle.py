@@ -5,6 +5,8 @@ The layered pass is pinned against the mask-by-mask table and the
 re-pricing tree extraction kept in ``helpers`` (``reference_table``,
 ``reference_tree``)."""
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -261,14 +263,11 @@ class TestAdaptivityExample:
         inst = po.counterexample_instance(0.1)
         pol = po.reserve_backup_policy(inst, 2, None)
         assert pol.levels == ((2, (0, 1)),)
-        s0 = po.tail_stats(inst, 0, 2)
-        s1 = po.tail_stats(inst, 1, 2)
-        assert s0.tail_reward - inst.costs[0] / s0.tail_prob == pytest.approx(
-            0.987990, abs=1e-6
-        )
-        assert s1.tail_reward - inst.costs[1] / s1.tail_prob == pytest.approx(
-            0.9877551, abs=1e-6
-        )
+        # a top-level probe's score: its tail mean less cost per tail mass
+        for j, score in ((0, 0.987990), (1, 0.9877551)):
+            tail = inst.probs[2:, j]
+            mean = tail @ inst.rewards[2:] / tail.sum()
+            assert mean - inst.costs[j] / tail.sum() == pytest.approx(score, abs=1e-6)
 
     def test_level_policy_nearly_optimal(self):
         inst = po.counterexample_instance(0.1)
@@ -280,11 +279,25 @@ class TestAdaptivityExample:
 
 class TestStructureDiagnostics:
     def test_fallback_concentration_holds_on_sweep(self):
+        # optimal trees send blind only when that beats the best
+        # observation, and only on the best free backup, whichever way
+        # ties break
+        tol = oracle_module.TIE_TOL
         for seed in range(30):
             inst = draw_instance(seed, n_lo=2, n_hi=5, k_lo=2, k_hi=3)
-            rep = po.backup_structure_check(inst)
-            assert rep.agree
-            assert rep.ok, f"seed {seed} flagged: {rep.notes}"
+            blind = inst.blind_rewards
+            default = po.exact_dp(inst)
+            backup = po.exact_dp(inst, po.OracleOptions(tie_preference="prefer-backup"))
+            assert abs(default.value - backup.value) <= 1e-9
+            for res in (default, backup):
+                for node, _, probed in res.tree._walk():
+                    if not isinstance(node, oracle_module.TransmitBackup):
+                        continue
+                    sent = blind[node.channel]
+                    if probed:
+                        assert sent >= inst.rewards[max(s for _, s in probed)] - tol
+                    free = sorted(set(range(inst.n)) - {j for j, _ in probed})
+                    assert sent >= blind[free].max() - tol, f"seed {seed}"
 
     def test_dot_export(self):
         inst = draw_instance(2, n_lo=2, n_hi=3)
@@ -314,6 +327,72 @@ class TestStructureDiagnostics:
                 node["transmit"]["state"] = value
             with pytest.raises(po.PolicyStructureError):
                 po.policy_from_dict(doc, inst)
+
+
+class TestTreeChecks:
+    """Every path of a tree is walked by ``DecisionTree._walk``, which
+    checks the game rules; evaluating, simulating and loading a tree
+    all go through it."""
+
+    def test_illegal_hand_built_tree_is_refused(self):
+        inst = po.generate(po.GenSpec(n=3, state_count=3), 0)
+        silent = oracle_module.NoTransmit()
+        twice = oracle_module.Probe(0, (silent,) * 3)
+        tree = po.DecisionTree(
+            root=oracle_module.Probe(0, (twice, silent, silent)), state_count=3, n=3
+        )
+        with pytest.raises(po.RepeatedProbe):
+            po.evaluate_policy(inst, tree)
+        with pytest.raises(po.RepeatedProbe):
+            tree.validate()
+
+    def test_tree_is_checked_against_the_instance(self):
+        tree = po.exact_dp(po.generate(po.GenSpec(n=3, state_count=3), 0)).tree
+        four_states = po.generate(po.GenSpec(n=3, state_count=4), 0)
+        with pytest.raises(po.PolicyStructureError, match="states"):
+            po.evaluate_policy(four_states, tree)
+        with pytest.raises(po.PolicyStructureError):
+            po.policy_from_dict(tree.to_dict(), four_states)
+        with pytest.raises(po.PolicyStructureError):
+            po.simulate_saturated(four_states, tree, po.SimConfig(10, 1))
+        # a tree over more channels than the instance holds
+        narrow = po.generate(po.GenSpec(n=2, state_count=3), 0)
+        wide = po.DecisionTree(
+            root=oracle_module.TransmitBackup(2), state_count=3, n=3
+        )
+        with pytest.raises(po.UnknownChannel):
+            po.evaluate_policy(narrow, wide)
+
+    @pytest.mark.parametrize(
+        "node", [{}, {"bakup": "1"}, {"silent": False}, {"silent": 1}, "silent", None]
+    )
+    def test_unknown_nodes_are_refused(self, node):
+        inst = po.generate(po.GenSpec(n=3, state_count=3), 0)
+        doc = po.exact_dp(inst).tree.to_dict()
+        for target in ("root", "leaf"):
+            edited = json.loads(json.dumps(doc))
+            if target == "root":
+                edited["root"] = node
+            else:
+                parent = edited["root"]
+                while "children" in parent["children"][0]:
+                    parent = parent["children"][0]
+                parent["children"][0] = node
+            for instance in (None, inst):
+                with pytest.raises(po.PolicyStructureError):
+                    po.policy_from_dict(edited, instance)
+
+    def test_equal_subtrees_are_one_object(self):
+        inst = po.generate(po.GenSpec(n=12, state_count=4), 0)
+        tree = po.exact_dp(inst).tree
+        walk = list(tree._walk(inst))
+        assert len(walk) == 37_317
+        assert len({id(node) for node, _, _ in walk}) == 89
+        # the document expands the shared nodes, one per path, as before
+        text = json.dumps(tree.to_dict())
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "20124f7ceabab617a735c5f30e43ca0398b4ba8f65e884968b675762d51f3c92"
+        )
 
 
 class TestRateCappedBenchmark:

@@ -246,7 +246,7 @@ class TestPositiveBaseReward:
     def test_equals_oracle(self, seed, base):
         drawn = draw_instance(seed, n_hi=7, k_lo=2, k_hi=2)
         inst = po.validate_instance(
-            drawn.with_rewards((base, drawn.rewards[1])),
+            po.Instance(rewards=(base, drawn.rewards[1]), channels=drawn.channels),
             allow_positive_base_reward=True,
         )
         gain = po.evaluate_policy(inst, po.two_state_opt(inst)).gain
