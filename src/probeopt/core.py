@@ -111,7 +111,9 @@ class ChannelStats:
     """One channel: a name, a probing cost, and a state distribution.
 
     ``probs[u]`` is the per-slot probability of state ``u``.  The array is
-    copied and frozen on construction.
+    copied and frozen on construction.  An instance built by
+    :meth:`Instance.from_arrays` makes its channels only when
+    ``Instance.channels`` is first read.
     """
 
     name: str
@@ -139,6 +141,11 @@ class Instance:
     Frozen and identity-hashed, so solver caches can key on it.  Use
     :func:`validate_instance` to check model assumptions; constructors in
     this package validate by default and internal transforms opt out.
+
+    The solvers read the arrays ``probs``, ``costs`` and ``names``.  An
+    instance built from channels derives them on first use; one built by
+    :meth:`from_arrays` holds them from the start and makes its
+    ``channels`` only when they are first read.
     """
 
     rewards: np.ndarray
@@ -150,6 +157,21 @@ class Instance:
         object.__setattr__(self, "rewards", r)
         object.__setattr__(self, "channels", tuple(self.channels))
 
+    def __getattr__(self, name: str):
+        # reached only for a missing attribute: an array-built instance's
+        # channels, made once from its arrays
+        d = self.__dict__
+        if name != "channels" or "probs" not in d:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        probs = d["probs"]
+        d["channels"] = channels = tuple(
+            ChannelStats(name=nm, cost=c, probs=probs[:, j])
+            for j, (nm, c) in enumerate(zip(d["names"], d["costs"].tolist()))
+        )
+        return channels
+
     # -- shapes ---------------------------------------------------------
 
     @property
@@ -158,7 +180,7 @@ class Instance:
 
     @property
     def n(self) -> int:
-        return len(self.channels)
+        return len(self.costs)
 
     @property
     def max_reward(self) -> float:
@@ -207,7 +229,9 @@ class Instance:
         """Build an instance from a ``(K, n)`` probability matrix.
 
         Column ``j`` of ``probs`` is channel ``j``'s distribution.  Names
-        default to "1".."n".
+        default to "1".."n".  The instance keeps frozen copies of the
+        arrays and makes no :class:`ChannelStats` until ``channels`` is
+        read.
         """
         p = np.asarray(probs, dtype=float)
         if p.ndim != 2:
@@ -221,12 +245,20 @@ class Instance:
                 [Violation("bad-prob-shape", None, "costs length must match columns")]
             )
         if names is None:
-            names = [str(j + 1) for j in range(n)]
-        channels = tuple(
-            ChannelStats(name=names[j], cost=float(c[j]), probs=p[:, j])
-            for j in range(n)
-        )
-        inst = cls(rewards=np.asarray(rewards, dtype=float), channels=channels)
+            names = range(1, n + 1)
+        elif len(names) != n:
+            raise InstanceValidationError(
+                [Violation("bad-prob-shape", None, "names length must match columns")]
+            )
+        inst = cls.__new__(cls)
+        arrays = {
+            "rewards": np.array(rewards, dtype=float),
+            "probs": np.array(p, order="C"),
+            "costs": np.array(c),
+        }
+        for a in arrays.values():
+            a.setflags(write=False)
+        inst.__dict__.update(arrays, names=tuple(map(str, names)))
         if validate:
             validate_instance(inst)
         return inst
@@ -321,43 +353,49 @@ def validate_instance(
     # the per-channel checks, loosened to flags and taken at once over
     # the (n, K) stack of the distributions with K entries; only the
     # flagged channels walk the checks themselves, in channel order
-    channels = instance.channels
-    shaped = [ch.probs.shape == (k,) for ch in channels]
-    rows = [ch.probs for ch, ok in zip(channels, shaped) if ok]
-    probs = np.array(rows, dtype=float).reshape(len(rows), k)
-    # a row sums along its contiguous axis, in ch.probs.sum()'s order;
+    n = instance.n
+    names, cost = instance.names, instance.costs
+    try:
+        # contiguous rows, so each sums in ch.probs.sum()'s order
+        own = np.ascontiguousarray(instance.probs.T)
+    except ValueError:  # channel distributions of different lengths
+        own = None
+    if own is not None and own.shape == (n, k):
+        shaped = np.ones(n, dtype=bool)
+        rows = own
+    else:  # some distribution has not K entries: take each channel's own
+        own = [ch.probs for ch in instance.channels]
+        shaped = np.array([p.shape == (k,) for p in own], dtype=bool)
+        rows = np.array([p for p, ok in zip(own, shaped) if ok], dtype=float)
+        rows = rows.reshape(int(shaped.sum()), k)
     # a non-finite entry makes a non-finite sum
-    suspect = ~(np.abs(probs.sum(axis=1) - 1.0) <= PROB_TOL)
-    suspect |= ((probs < -PROB_TOL) | (probs > 1.0 + PROB_TOL)).any(axis=1)
+    suspect = ~(np.abs(rows.sum(axis=1) - 1.0) <= PROB_TOL)
+    suspect |= ((rows < -PROB_TOL) | (rows > 1.0 + PROB_TOL)).any(axis=1)
     if k >= 2:  # a rescaled row is suspect already
-        suspect |= probs[:, -1] >= 1.0 - PROB_TOL
-    flagged = np.ones(len(channels), dtype=bool)  # wrong shapes always report
+        suspect |= rows[:, -1] >= 1.0 - PROB_TOL
+    flagged = np.ones(n, dtype=bool)  # wrong shapes always report
     flagged[shaped] = suspect
-    cost = np.array([ch.cost for ch in channels], dtype=float)
     flagged |= ~((cost >= 0.0) & (cost < math.inf))
-    first: dict[str, int] = {}
-    for j, ch in enumerate(channels):
-        if first.setdefault(ch.name, j) != j:
-            flagged[j] = True
+    first: dict[str, int] = {}  # each name's first channel, once one repeats
+    if len(set(names)) < n:
+        for j, name in enumerate(names):
+            if first.setdefault(name, j) != j:
+                flagged[j] = True
 
-    repaired = list(channels)
-    any_repair = False
+    repaired: dict[int, np.ndarray] = {}
     for j in np.flatnonzero(flagged).tolist():
-        ch = channels[j]
-        if first[ch.name] != j:
-            violations.append(Violation("duplicate-name", ch.name, "name reused"))
-        if not math.isfinite(ch.cost):
-            violations.append(Violation("non-finite", ch.name, f"cost = {ch.cost!r}"))
-        if ch.cost < 0.0:
-            violations.append(
-                Violation("negative-cost", ch.name, f"cost = {ch.cost!r}")
-            )
-        p = ch.probs
+        name, c, p = names[j], float(cost[j]), own[j]
+        if first.get(name, j) != j:
+            violations.append(Violation("duplicate-name", name, "name reused"))
+        if not math.isfinite(c):
+            violations.append(Violation("non-finite", name, f"cost = {c!r}"))
+        if c < 0.0:
+            violations.append(Violation("negative-cost", name, f"cost = {c!r}"))
         if not shaped[j]:
             violations.append(
                 Violation(
                     "bad-prob-shape",
-                    ch.name,
+                    name,
                     f"expected {k} state probabilities, got shape {p.shape}",
                 )
             )
@@ -366,37 +404,37 @@ def validate_instance(
         # only a non-finite sum can hide a non-finite entry
         if not math.isfinite(total) and not np.all(np.isfinite(p)):
             violations.append(
-                Violation("non-finite", ch.name, f"probs = {p.tolist()!r}")
+                Violation("non-finite", name, f"probs = {p.tolist()!r}")
             )
         if np.any(p < -PROB_TOL) or np.any(p > 1.0 + PROB_TOL):
             violations.append(
-                Violation("prob-out-of-range", ch.name, f"probs = {p.tolist()!r}")
+                Violation("prob-out-of-range", name, f"probs = {p.tolist()!r}")
             )
         if abs(total - 1.0) > PROB_TOL:
             if renormalize and total > PROB_TOL:
-                ch = repaired[j] = ChannelStats(
-                    name=ch.name, cost=ch.cost, probs=p / total
-                )
-                any_repair = True
+                p = repaired[j] = p / total
             else:
                 violations.append(
                     Violation(
-                        "probs-not-normalized", ch.name, f"mass sums to {total!r}"
+                        "probs-not-normalized", name, f"mass sums to {total!r}"
                     )
                 )
-        if k >= 2 and float(ch.probs[-1]) >= 1.0 - PROB_TOL:
+        if k >= 2 and float(p[-1]) >= 1.0 - PROB_TOL:
             violations.append(
                 Violation(
-                    "certain-top-state",
-                    ch.name,
-                    "top state must have probability < 1",
+                    "certain-top-state", name, "top state must have probability < 1"
                 )
             )
 
     if violations:
         raise InstanceValidationError(violations)
-    if any_repair:
-        return Instance(rewards=instance.rewards, channels=tuple(repaired))
+    if repaired:  # no violation, so every row has K entries
+        rows = rows.copy()
+        for j, p in repaired.items():
+            rows[j] = p
+        return Instance.from_arrays(
+            instance.rewards, rows.T, cost, names, validate=False
+        )
     return instance
 
 
@@ -499,8 +537,10 @@ def instance_to_dict(instance: Instance) -> dict:
     return {
         "rewards": instance.rewards.tolist(),
         "channels": [
-            {"name": ch.name, "cost": ch.cost, "probs": ch.probs.tolist()}
-            for ch in instance.channels
+            {"name": name, "cost": cost, "probs": p}
+            for name, cost, p in zip(
+                instance.names, instance.costs.tolist(), instance.probs.T.tolist()
+            )
         ],
     }
 

@@ -1,5 +1,6 @@
 """Model container, validation, tail algebra, and serialization."""
 
+import dataclasses
 import json
 import math
 
@@ -68,6 +69,48 @@ class TestInstance:
         assert probs.shape == want.shape and np.array_equal(probs, want)
         assert probs.flags.c_contiguous and not probs.flags.writeable
 
+    @pytest.mark.parametrize("names", [["a"], ["a", "b"], ["a", "b", "c", "d"]])
+    def test_from_arrays_refuses_a_names_count_other_than_n(self, names):
+        with pytest.raises(po.InstanceValidationError) as err:
+            po.Instance.from_arrays(
+                (0.0, 1.0), [[0.5] * 3, [0.5] * 3], (0.0,) * 3, names=names
+            )
+        (v,) = err.value.violations
+        assert (v.code, v.channel) == ("bad-prob-shape", None)
+        assert "names" in v.detail
+
+    def test_from_arrays_keeps_frozen_copies(self):
+        rewards, probs, costs = np.array([0.0, 1.0]), np.full((2, 3), 0.5), np.zeros(3)
+        inst = po.Instance.from_arrays(rewards, probs, costs)
+        rewards[1], probs[0, 0], costs[0] = 0.5, 0.0, 1.0
+        assert inst.rewards.tolist() == [0.0, 1.0] and inst.costs.tolist() == [0.0] * 3
+        assert inst.probs.tolist() == [[0.5] * 3] * 2
+        for a in (inst.rewards, inst.probs, inst.costs):
+            assert not a.flags.writeable and a.flags.c_contiguous
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            inst.channels = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            inst.probs = probs
+        assert inst != po.Instance.from_arrays(rewards, probs, costs, validate=False)
+        with pytest.raises(AttributeError):
+            inst.no_such_field
+        with pytest.raises(AttributeError):  # not a recursion through names
+            po.Instance.__new__(po.Instance).channels
+
+    def test_solve_and_save_make_no_channels(self, tmp_path):
+        inst = po.generate(po.GenSpec(n=8, state_count=4), 3)
+        po.validate_instance(inst)
+        po.evaluate_policy(inst, po.best_reserve_backup(inst))
+        po.evaluate_policy(inst, po.exact_dp(inst).tree)
+        po.save_instance(inst, tmp_path / "inst.json")
+        assert "channels" not in inst.__dict__
+        channels = inst.channels
+        assert inst.channels is channels and len(channels) == inst.n
+        for j, ch in enumerate(channels):
+            assert ch.probs.tobytes() == inst.probs[:, j].tobytes()
+            assert not ch.probs.flags.writeable
+            assert (ch.name, ch.cost) == (inst.names[j], inst.costs[j])
+
 
 class TestValidation:
     def test_clean_instance_passes(self):
@@ -120,6 +163,23 @@ class TestValidation:
             "probs-not-normalized",
         ):
             assert expected in codes
+
+    @pytest.mark.parametrize("rewards", [(0.0, 0.5, 1.0), (0.0, 0.2, 0.5, 1.0)])
+    def test_reward_count_other_than_prob_rows(self, rewards):
+        # every channel's distribution has the wrong length, in channel order
+        inst = po.Instance.from_arrays(
+            rewards, [[0.5, 0.4, 0.3], [0.5, 0.6, 0.7]], (0.0, 0.1, 0.2), validate=False
+        )
+        with pytest.raises(po.InstanceValidationError) as err:
+            po.validate_instance(inst)
+        assert [(v.code, v.channel, v.detail) for v in err.value.violations] == [
+            (
+                "bad-prob-shape",
+                name,
+                f"expected {len(rewards)} state probabilities, got shape (2,)",
+            )
+            for name in ("1", "2", "3")
+        ]
 
     def test_renormalize_repairs_mass(self):
         inst = po.Instance.from_arrays(
@@ -244,6 +304,23 @@ class TestArrayValidation:
     @given(corrupted_instances(), st.booleans(), st.booleans())
     def test_matches_the_per_channel_loop(self, inst, renormalize, allow_base):
         options = dict(renormalize=renormalize, allow_positive_base_reward=allow_base)
+        self.check_same_as_reference(inst, options)
+        # the same channels as arrays, where their distributions stack
+        shapes = {ch.probs.shape for ch in inst.channels}
+        if len(shapes) == 1 and len(shapes.pop()) == 1:
+            self.check_same_as_reference(
+                po.Instance.from_arrays(
+                    inst.rewards,
+                    np.column_stack([ch.probs for ch in inst.channels]),
+                    inst.costs,
+                    inst.names,
+                    validate=False,
+                ),
+                options,
+            )
+
+    @staticmethod
+    def check_same_as_reference(inst, options):
         got, found = _validated(po.validate_instance, inst, **options)
         want, expected = _validated(reference_validate, inst, **options)
         assert found == expected
@@ -253,6 +330,7 @@ class TestArrayValidation:
         assert (got is inst) == (want is inst)
         assert got.rewards.tobytes() == want.rewards.tobytes()
         assert got.names == want.names
+        assert got.probs.tobytes() == want.probs.tobytes()
         for a, b in zip(got.channels, want.channels, strict=True):
             assert a.cost == b.cost
             assert a.probs.shape == b.probs.shape
