@@ -190,34 +190,6 @@ class PrefixTreePolicy:
         mass += reach * probs[:, self.backup]
         return GainReport.assemble(instance, mass, cost, altered_threshold)
 
-    # -- execution ------------------------------------------------------
-
-    def act(self, states) -> tuple[list[int], tuple]:
-        """Run one slot.  Same return contract as DecisionTree.act."""
-        probed: list[int] = []
-        for t, m in enumerate(self.backbone):
-            probed.append(m)
-            s = int(states[m])
-            if s < self.escape_min:
-                continue
-            # escape: run the subtree's level lists on their own
-            # observations, then close on its best find or fall back
-            # to the channel in hand
-            send_min, levels = self.subtrees[t][s - self.escape_min]
-            # a probe runs only while the best find is below its level
-            best, best_chan = -1, None
-            for u, c in ((u, c) for u, mem in levels for c in mem):
-                if best >= u:
-                    break
-                probed.append(c)
-                sc = int(states[c])
-                if sc > best:
-                    best, best_chan = sc, c
-            if best_chan is not None and best >= send_min:
-                return probed, ("transmit", best_chan, best)
-            return probed, ("transmit", m, s)
-        return probed, ("backup", self.backup)
-
     # -- serialization --------------------------------------------------
 
     def to_dict(self, names: tuple[str, ...] | None = None) -> dict:

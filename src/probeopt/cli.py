@@ -30,7 +30,6 @@ from .core import (
     evaluate_policy,
     instance_from_dict,
     instance_to_dict,
-    load_instance,
     round_floats,
 )
 from .generate import COST_REGIMES, PROB_SHAPES, GenSpec, generate
@@ -68,35 +67,42 @@ def _emit(obj, path: str | None) -> None:
 
 
 def _write(obj, path: str | None) -> None:
-    text = json.dumps(obj, indent=2)
+    text = json.dumps(obj, indent=2) + "\n"
     if path and path != "-":
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        _write_file(path, text)
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
+
+
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _CliError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _load(path: str):
     try:
-        return load_instance(path)
-    except FileNotFoundError:
-        raise _CliError(f"no such file: {path}")
-    except json.JSONDecodeError as exc:
-        raise _CliError(f"{path}: not valid JSON ({exc})")
+        return instance_from_dict(_read_json(path))
     except InstanceValidationError as exc:
         raise _CliError(f"{path}: {exc}")
 
 
 def _read_json(path: str) -> dict:
-    """Parse a JSON file; ``NaN``/``Infinity`` tokens raise an
+    """Parse a UTF-8 JSON file; ``NaN``/``Infinity`` tokens raise an
     InstanceValidationError with a "non-finite" violation."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh, parse_constant=_refuse_constant)
     except FileNotFoundError:
         raise _CliError(f"no such file: {path}")
+    except OSError as exc:
+        raise _CliError(f"cannot read {path}: {exc.strerror or exc}")
     except json.JSONDecodeError as exc:
         raise _CliError(f"{path}: not valid JSON ({exc})")
+    except UnicodeDecodeError as exc:
+        raise _CliError(f"{path}: not UTF-8 text ({exc})")
 
 
 # -- subcommands --------------------------------------------------------
@@ -202,8 +208,7 @@ def _cmd_oracle(args) -> int:
         "probes_worst_case": tree.depth(),
     }
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(tree_to_dot(tree))
+        _write_file(args.dot, tree_to_dot(tree))
         out["dot"] = args.dot
     _emit(out, args.output)
     return 0

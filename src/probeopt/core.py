@@ -547,16 +547,17 @@ def instance_to_dict(instance: Instance) -> dict:
 
 def instance_from_dict(data: dict, *, validate: bool = True) -> Instance:
     try:
-        rewards = data["rewards"]
-        channels = tuple(
-            ChannelStats(name=c["name"], cost=c["cost"], probs=c["probs"])
-            for c in data["channels"]
+        inst = Instance(
+            rewards=data["rewards"],
+            channels=[
+                ChannelStats(name=c["name"], cost=c["cost"], probs=c["probs"])
+                for c in data["channels"]
+            ],
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InstanceValidationError(
             [Violation("bad-document", None, f"malformed instance document: {exc}")]
         ) from exc
-    inst = Instance(rewards=rewards, channels=channels)
     if validate:
         validate_instance(inst)
     return inst

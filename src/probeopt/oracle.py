@@ -72,6 +72,9 @@ __all__ = [
 # preference then decides which one the extracted tree takes.
 TIE_TOL = 1e-12
 
+# A mixture certificate holds when its gain is within this of the bound.
+GAP_TOL = 1e-6
+
 _RANKS = {
     "default": {"transmit": 0, "backup": 1, "silent": 2, "probe": 3},
     "prefer-backup": {"backup": 0, "transmit": 1, "silent": 2, "probe": 3},
@@ -258,26 +261,6 @@ class DecisionTree:
             elif isinstance(node, TransmitBackup):
                 mass += p * probs[:, node.channel]
         return GainReport.assemble(instance, mass, cost, altered_threshold)
-
-    # -- execution ------------------------------------------------------
-
-    def act(self, states) -> tuple[list[int], tuple]:
-        """Run the tree against one slot's channel states.
-
-        ``states[j]`` is channel ``j``'s true state.  Returns the probe
-        sequence and the closing action, one of ``("transmit", j, s)``,
-        ``("backup", j)``, ``("silent",)``.
-        """
-        probed: list[int] = []
-        node = self.root
-        while isinstance(node, Probe):
-            probed.append(node.channel)
-            node = node.children[int(states[node.channel])]
-        if isinstance(node, TransmitProbed):
-            return probed, ("transmit", node.channel, node.state)
-        if isinstance(node, TransmitBackup):
-            return probed, ("backup", node.channel)
-        return probed, ("silent",)
 
     # -- structure ------------------------------------------------------
 
@@ -668,7 +651,6 @@ def altered_optimum(
     threshold: float,
     *,
     tie_preference: str = "default",
-    max_channels: int = 14,
 ) -> OracleResult:
     """Unrestricted optimum of the per-transmission-charge objective."""
     return exact_dp(
@@ -677,7 +659,6 @@ def altered_optimum(
             altered_threshold=float(threshold),
             allow_no_transmit=True,
             tie_preference=tie_preference,
-            max_channels=max_channels,
         ),
     )
 
@@ -705,9 +686,7 @@ class RateConstrainedBound:
     tree_lo: DecisionTree = field(repr=False)
 
 
-def rate_constrained_optimum(
-    instance: Instance, rate: float, *, max_channels: int = 14
-) -> RateConstrainedBound:
+def rate_constrained_optimum(instance: Instance, rate: float) -> RateConstrainedBound:
     """Minimize the dual exactly by Kelley's cutting-plane method.
 
     g is convex and piecewise linear with slope ``rate - transmit`` of
@@ -728,9 +707,7 @@ def rate_constrained_optimum(
         # the plain gain is the charged value plus the charge it paid
         nonlocal evaluations, last
         evaluations += 1
-        last = altered_optimum(
-            instance, L, tie_preference=tie_preference, max_channels=max_channels
-        )
+        last = altered_optimum(instance, L, tie_preference=tie_preference)
         return last.value + L * last.transmit_prob, last.transmit_prob, last
 
     def finish(L: float, hi: _Cut, lo: _Cut) -> RateConstrainedBound:
@@ -759,8 +736,9 @@ class MixCertificate:
 
     ``alpha`` of ``tree_hi`` and the rest of ``tree_lo`` transmits with
     probability ``rate`` exactly.  When ``ok`` is true its plain gain
-    sits within ``gap`` of the dual bound, so by weak duality both the
-    mixture and the bound are optimal up to ``gap``.
+    sits within ``gap``, at most ``GAP_TOL``, of the dual bound, so by
+    weak duality both the mixture and the bound are optimal up to
+    ``gap``.
     """
 
     ok: bool
@@ -780,9 +758,6 @@ def dual_certificate(
     instance: Instance,
     rate: float,
     bound: RateConstrainedBound | None = None,
-    *,
-    max_channels: int = 14,
-    gap_tol: float = 1e-6,
 ) -> MixCertificate:
     """Exhibit a primal mixture matching the dual bound.
 
@@ -792,7 +767,7 @@ def dual_certificate(
     ``rate``.
     """
     if bound is None:
-        bound = rate_constrained_optimum(instance, rate, max_channels=max_channels)
+        bound = rate_constrained_optimum(instance, rate)
     g_hi = evaluate_policy(instance, bound.tree_hi)
     g_lo = evaluate_policy(instance, bound.tree_lo)
     s_hi, s_lo = g_hi.transmit_prob, g_lo.transmit_prob
@@ -801,7 +776,7 @@ def dual_certificate(
         primal = alpha * g_hi.gain + (1.0 - alpha) * g_lo.gain
         gap = bound.value - primal
         return MixCertificate(
-            ok=bool(abs(gap) <= gap_tol),
+            ok=bool(abs(gap) <= GAP_TOL),
             bound=bound,
             alpha=float(alpha),
             tree_hi=bound.tree_hi,

@@ -18,9 +18,8 @@ node-to-channel and node-by-state-to-child tables, once per run, and
 all slots descend together, one vector step per tree level.  Prefix
 trees split the slots by where they leave the backbone and run each
 escape subtree's level lists through the same walk as a level-list
-policy.
-Objects of any other class that only provide ``act`` still run slot
-by slot.
+policy.  These four kinds, a mixture's two sides included, are all the
+simulator plays, and each is checked as ``evaluate_policy`` checks it.
 
 The queue simulation precomputes each slot's would-be transmission as
 if busy (the draws do not depend on the backlog), which turns the
@@ -41,7 +40,12 @@ import numpy as np
 from .additive import PrefixTreePolicy
 from .core import Instance, ProbingError
 from .lagrange import MixedPolicy
-from .multi_state import ThresholdPolicy, _probe_order, _selection_masks
+from .multi_state import (
+    ThresholdPolicy,
+    _probe_order,
+    _selection_masks,
+    check_policy_invariants,
+)
 from .oracle import DecisionTree, Probe, TransmitBackup, TransmitProbed
 
 __all__ = [
@@ -244,8 +248,8 @@ def _draw_states(
 # as if every slot were played, and lists the sorted channels that
 # function reads, the only rows the draw maps.  Builders run once per
 # simulate call, so replications share the tables.  Every kind sums
-# each path's probing cost as ``costs[list(probed)].sum()``, the
-# expression of the slot-by-slot walk, so they reproduce that walk's
+# each path's probing cost as ``costs[list(probed)].sum()``, as the
+# slot-by-slot reference walk of the tests does, so they reproduce its
 # figures bit for bit.
 
 
@@ -285,6 +289,7 @@ def _columns(states: np.ndarray, rows, slots: np.ndarray) -> np.ndarray:
 
 def _outcomes(instance: Instance, policy):
     if isinstance(policy, ThresholdPolicy):
+        check_policy_invariants(policy, instance)
         seq = _probe_order(policy.levels)
         by_count = _path_costs(instance.costs, seq, 0)
         read = {*seq, policy.backup} - {None}
@@ -293,8 +298,6 @@ def _outcomes(instance: Instance, policy):
         return _tree_outcomes(instance, policy)
     if isinstance(policy, PrefixTreePolicy):
         return _prefix_outcomes(instance, policy)
-    if hasattr(policy, "act"):
-        return partial(_generic_outcomes, instance, policy), list(range(instance.n))
     raise ProbingError(f"cannot simulate a {type(policy).__name__}")
 
 
@@ -322,7 +325,7 @@ def _level_walk(states: np.ndarray, levels):
 
 
 def _path_costs(costs: np.ndarray, path: list, first: int) -> np.ndarray:
-    """The walk's cost of a slot that runs the first i probes of
+    """The probing cost of a slot that runs the first i probes of
     ``path``, for i = first..len(path)."""
     return np.array([costs[path[:i]].sum() for i in range(first, len(path) + 1)])
 
@@ -437,28 +440,6 @@ def _prefix_outcomes(instance: Instance, policy: PrefixTreePolicy):
     return outcomes, sorted(read)
 
 
-def _generic_outcomes(instance: Instance, policy, states):
-    slots = states.shape[1]
-    r = instance.rewards
-    transmit = np.zeros(slots, dtype=bool)
-    reward = np.zeros(slots)
-    cost = np.zeros(slots)
-    success = np.zeros(slots, dtype=bool)
-    for t, row in enumerate(states.T):
-        probed, action = policy.act(row)
-        cost[t] = instance.costs[list(probed)].sum() if probed else 0.0
-        if action[0] == "transmit":
-            s = int(action[2])
-        elif action[0] == "backup":
-            s = int(row[action[1]])
-        else:
-            continue
-        transmit[t] = True
-        reward[t] = r[s]
-        success[t] = s >= 1
-    return transmit, reward, cost, success
-
-
 # -- the two entry points -----------------------------------------------
 
 
@@ -534,8 +515,9 @@ def simulate_saturated(
     instance: Instance, policy, config: SimConfig | None = None
 ) -> SimReport:
     """Run ``policy`` every slot and compare against its analytic
-    figures.  Accepts level-list, mixed, backbone, and decision-tree
-    policies."""
+    figures.  Accepts level-list, mixed, backbone and decision-tree
+    policies.  Anything else raises ProbingError; a policy that breaks
+    the game rules raises the error :func:`evaluate_policy` raises."""
     return _replicate(instance, policy, config or SimConfig(), None)
 
 

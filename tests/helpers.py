@@ -4,8 +4,10 @@ Two jobs live here.  First, deterministic instance draws keyed by a
 single integer so every test file can sweep seeds without sharing rng
 state.  Second, slow reference evaluators that re-derive policy values
 straight from the slot rules with plain Python loops over all K^n
-state assignments.  They deliberately share no code with the package's
-vectorized algebra, so agreement is evidence rather than tautology.
+state assignments, through slot-by-slot walkers of every policy kind
+that the simulator's vectorized outcomes are also checked against.
+They deliberately share no code with the package's vectorized algebra,
+so agreement is evidence rather than tautology.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 
 import probeopt as po
 from probeopt.core import PROB_TOL
+from probeopt.oracle import Probe, TransmitBackup, TransmitProbed
 
 
 def draw_instance(
@@ -95,6 +98,14 @@ def _close_threshold(instance, policy, best: int | None):
     return ("backup", backup)
 
 
+# -- slot walkers -------------------------------------------------------
+#
+# Each walker plays one slot from its channels' true states
+# (``states[j]`` is channel j's) and returns ``(probed, action)``: the
+# channels probed, in order, and the closing action, one of
+# ``("transmit", j, s)``, ``("backup", j)`` or ``("silent",)``.
+
+
 def run_threshold(instance, policy, states):
     """Hand-executed level-list walk: before each probe, stop if the
     best observation so far already reaches that probe's level."""
@@ -114,25 +125,97 @@ def run_threshold(instance, policy, states):
 def run_exhaust(probe_order, backup):
     """Two-state probe-until-on walker, independent of the level-list
     evaluator: probe in order, send the first channel found on, else
-    send ``backup`` blind (or stay silent without one).  Returned as an
-    object with the ``act`` hook that slow_report and the simulator's
-    slot-by-slot path drive."""
+    send ``backup`` blind (or stay silent without one).  Returns the
+    walker, a function of one slot's states that slow_report and
+    walk_outcomes take in place of a policy."""
 
-    def act(states):
+    def walk(states):
         probed = []
         for ch in probe_order:
             probed.append(ch)
             if states[ch] == 1:
-                return probed, ("transmit", None, 1)
+                return probed, ("transmit", ch, 1)
         return probed, ("silent",) if backup is None else ("backup", backup)
 
-    return SimpleNamespace(act=act)
+    return walk
 
 
-def _run_policy(instance, policy, states):
+def run_tree(tree, states):
+    """Descend a decision tree from its root, one probe at a time."""
+    probed: list[int] = []
+    node = tree.root
+    while isinstance(node, Probe):
+        probed.append(node.channel)
+        node = node.children[int(states[node.channel])]
+    if isinstance(node, TransmitProbed):
+        return probed, ("transmit", node.channel, node.state)
+    if isinstance(node, TransmitBackup):
+        return probed, ("backup", node.channel)
+    return probed, ("silent",)
+
+
+def run_prefix(policy, states):
+    """Probe the backbone until an observation reaches ``escape_min``;
+    then run that escape's level lists on their own observations and
+    close on their best find if it reaches ``send_min``, else on the
+    escaped channel.  A backbone with no escape sends the fallback."""
+    probed: list[int] = []
+    for t, m in enumerate(policy.backbone):
+        probed.append(m)
+        s = int(states[m])
+        if s < policy.escape_min:
+            continue
+        send_min, levels = policy.subtrees[t][s - policy.escape_min]
+        # a probe runs only while the best find is below its level
+        best, best_chan = -1, None
+        for u, c in ((u, c) for u, mem in levels for c in mem):
+            if best >= u:
+                break
+            probed.append(c)
+            sc = int(states[c])
+            if sc > best:
+                best, best_chan = sc, c
+        if best_chan is not None and best >= send_min:
+            return probed, ("transmit", best_chan, best)
+        return probed, ("transmit", m, s)
+    return probed, ("backup", policy.backup)
+
+
+def run_slot(instance, policy, states):
+    """One slot of ``policy`` by its kind's walker; any other object is
+    a walker itself, such as run_exhaust's."""
     if isinstance(policy, po.ThresholdPolicy):
         return run_threshold(instance, policy, states)
-    return policy.act(states)
+    if isinstance(policy, po.DecisionTree):
+        return run_tree(policy, states)
+    if isinstance(policy, po.PrefixTreePolicy):
+        return run_prefix(policy, states)
+    return policy(states)
+
+
+def walk_outcomes(instance, policy, states):
+    """(transmit, reward, cost, success) per slot of the channels-by-
+    slots ``states``, one run_slot call per slot.  A path's probing
+    cost is ``costs[list(probed)].sum()``."""
+    slots = states.shape[1]
+    r = instance.rewards
+    transmit = np.zeros(slots, dtype=bool)
+    reward = np.zeros(slots)
+    cost = np.zeros(slots)
+    success = np.zeros(slots, dtype=bool)
+    for t, row in enumerate(states.T):
+        probed, action = run_slot(instance, policy, row)
+        cost[t] = instance.costs[list(probed)].sum() if probed else 0.0
+        if action[0] == "transmit":
+            s = int(action[2])
+        elif action[0] == "backup":
+            s = int(row[action[1]])
+        else:
+            continue
+        transmit[t] = True
+        reward[t] = r[s]
+        success[t] = s >= 1
+    return transmit, reward, cost, success
 
 
 def slow_report(instance, policy, altered_threshold=None):
@@ -158,7 +241,7 @@ def slow_report(instance, policy, altered_threshold=None):
         w = assignment_weight(instance, states)
         if w == 0.0:
             continue
-        probed, action = _run_policy(instance, policy, states)
+        probed, action = run_slot(instance, policy, states)
         assert len(set(probed)) == len(probed), "slow walker saw a repeat probe"
         cost += w * sum(float(instance.costs[j]) for j in probed)
         if action[0] == "transmit":

@@ -514,6 +514,91 @@ class TestSimulate:
         assert "not a usable policy" in err and "3 states" in err
 
 
+class TestFileErrors:
+    """Files that cannot be read or written are input errors (exit 2)
+    with a one-line message, never a traceback."""
+
+    @staticmethod
+    def _fails_cleanly(capsys, *argv):
+        assert run(*argv) == INPUT_ERROR
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    def test_check_a_directory(self, tmp_path, capsys):
+        assert run("check", tmp_path) == INPUT_ERROR
+        (result,) = json.loads(capsys.readouterr().out)
+        assert result == {
+            "file": str(tmp_path),
+            "ok": False,
+            "error": f"cannot read {tmp_path}: Is a directory",
+        }
+
+    def test_solve_a_directory(self, tmp_path, capsys):
+        err = self._fails_cleanly(capsys, "solve", tmp_path)
+        assert err == f"error: cannot read {tmp_path}: Is a directory\n"
+
+    def test_simulate_a_policy_directory(self, tmp_path, capsys):
+        ipath = write_instance(tmp_path, seed=3)
+        self._fails_cleanly(capsys, "simulate", ipath, "--policy", tmp_path)
+
+    def test_instance_not_utf8(self, tmp_path, capsys):
+        path = write_instance(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["channels"][0]["name"] = "caf\u00e9"
+        path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("latin-1"))
+        err = self._fails_cleanly(capsys, "solve", path)
+        assert err.startswith(f"error: {path}: not UTF-8 text (")
+        assert run("check", path) == INPUT_ERROR
+        assert "not UTF-8 text" in json.loads(capsys.readouterr().out)[0]["error"]
+
+    def test_gen_into_a_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "dir" / "x.json"
+        err = self._fails_cleanly(capsys, "gen", "-n", 2, "-o", out)
+        assert err == f"error: cannot write {out}: No such file or directory\n"
+
+    def test_dot_into_a_missing_directory(self, tmp_path, capsys):
+        ipath = write_instance(tmp_path, seed=8, n=3)
+        dot = tmp_path / "missing" / "dir" / "t.dot"
+        err = self._fails_cleanly(capsys, "oracle", ipath, "--dot", dot)
+        assert err == f"error: cannot write {dot}: No such file or directory\n"
+
+    def test_load_messages(self, tmp_path, capsys):
+        ghost = tmp_path / "ghost.json"
+        err = self._fails_cleanly(capsys, "solve", ghost)
+        assert err == f"error: no such file: {ghost}\n"
+        junk = tmp_path / "junk.json"
+        junk.write_text("{not json")
+        err = self._fails_cleanly(capsys, "solve", junk)
+        assert err == (
+            f"error: {junk}: not valid JSON (Expecting property name enclosed "
+            "in double quotes: line 1 column 2 (char 1))\n"
+        )
+        path = write_instance(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["channels"][1]["cost"] = float("nan")
+        path.write_text(json.dumps(doc))
+        err = self._fails_cleanly(capsys, "solve", path)
+        assert err == f"error: {path}: non-finite: NaN is not a finite number\n"
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("cost", "abc"), ("probs", ["x", 0.5]), ("rewards", "zz")],
+    )
+    def test_malformed_numbers(self, tmp_path, capsys, field, value):
+        path = write_instance(tmp_path)
+        doc = json.loads(path.read_text())
+        if field == "rewards":
+            doc["rewards"] = value
+        else:
+            doc["channels"][0][field] = value
+        path.write_text(json.dumps(doc))
+        assert run("check", path) == INPUT_ERROR
+        (result,) = json.loads(capsys.readouterr().out)
+        assert [v["code"] for v in result["violations"]] == ["bad-document"]
+        self._fails_cleanly(capsys, "solve", path)
+
+
 class TestParserReuse:
     """``main`` builds its parser once and keeps no state between calls."""
 

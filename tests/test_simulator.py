@@ -6,8 +6,8 @@ with fixed seeds they are deterministic, the band just documents how
 much slack the sample sizes need.
 """
 
+import dataclasses
 import itertools
-from functools import partial
 from types import SimpleNamespace
 from unittest import mock
 
@@ -26,8 +26,8 @@ from helpers import (
     markov_draw_loop,
     reference_draw_states,
     run_exhaust,
-    run_threshold,
     slow_report,
+    walk_outcomes,
 )
 
 
@@ -135,8 +135,8 @@ class TestSaturated:
 
     def test_exhaust_policy_goes_through_the_fast_path(self):
         # a legacy "exhaust" document loads as the level-list policy the
-        # two-state solver returns, and the probe-until-on walker, run
-        # slot by slot, sees the same sample paths
+        # two-state solver returns, and its outcomes are the
+        # probe-until-on walker's, slot by slot
         inst = draw_instance(2, n_lo=3, n_hi=6, k_lo=2, k_hi=2)
         pol = po.two_state_opt(inst)
         legacy = po.policy_from_dict(
@@ -150,10 +150,11 @@ class TestSaturated:
         cfg = po.SimConfig(slots=3_000, replications=3, seed=6)
         fast = po.simulate_saturated(inst, pol, cfg)
         assert po.simulate_saturated(inst, legacy, cfg).rep_gains == fast.rep_gains
-        walked = po.simulate_saturated(
-            inst, run_exhaust(pol.probe_sequence(), pol.backup), cfg
-        )
-        assert walked.rep_gains == fast.rep_gains
+        states = simulator._draw_states(inst, np.random.default_rng(6), 3_000)
+        outcomes, _ = simulator._outcomes(inst, legacy)
+        walker = run_exhaust(pol.probe_sequence(), pol.backup)
+        for a, b in zip(outcomes(states), walk_outcomes(inst, walker, states)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def test_decision_tree_matches_analytic(self):
         inst = draw_instance(9, n_lo=3, n_hi=3, k_lo=3, k_hi=3)
@@ -190,9 +191,41 @@ class TestSaturated:
         )
 
     def test_unknown_policy_rejected(self):
+        # only the package's policy kinds play, whatever hooks an object has
         inst = draw_instance(0, n_lo=2, n_hi=3)
-        with pytest.raises(po.ProbingError):
-            po.simulate_saturated(inst, object(), po.SimConfig(slots=10))
+        walker = SimpleNamespace(act=run_exhaust([0], None))
+        cfg = po.SimConfig(slots=10, arrivals=po.BernoulliArrivals(0.5))
+        for run in (po.simulate_saturated, po.simulate_unsaturated):
+            for foreign in (object(), walker):
+                with pytest.raises(po.ProbingError, match="cannot simulate a"):
+                    run(inst, foreign, cfg)
+
+    @pytest.mark.parametrize(
+        "levels, backup",
+        [
+            (((1, (0, 1)),), 0),  # the fallback is probed
+            (((2, (1,)), (1, (2, 1))), None),  # a channel is probed twice
+            (((1, (9,)),), None),  # no channel 9 among 4
+        ],
+        ids=["backup-probed", "repeated-probe", "unknown-channel"],
+    )
+    def test_illegal_threshold_policy_raises_what_evaluation_raises(
+        self, levels, backup
+    ):
+        inst = draw_instance(7, n_lo=4, n_hi=4, k_lo=3, k_hi=3)
+        bad = po.ThresholdPolicy(backup=backup, threshold=None, levels=levels)
+        with pytest.raises(po.PolicyStructureError) as want:
+            po.evaluate_policy(inst, bad)
+        mix = po.solve_unsaturated(inst, 0.5, slack=0.05)
+        cfg = po.SimConfig(slots=10, replications=1)
+        for policy in (
+            bad,
+            dataclasses.replace(mix, policy_plus=bad),
+            dataclasses.replace(mix, policy_minus=bad),
+        ):
+            with pytest.raises(po.PolicyStructureError) as got:
+                po.simulate_saturated(inst, policy, cfg)
+            assert type(got.value) is type(want.value)
 
     def test_report_dict_round_trips_through_json(self):
         import json
@@ -327,7 +360,7 @@ class TestFastPathsMatchTheLoops:
         rng = np.random.default_rng(seed)
         fast = outcomes(simulator._draw_states(inst, rng, 3_000, read))
         states = reference_draw_states(inst, np.random.default_rng(seed), 3_000)
-        slow = simulator._generic_outcomes(inst, policy, states.T)
+        slow = walk_outcomes(inst, policy, states.T)
         for a, b in zip(fast, slow):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
@@ -385,7 +418,7 @@ POLICY_KINDS = (
     "tree-prefer-silent",
     "tree-prefer-transmit",
     "prefix",
-    "act",
+    "exhaust",
 )
 
 
@@ -410,15 +443,16 @@ def _policy(kind, inst, seed):
         backup = int(g.integers(inst.n))
         escape = int(g.integers(inst.state_count))
         return po.best_prefix_policy(inst, backup, escape_state=escape)[0]
+    # a random probe order with an optional fallback it leaves unprobed
     order = [int(j) for j in g.permutation(inst.n)[: g.integers(inst.n + 1)]]
-    return run_exhaust(order, None if g.random() < 0.3 else int(g.integers(inst.n)))
-
-
-def _walk(inst, policy, states):
-    """Slot-by-slot outcomes on channels-by-slots ``states``."""
-    if isinstance(policy, po.ThresholdPolicy):
-        policy = SimpleNamespace(act=partial(run_threshold, inst, policy))
-    return simulator._generic_outcomes(inst, policy, states)
+    rest = [j for j in range(inst.n) if j not in order]
+    backup = None if not rest or g.random() < 0.3 else int(g.choice(rest))
+    doc = {
+        "kind": "exhaust",
+        "probe_order": [inst.names[j] for j in order],
+        "backup": None if backup is None else inst.names[backup],
+    }
+    return po.policy_from_dict(doc, inst)
 
 
 def _full_draw(instance, rng, slots, channels=None):
@@ -444,8 +478,6 @@ class TestReadOnlyRowBlockDraw:
         assert read == sorted(set(read))
         if kind in ("silent", "blind"):
             assert len(read) == (kind == "blind")
-        if kind == "act":
-            assert read == list(range(inst.n))
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         states = simulator._draw_states(inst, rng, slots, read)
         ref = reference_draw_states(inst, ref_rng, slots).T
@@ -455,11 +487,11 @@ class TestReadOnlyRowBlockDraw:
         fast = play(states, rng)
         if isinstance(policy, po.MixedPolicy):
             heads = ref_rng.random(slots) < policy.alpha
-            plus = _walk(inst, policy.policy_plus, ref)
-            minus = _walk(inst, policy.policy_minus, ref)
+            plus = walk_outcomes(inst, policy.policy_plus, ref)
+            minus = walk_outcomes(inst, policy.policy_minus, ref)
             slow = tuple(np.where(heads, p, m) for p, m in zip(plus, minus))
         else:
-            slow = _walk(inst, policy, ref)
+            slow = walk_outcomes(inst, policy, ref)
         assert rng.random() == ref_rng.random()
         for name, a, b in zip(("transmit", "reward", "cost", "success"), fast, slow):
             assert a.dtype == b.dtype, name
@@ -478,7 +510,7 @@ class TestReadOnlyRowBlockDraw:
         states = _full_draw(inst, np.random.default_rng(seed), 400)
         play, _ = simulator._player(inst, policy)
         cost = play(states, None)[2]
-        assert np.array_equal(cost, _walk(inst, policy, states)[2])
+        assert np.array_equal(cost, walk_outcomes(inst, policy, states)[2])
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6), st.sampled_from(POLICY_KINDS))
