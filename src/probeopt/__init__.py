@@ -124,6 +124,8 @@ _POLICY_KINDS = {
 
 def policy_from_dict(data: dict, instance: Instance | None = None):
     """Rebuild any serialized policy from its ``kind`` tag."""
+    if not isinstance(data, dict):
+        raise ProbingError(f"a policy document must be an object, not {type(data).__name__}")
     kind = data.get("kind")
     load = _POLICY_KINDS.get(kind)
     if load is None:

@@ -232,7 +232,7 @@ def _parse_arrivals(text: str):
 def _cmd_simulate(args) -> int:
     inst = _load(args.instance)
     data = _read_json(args.policy)
-    if "kind" not in data and "policy" in data:
+    if isinstance(data, dict) and "kind" not in data and "policy" in data:
         data = data["policy"]
     try:
         policy = policy_from_dict(data, inst)

@@ -1,21 +1,26 @@
 """Level-list probing policies for many-state channels.
 
 A policy here is built around one designated fallback channel (or none)
-and an optional decision bar.  A channel belongs at the highest level
-u where its upper tail at u, discounted by its probing cost, beats
-both the fallback and the reward one level down.  Those levels are
-read off one fallback-free probe sequence per instance: every policy
-is a prefix of it with the fallback taken out.  Execution probes the
-lists top level first, best candidate first, and stops as soon as an
-observation reaches the level being worked; the slot then closes by
+and an optional decision bar.  With the fallback fixed it is Weitzman's
+index policy for Pandora's box (Econometrica 1979), the fallback's blind
+mean being the outside option.  Channel j's reservation value sigma_j,
+the root of sum_u p_ju (r_u - sigma)^+ = c_j, is its own-level score:
+its score at the highest level where that clears the reward one level
+down.  Channels whose score beats the bar probe by descending score,
+top level first, and stop as soon as an observation reaches the level
+being worked, so every policy is a prefix of one fallback-free probe
+sequence per instance with the fallback taken out.  The slot closes by
 sending the best probed channel, the fallback blind, or nothing,
 whichever the decision rule picks.  Prefix-tree escape subtrees are
 level lists too, checked, priced and serialized by the same code here
 (and walked by the simulator's one routine).  The evaluators here are
-exact and O(n K) per policy.  The best of the one-fallback family
-lands within a constant factor of the unrestricted optimum; the search
-scores all n + 1 choices together in O(n (K + log n)) per price, after
-an O(n K) build per instance that every price shares.
+exact and O(n K) per policy; the search scores all n + 1 fallback
+choices by Weitzman's closed form in O(n (K + log n)) per price (see
+:func:`_fallback_scores`).  The best choice lands within four fifths of
+the unrestricted optimum, the price of fixing the outside option in
+advance.  Choosing adaptively when to send blind is Pandora's box with
+nonobligatory inspection (Doval, JET 2018), which the oracle and the
+additive scheme handle.
 
 With two states (on/off) the family holds the optimum: keep one
 channel blind (or none), probe the others that pay for themselves by
@@ -76,12 +81,9 @@ class _Workspace:
     index) with the fallback taken out.  Level u fills
     ``seq[start[u]:end[u]]``, and ``start[u]`` counts the channels
     above it; index K is an empty level for a floor above every
-    reward.  ``keep``, ``gain``, ``own_tail`` and ``own_score`` give
-    each probe's chance of not stopping the run, the reward it stops
-    the run with less its cost, its tail mass and its score, all at
-    its own level.  ``enter[v]`` and ``leave[v]`` are the chances that
-    every channel above level v sits below v, and below v + 1.  Holds
-    no reference to the instance itself, so storing it on the instance
+    reward.  ``own_score`` is each probe's score at its own level, its
+    reservation value, so it descends along ``seq``.  Holds no
+    reference to the instance itself, so storing it on the instance
     makes no reference cycle.
     """
 
@@ -121,20 +123,9 @@ class _Workspace:
         end = np.cumsum(count[::-1])[::-1]
         self.top = top
         self.seq = seq
-        self.pos = np.full(n, -1)
-        self.pos[seq] = np.arange(seq.size)
         self.start = np.append(end - count, 0)
         self.end = np.append(end, 0)
-        self.keep = 1.0 - tail[level, seq]
-        self.gain = num[level, seq] - costs[seq]
-        self.own_tail = tail[level, seq]
         self.own_score = score[level, seq]
-        self.enter = np.array(
-            [np.prod(1.0 - tail[v, seq[:s]]) for v, s in enumerate(end - count)]
-        )
-        self.leave = np.array(
-            [np.prod(1.0 - tail[v + 1, seq[:s]]) for v, s in enumerate(end - count)]
-        )
 
 
 def _workspace(instance: Instance) -> _Workspace:
@@ -451,122 +442,65 @@ def _check_threshold(threshold: float | None) -> None:
         raise ProbingError(f"threshold must be a finite number, got {threshold}")
 
 
-def _compose(keep, gain, lo, hi):
-    """Fold each stretch ``[lo, hi)`` of the probe sequence into one
-    step.  Returns (through, value): the chance that no probe in the
-    stretch stops the run, and what its probes collect (``gain`` of
-    each, counted only while every earlier one came up short).
-
-    The stretch is covered by blocks of doubling width (each block's
-    pair composed from two half blocks), so it costs O(log n) per
-    stretch and never divides."""
-    through = np.ones(lo.shape)
-    value = np.zeros(lo.shape)
-    at = lo.copy()
-    left = np.maximum(hi - lo, 0)
-    longest = int(left.max(initial=0))
-    width = 1
-    while width <= longest:
-        if width > 1:
-            half = width // 2
-            keep, gain = (
-                keep[:-half] * keep[half:],
-                gain[:-half] + keep[:-half] * gain[half:],
-            )
-        use = np.flatnonzero(left & width)
-        blk = at[use]
-        value[use] += through[use] * gain[blk]
-        through[use] *= keep[blk]
-        at[use] += width
-        width *= 2
-    return through, value
-
-
-def _leave_one_out(factors: np.ndarray) -> np.ndarray:
-    """Product of all the factors but the one at each position."""
-    out = np.ones_like(factors)
-    np.cumprod(factors[:-1], out=out[1:])
-    out[:-1] *= np.cumprod(factors[:0:-1])[::-1]
-    return out
-
-
 def _fallback_scores(instance: Instance, threshold: float | None) -> np.ndarray:
     """The search objective of every fallback choice: no fallback
     first, then channels 0..n-1.
 
-    Channel b's policy is a prefix of ``ws.seq`` with b taken out:
-    every level above b's floor f, then the floor level's channels
-    whose score beats b's bar (see :class:`_Workspace`).  Its objective
-    adds up
-    - the probes, each earning its gain times the chance of reaching it;
-    - runs that clear every level above a state v >= f and sit at v,
-      with chance ``leave[v] - enter[v]`` and worth ``r_v - x`` whatever
-      the fallback;
-    - runs that end below f, which close on the fallback: its blind
-      mean less the charge, when that pays.
-    The levels above b's own level are shared by its floor group.  Its
-    own level splits into the stretches before and after it
-    (:func:`_compose`).  A fallback above its floor also changes the
-    entry chances of the levels down to the floor, which are taken one
-    row at a time with it left out (:func:`_leave_one_out`).  With no
-    fallback, a run that ends below the floor is worth the state it
-    found, not one figure, so that choice goes through the exact
-    evaluator."""
+    By the Kleinberg-Waggoner-Weyl identity (EC 2016), fallback f
+    earns E[max(a_f, max_{j != f} min(X_j, sigma_j))] - x at charge x,
+    with a_f = max(mu_f, x): max(a_f, R) - x less the integral over
+    [a_f, R] of G_f(t), the chance that every capped channel but f sits
+    at t or below (R tops every reward and score).  G over all channels
+    steps on the sorted rewards and scores, and the channels with
+    sigma > t are a prefix of ``seq``: one cumulative product per
+    reward band.  Leaving f out divides G by F_f(t) = P(X_f <= t) below
+    sigma_f, which only bands inside [a_f, sigma_f) do: there
+    F_f >= P(X_f <= mu_f) > 0, elsewhere F_f may be 0.  With no fallback
+    a probed slot sends whatever it found even at a negative charge, so
+    that choice goes through the exact evaluator."""
     ws = _workspace(instance)
     k = instance.state_count
     x = 0.0 if threshold is None else float(threshold)
     r = instance.rewards
-    blind = instance.blind_rewards
-    bar = blind if threshold is None else np.maximum(blind, x)
-    settle = blind if threshold is None else np.maximum(blind - x, 0.0)
-    floor = np.searchsorted(r, bar, side="right")
-    top, pos, start, end = ws.top, ws.pos, ws.start, ws.end
+    seq, sigma, tail = ws.seq, ws.own_score, ws.tail
 
-    # where each fallback's probe sequence ends, one floor level at a time
-    cut = np.zeros(instance.n, dtype=int)
-    for f in np.flatnonzero(np.bincount(floor, minlength=k + 1)[:k]):
-        mine = floor == f
-        cut[mine] = _cut(ws, f, bar[mine])
-    # the fallback's own level, where its stretch of it ends, and the
-    # fallback's place in it (the stretch's end when it is not there)
-    upper = top > floor
-    own = np.where(upper, top, floor)
-    own_end = np.where(upper, end[top], cut)
-    gap = np.where(upper | ((top == floor) & (pos < cut)), pos, own_end)
-    lift = np.flatnonzero(upper)
+    # G on each stretch [grid[i], grid[i + 1]) and its running integral;
+    # repeated points make empty stretches, so a plain sort serves
+    # (np.unique's first call in a process raises its peak memory)
+    grid = np.sort(np.concatenate([r, np.maximum(sigma, r[0])]))
+    band = np.searchsorted(r, grid, side="right") - 1
+    capped = np.searchsorted(-sigma, -grid, side="left")
+    g = np.ones(grid.size)
+    for v in range(k - 1):
+        here = np.flatnonzero(band == v)
+        below = np.cumprod(np.append(1.0, 1.0 - tail[v + 1, seq]))
+        g[here] = below[capped[here]]
+    run = np.append(0.0, np.cumsum(g[:-1] * np.diff(grid)))
 
-    through, value = _compose(
-        ws.keep,
-        ws.gain - x * ws.own_tail,
-        np.concatenate([start[:k], start[own], gap + 1, start[floor[lift]]]),
-        np.concatenate([end[:k], gap, own_end, cut[lift]]),
-    )
-    level_value, head, rest, close = np.split(
-        np.stack([through, value]), np.cumsum([k, instance.n, instance.n]), axis=1
-    )
-    inner = head[1] + head[0] * rest[1]
-    clear = head[0] * rest[0]
+    def integral(t):
+        t = np.clip(t, grid[0], grid[-1])
+        i = np.searchsorted(grid, t, side="right") - 1
+        return run[i] + g[i] * (t - grid[i])
 
-    # what the levels from t up earn whatever happens below: probes at
-    # levels above t, and runs that end at t or higher
-    enter = np.append(ws.enter, 1.0)
-    probe_rows = np.append(ws.enter * level_value[1], 0.0)
-    stop_rows = np.append((r - x) * (ws.leave - ws.enter), 0.0)
-    upward = np.cumsum((probe_rows + stop_rows)[::-1])[::-1] - probe_rows
+    a = np.maximum(instance.blind_rewards, x)
+    out = np.maximum(a, grid[-1]) - x - (run[-1] - integral(a))
 
-    out = upward[floor] + enter[floor] * (inner + settle * clear)
+    own = np.full(instance.n, -np.inf)
+    own[seq] = sigma
+    lift = np.flatnonzero(own > a)
     if lift.size:
-        low, high, at = floor[lift], top[lift], pos[lift]
-        closing = close[1] + settle[lift] * close[0]
-        rows = np.zeros(lift.size)
-        for v in range(int(low.min()), int(high.max())):
-            live = np.flatnonzero((low <= v) & (v < high))
-            chans = ws.seq[: start[v]]
-            run_in = _leave_one_out(1.0 - ws.tail[v, chans])[at[live]]
-            run_on = _leave_one_out(1.0 - ws.tail[v + 1, chans])[at[live]]
-            here = np.where(low[live] == v, closing[live], level_value[1][v])
-            rows[live] += (r[v] - x) * (run_on - run_in) + run_in * here
-        out[lift] = upward[high] + enter[high] * inner[lift] + rows
+        lo, hi = a[lift], own[lift]
+        at_lo, at_hi, edges = integral(lo), integral(hi), integral(r)
+        drop = np.zeros(lift.size)
+        for v in range(k - 1):
+            inside = np.flatnonzero((lo < r[v + 1]) & (r[v] < hi))
+            p = tail[v + 1, lift[inside]]
+            # the integral rises with t, so clipping it to its values at
+            # a_f and sigma_f integrates over the band clipped to them
+            bounds = at_lo[inside], at_hi[inside]
+            span = np.clip(edges[v + 1], *bounds) - np.clip(edges[v], *bounds)
+            drop[inside] += span * p / (1.0 - p)
+        out[lift] -= drop
 
     cost, stopped, none = _stop_profile(ws, probe_levels(instance, None, threshold))
     silent = _close_out(instance, None, threshold, cost, stopped, none, threshold)

@@ -526,9 +526,11 @@ def simulate_unsaturated(
 ) -> SimReport:
     """Feed a queue and run ``policy`` on busy slots only.
 
-    Arrivals default to Bernoulli at the policy's arrival rate.  A
+    Arrivals default to Bernoulli at a mixed policy's arrival rate.  A
     packet landing in a slot may be served in that same slot; the
     backlog follows max(previous + arrival - service, 0)."""
     config = config or SimConfig()
+    if config.arrivals is None and not isinstance(policy, MixedPolicy):
+        raise ProbingError(f"arrivals are required to queue a {type(policy).__name__}")
     arrivals = config.arrivals or BernoulliArrivals(policy.arrival_rate)
     return _replicate(instance, policy, config, arrivals)

@@ -279,6 +279,203 @@ def reference_search(instance, threshold=None):
     return (None if i == 0 else i - 1), scores[i], np.array(scores)
 
 
+# -- the fallback search by composed probe stretches ---------------------
+
+
+def _compose(keep, gain, lo, hi):
+    """Fold each stretch ``[lo, hi)`` of the probe sequence into one
+    step.  Returns (through, value): the chance that no probe in the
+    stretch stops the run, and what its probes collect (``gain`` of
+    each, counted only while every earlier one came up short).
+
+    The stretch is covered by blocks of doubling width (each block's
+    pair composed from two half blocks), so it costs O(log n) per
+    stretch and never divides."""
+    through = np.ones(lo.shape)
+    value = np.zeros(lo.shape)
+    at = lo.copy()
+    left = np.maximum(hi - lo, 0)
+    longest = int(left.max(initial=0))
+    width = 1
+    while width <= longest:
+        if width > 1:
+            half = width // 2
+            keep, gain = (
+                keep[:-half] * keep[half:],
+                gain[:-half] + keep[:-half] * gain[half:],
+            )
+        use = np.flatnonzero(left & width)
+        blk = at[use]
+        value[use] += through[use] * gain[blk]
+        through[use] *= keep[blk]
+        at[use] += width
+        width *= 2
+    return through, value
+
+
+def _leave_one_out(factors: np.ndarray) -> np.ndarray:
+    """Product of all the factors but the one at each position."""
+    out = np.ones_like(factors)
+    np.cumprod(factors[:-1], out=out[1:])
+    out[:-1] *= np.cumprod(factors[:0:-1])[::-1]
+    return out
+
+
+def reference_fallback_scores(instance, threshold=None):
+    """Every fallback's search objective (no fallback first, then
+    channels by index) by summing each policy's probes and stops.
+
+    Channel b's policy is a prefix of the workspace's ``seq`` with b
+    taken out: every level above b's floor f, then the floor level's
+    channels whose score beats b's bar.  Its objective adds up
+    - the probes, each earning its gain times the chance of reaching it;
+    - runs that clear every level above a state v >= f and sit at v,
+      with chance ``leave[v] - enter[v]`` and worth ``r_v - x`` whatever
+      the fallback;
+    - runs that end below f, which close on the fallback: its blind
+      mean less the charge, when that pays.
+    ``enter[v]`` and ``leave[v]`` are the chances that every channel
+    above level v sits below v, and below v + 1.  The levels above b's
+    own level are shared by its floor group.  Its own level splits into
+    the stretches before and after it (:func:`_compose`).  A fallback
+    above its floor also changes the entry chances of the levels down
+    to the floor, which are taken one row at a time with it left out
+    (:func:`_leave_one_out`).  The no-fallback choice goes through the
+    exact evaluator."""
+    ms = importlib.import_module("probeopt.multi_state")
+    ws = ms._workspace(instance)
+    k = instance.state_count
+    x = 0.0 if threshold is None else float(threshold)
+    r = instance.rewards
+    blind = instance.blind_rewards
+    bar = blind if threshold is None else np.maximum(blind, x)
+    settle = blind if threshold is None else np.maximum(blind - x, 0.0)
+    floor = np.searchsorted(r, bar, side="right")
+    top, start, end, seq, tail = ws.top, ws.start, ws.end, ws.seq, ws.tail
+    pos = np.full(instance.n, -1)
+    pos[seq] = np.arange(seq.size)
+
+    # each probe's chance of not stopping the run, and what it stops it
+    # with less its cost and the charge, at its own level
+    level = top[seq]
+    num = np.cumsum((instance.probs * r[:, None])[::-1], axis=0)[::-1]
+    keep = 1.0 - tail[level, seq]
+    gain = num[level, seq] - instance.costs[seq] - x * tail[level, seq]
+    enter = np.array([np.prod(1.0 - tail[v, seq[:s]]) for v, s in enumerate(start[:k])])
+    leave = np.array(
+        [np.prod(1.0 - tail[v + 1, seq[:s]]) for v, s in enumerate(start[:k])]
+    )
+
+    # where each fallback's probe sequence ends, one floor level at a time
+    cut = np.zeros(instance.n, dtype=int)
+    for f in np.flatnonzero(np.bincount(floor, minlength=k + 1)[:k]):
+        mine = floor == f
+        cut[mine] = ms._cut(ws, f, bar[mine])
+    # the fallback's own level, where its stretch of it ends, and the
+    # fallback's place in it (the stretch's end when it is not there)
+    upper = top > floor
+    own = np.where(upper, top, floor)
+    own_end = np.where(upper, end[top], cut)
+    gap = np.where(upper | ((top == floor) & (pos < cut)), pos, own_end)
+    lift = np.flatnonzero(upper)
+
+    through, value = _compose(
+        keep,
+        gain,
+        np.concatenate([start[:k], start[own], gap + 1, start[floor[lift]]]),
+        np.concatenate([end[:k], gap, own_end, cut[lift]]),
+    )
+    level_value, head, rest, close = np.split(
+        np.stack([through, value]), np.cumsum([k, instance.n, instance.n]), axis=1
+    )
+    inner = head[1] + head[0] * rest[1]
+    clear = head[0] * rest[0]
+
+    # what the levels from t up earn whatever happens below: probes at
+    # levels above t, and runs that end at t or higher
+    entered = np.append(enter, 1.0)
+    probe_rows = np.append(enter * level_value[1], 0.0)
+    stop_rows = np.append((r - x) * (leave - enter), 0.0)
+    upward = np.cumsum((probe_rows + stop_rows)[::-1])[::-1] - probe_rows
+
+    out = upward[floor] + entered[floor] * (inner + settle * clear)
+    if lift.size:
+        low, high, at = floor[lift], top[lift], pos[lift]
+        closing = close[1] + settle[lift] * close[0]
+        rows = np.zeros(lift.size)
+        for v in range(int(low.min()), int(high.max())):
+            live = np.flatnonzero((low <= v) & (v < high))
+            chans = seq[: start[v]]
+            run_in = _leave_one_out(1.0 - tail[v, chans])[at[live]]
+            run_on = _leave_one_out(1.0 - tail[v + 1, chans])[at[live]]
+            here = np.where(low[live] == v, closing[live], level_value[1][v])
+            rows[live] += (r[v] - x) * (run_on - run_in) + run_in * here
+        out[lift] = upward[high] + entered[high] * inner[lift] + rows
+
+    silent = po.evaluate_policy(
+        instance,
+        po.reserve_backup_policy(instance, None, threshold),
+        altered_threshold=threshold,
+    )
+    return np.concatenate([[silent.gain], out])
+
+
+# -- Weitzman's reservation values, straight from the instance ----------
+
+
+def reservation_values(instance):
+    """Each channel's reservation value: the root σ of
+    ``sum_u p_u (r_u - σ)^+ = c``, found band by band from the top
+    reward down (the left side falls as σ rises).  A free channel gets
+    its highest reward in reach; a channel whose root lies below -1
+    (it never pays to probe) gets -inf."""
+    r = instance.rewards.tolist()
+    out = []
+    for j in range(instance.n):
+        p = instance.probs[:, j].tolist()
+        c = float(instance.costs[j])
+        sigma = -math.inf
+        mass = num = 0.0
+        # on [r_{u-1}, r_u] the left side is num - mass * σ, summed over
+        # the states from u up
+        for u in range(len(r) - 1, -1, -1):
+            mass += p[u]
+            num += p[u] * r[u]
+            if mass <= 0.0:
+                continue
+            root = (num - c) / mass
+            low = r[u - 1] if u > 0 else -1.0
+            if root > low:
+                sigma = min(root, r[u])
+                break
+        out.append(sigma)
+    return out
+
+
+def weitzman_value(instance, backup: int, threshold=None) -> float:
+    """The objective of Weitzman's index policy with ``backup``'s blind
+    mean as outside option, at charge ``threshold`` per transmission:
+    ``E[max(a, max_{j != backup} min(X_j, σ_j))] - x`` with
+    ``a = max(mean, x)``, summed over the sorted support of the capped
+    maximum (Kleinberg, Waggoner and Weyl's identity)."""
+    x = 0.0 if threshold is None else float(threshold)
+    a = max(float(instance.blind_rewards[backup]), x)
+    sigma = np.array(reservation_values(instance))
+    sigma[backup] = -math.inf
+    r = instance.rewards
+    cdf = np.cumsum(instance.probs, axis=0)
+    points = sorted({a, *(t for t in r.tolist() if t > a), *(s for s in sigma if s > a)})
+    total = 0.0
+    below = 0.0
+    for t in points:
+        held = int(np.searchsorted(r, t, side="right"))
+        f = cdf[held - 1] if held else np.zeros(instance.n)
+        at_most = float(np.prod(np.where(sigma <= t, 1.0, f)))
+        total += t * (at_most - below)
+        below = at_most
+    return total - x
+
+
 # -- the level lists from a dense membership mask -----------------------
 
 

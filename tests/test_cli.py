@@ -477,6 +477,21 @@ class TestSimulate:
         assert run("simulate", ipath, "--policy", ppath) == 2
         assert "not a usable policy" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "doc",
+        [[1, 2], "threshold", True, 3, None, {"policy": [1, 2]}, {"policy": 3}],
+        ids=["array", "string", "bool", "number", "null", "wrapped-array", "wrapped-number"],
+    )
+    def test_policy_document_that_is_not_an_object(self, tmp_path, capsys, doc):
+        ipath = write_instance(tmp_path)
+        ppath = tmp_path / "pol.json"
+        ppath.write_text(json.dumps(doc))
+        assert run("simulate", ipath, "--policy", ppath) == 2
+        err = capsys.readouterr().err
+        assert "not a usable policy" in err
+        assert "must be an object" in err
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("threads", [0, -2])
     def test_thread_count_must_be_positive(self, tmp_path, capsys, threads):
         ipath = write_instance(tmp_path, seed=3)

@@ -3,9 +3,14 @@
 The evaluator is checked against the loop-everything walker, the
 construction against the class-restricted oracle (the fallback may
 never be probed, and only the fallback may be sent blind) and against
-level lists built from a dense membership mask (``helpers.mask_levels``),
-and the fallback search's per-choice scores against building and
-evaluating each of the n + 1 policies (``helpers.reference_search``).
+level lists built from a dense membership mask (``helpers.mask_levels``).
+The fallback search's closed form is checked three ways: against
+building and evaluating each of the n + 1 policies
+(``helpers.reference_search``), against the sum of each policy's probes
+and stops over composed stretches of the probe sequence
+(``helpers.reference_fallback_scores``), and against Weitzman's index
+value with reservation values solved channel by channel from the
+instance arrays (``helpers.weitzman_value``).
 """
 
 import gc
@@ -23,10 +28,12 @@ from helpers import (
     argsort_sequence,
     draw_instance,
     mask_levels,
+    reference_fallback_scores,
     reference_search,
     restricted_oracle_value,
     slow_report,
     two_state_scan,
+    weitzman_value,
 )
 
 
@@ -265,6 +272,22 @@ def assert_search_matches_reference(inst, prices):
             assert got.backup == backup, f"x={x}"
 
 
+def first_best(scores):
+    """The search's pick from its scores: the first within 1e-12 (1 +
+    |best|) of the best, no fallback first."""
+    best = scores.max()
+    i = int(np.argmax(scores >= best - 1e-12 * (1.0 + abs(best))))
+    return None if i == 0 else i - 1
+
+
+def assert_closed_form_matches_composed(inst, prices):
+    for x in prices:
+        ref = reference_fallback_scores(inst, x)
+        scores = multi_state._fallback_scores(inst, x)
+        np.testing.assert_allclose(scores, ref, rtol=0, atol=1e-12, err_msg=f"x={x}")
+        assert po.best_reserve_backup(inst, x).backup == first_best(ref), f"x={x}"
+
+
 class TestFastSearch:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**6), st.floats(-0.5, 1.5))
@@ -354,6 +377,66 @@ class TestFastSearch:
             tracemalloc.stop()
         assert peak < 2_000_000
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 10**6),
+        st.lists(st.integers(0, 11), max_size=5),
+        st.lists(st.tuples(st.integers(0, 11), st.integers(3, 10)), max_size=3),
+        st.booleans(),
+        st.floats(-0.5, 1.5),
+    )
+    def test_closed_form_matches_the_composed_reference(
+        self, seed, copies, sure, free, extra
+    ):
+        # copied columns tie exactly; a near-certain top leaves a
+        # fallback's chance of sitting below its mean as small as 1e-10
+        base = draw_instance(seed, n_hi=12, k_hi=8)
+        probs, costs = base.probs.copy(), base.costs.copy()
+        for j, digits in {c % base.n: d for c, d in sure}.items():
+            eps = 10.0**-digits
+            probs[:, j] *= eps
+            probs[-1, j] += 1.0 - eps
+        if free:
+            costs[:] = 0.0
+        cols = list(range(base.n)) + [c % base.n for c in copies]
+        np.random.default_rng(seed).shuffle(cols)
+        inst = po.Instance.from_arrays(base.rewards, probs[:, cols], costs[cols])
+        assert_closed_form_matches_composed(inst, search_prices(inst, extra))
+
+    @pytest.mark.parametrize("n, k", [(2000, 16), (500, 8)])
+    def test_large_sizes_match_the_composed_reference(self, n, k):
+        inst = po.generate(po.GenSpec(n=n, state_count=k), 1)
+        assert_closed_form_matches_composed(inst, (None, 0.4))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_every_fallback_scores_weitzmans_value(self, seed):
+        inst = draw_instance(seed, n_hi=9, k_hi=6)
+        for x in (None, -1.0, 0.0, 0.3, 0.7):
+            scores = multi_state._fallback_scores(inst, x)
+            for b in range(inst.n):
+                want = weitzman_value(inst, b, x)
+                got = po.evaluate_policy(
+                    inst, po.reserve_backup_policy(inst, b, x), altered_threshold=x
+                ).gain
+                assert got == pytest.approx(want, abs=1e-12), f"fallback {b}, x={x}"
+                assert scores[b + 1] == pytest.approx(want, abs=1e-12)
+
+    def test_reserve_class_optimum_at_scale_is_weitzmans_value(self):
+        # exact_dp cannot reach n = 2000; the index policy's value can.
+        # On this draw the search keeps a fallback at both prices
+        spec = po.GenSpec(
+            n=2000, state_count=16, prob_shape="two-point", cost_regime="heterogeneous"
+        )
+        inst = po.generate(spec, 0)
+        others = np.random.default_rng(0).choice(inst.n, 3, replace=False)
+        for x in (None, 0.4):
+            pol = po.best_reserve_backup(inst, x)
+            assert pol.backup is not None
+            got = po.evaluate_policy(inst, pol, altered_threshold=x).gain
+            assert got == pytest.approx(weitzman_value(inst, pol.backup, x), abs=1e-12)
+            for b in others:
+                assert weitzman_value(inst, int(b), x) <= got + 1e-12
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_threshold_refused(self, bad):
         inst = draw_instance(4, n_lo=2, n_hi=4)
@@ -396,6 +479,11 @@ class TestSerialization:
     def test_unknown_kind_rejected(self):
         with pytest.raises(po.ProbingError):
             po.policy_from_dict({"kind": "banded"})
+
+    @pytest.mark.parametrize("doc", [[1, 2], "threshold", True, 3, None])
+    def test_non_object_document_rejected(self, doc):
+        with pytest.raises(po.ProbingError, match="must be an object"):
+            po.policy_from_dict(doc)
 
     def test_large_document_decodes_by_name(self):
         n = 2000

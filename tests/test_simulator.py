@@ -200,6 +200,13 @@ class TestSaturated:
                 with pytest.raises(po.ProbingError, match="cannot simulate a"):
                     run(inst, foreign, cfg)
 
+    def test_queue_without_arrivals_needs_a_mixture(self):
+        # only a mixed policy brings the arrival rate the default uses
+        inst = draw_instance(0, n_lo=2, n_hi=3)
+        cfg = po.SimConfig(slots=10)
+        with pytest.raises(po.ProbingError, match="arrivals are required"):
+            po.simulate_unsaturated(inst, po.best_reserve_backup(inst), cfg)
+
     @pytest.mark.parametrize(
         "levels, backup",
         [
