@@ -76,6 +76,7 @@ from .lagrange import (
 )
 from .multi_state import (
     ThresholdPolicy,
+    _require_object,
     best_reserve_backup,
     check_policy_invariants,
     probe_levels,
@@ -124,8 +125,7 @@ _POLICY_KINDS = {
 
 def policy_from_dict(data: dict, instance: Instance | None = None):
     """Rebuild any serialized policy from its ``kind`` tag."""
-    if not isinstance(data, dict):
-        raise ProbingError(f"a policy document must be an object, not {type(data).__name__}")
+    _require_object(data)
     kind = data.get("kind")
     load = _POLICY_KINDS.get(kind)
     if load is None:

@@ -111,9 +111,8 @@ class ChannelStats:
     """One channel: a name, a probing cost, and a state distribution.
 
     ``probs[u]`` is the per-slot probability of state ``u``.  The array is
-    copied and frozen on construction.  An instance built by
-    :meth:`Instance.from_arrays` makes its channels only when
-    ``Instance.channels`` is first read.
+    copied and frozen on construction.  Channels are an input to
+    ``Instance`` and a view of its arrays; no solver reads them.
     """
 
     name: str
@@ -134,43 +133,44 @@ class ChannelStats:
         )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Instance:
-    """A probing problem: shared state rewards plus per-channel stats.
+    """A probing problem: state rewards, a ``(K, n)`` matrix of state
+    distributions (one column per channel), costs and names.  These
+    arrays are the instance and all the solvers read; ``channels`` is a
+    view of :class:`ChannelStats` made on first read.  Frozen and
+    identity-hashed, so solver caches can key on it.
 
-    Frozen and identity-hashed, so solver caches can key on it.  Use
-    :func:`validate_instance` to check model assumptions; constructors in
-    this package validate by default and internal transforms opt out.
-
-    The solvers read the arrays ``probs``, ``costs`` and ``names``.  An
-    instance built from channels derives them on first use; one built by
-    :meth:`from_arrays` holds them from the start and makes its
-    ``channels`` only when they are first read.
+    ``Instance(rewards=..., channels=...)`` stacks the channels at once
+    and keeps them as ``channels``.  It and :meth:`from_arrays` refuse
+    misshapen arrays with "bad-prob-shape" violations: rewards that are
+    not a 1-d vector, and, in channel order, each distribution without
+    K entries.  Use :func:`validate_instance` to check model
+    assumptions; constructors in this package validate by default and
+    internal transforms opt out.
     """
 
     rewards: np.ndarray
-    channels: tuple[ChannelStats, ...]
+    probs: np.ndarray
+    costs: np.ndarray
+    names: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        r = np.array(self.rewards, dtype=float, copy=True)
-        r.setflags(write=False)
-        object.__setattr__(self, "rewards", r)
-        object.__setattr__(self, "channels", tuple(self.channels))
+    def __init__(self, rewards, channels: Sequence[ChannelStats]) -> None:
+        r = _reward_vector(rewards)
+        channels = tuple(channels)
+        names = tuple(ch.name for ch in channels)
+        _refuse_misshapen(len(r), names, [ch.probs.shape for ch in channels])
+        # stacked by rows and copied, so the matrix is C-contiguous, as
+        # np.column_stack would give it
+        rows = np.array([ch.probs for ch in channels]).reshape(len(channels), len(r))
+        costs = np.array([ch.cost for ch in channels], dtype=float)
+        self._fill(r, rows.T.copy(), costs, names)
+        self.__dict__["channels"] = channels
 
-    def __getattr__(self, name: str):
-        # reached only for a missing attribute: an array-built instance's
-        # channels, made once from its arrays
-        d = self.__dict__
-        if name != "channels" or "probs" not in d:
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}"
-            )
-        probs = d["probs"]
-        d["channels"] = channels = tuple(
-            ChannelStats(name=nm, cost=c, probs=probs[:, j])
-            for j, (nm, c) in enumerate(zip(d["names"], d["costs"].tolist()))
-        )
-        return channels
+    def _fill(self, rewards, probs, costs, names) -> None:
+        for a in (rewards, probs, costs):
+            a.setflags(write=False)
+        self.__dict__.update(rewards=rewards, probs=probs, costs=costs, names=names)
 
     # -- shapes ---------------------------------------------------------
 
@@ -186,26 +186,15 @@ class Instance:
     def max_reward(self) -> float:
         return float(self.rewards[-1])
 
-    # -- derived arrays (cached; instances are immutable) ---------------
+    # -- derived views (cached; instances are immutable) ----------------
 
     @cached_property
-    def probs(self) -> np.ndarray:
-        """State distributions, shape ``(K, n)``, one column per channel."""
-        # stacked by rows and copied, so the result is C-contiguous, as
-        # np.column_stack would give it
-        out = np.array([ch.probs for ch in self.channels]).T.copy()
-        out.setflags(write=False)
-        return out
-
-    @cached_property
-    def costs(self) -> np.ndarray:
-        out = np.array([ch.cost for ch in self.channels], dtype=float)
-        out.setflags(write=False)
-        return out
-
-    @cached_property
-    def names(self) -> tuple[str, ...]:
-        return tuple(ch.name for ch in self.channels)
+    def channels(self) -> tuple[ChannelStats, ...]:
+        probs = self.probs
+        return tuple(
+            ChannelStats(name=nm, cost=c, probs=probs[:, j])
+            for j, (nm, c) in enumerate(zip(self.names, self.costs.tolist()))
+        )
 
     @cached_property
     def blind_rewards(self) -> np.ndarray:
@@ -233,32 +222,24 @@ class Instance:
         arrays and makes no :class:`ChannelStats` until ``channels`` is
         read.
         """
+        r = _reward_vector(rewards)
         p = np.asarray(probs, dtype=float)
         if p.ndim != 2:
-            raise InstanceValidationError(
-                [Violation("bad-prob-shape", None, "probs must be a 2-d matrix")]
-            )
+            raise _misshapen("probs must be a 2-d matrix")
         k, n = p.shape
         c = np.asarray(costs, dtype=float)
         if c.shape != (n,):
-            raise InstanceValidationError(
-                [Violation("bad-prob-shape", None, "costs length must match columns")]
-            )
+            raise _misshapen("costs length must match columns")
         if names is None:
             names = range(1, n + 1)
         elif len(names) != n:
-            raise InstanceValidationError(
-                [Violation("bad-prob-shape", None, "names length must match columns")]
-            )
+            raise _misshapen("names length must match columns")
+        names = tuple(map(str, names))
+        if k != len(r):  # every channel is misshapen
+            _refuse_misshapen(len(r), names, [(k,)] * n)
+            p = p.reshape(len(r), 0)  # no channel to refuse
         inst = cls.__new__(cls)
-        arrays = {
-            "rewards": np.array(rewards, dtype=float),
-            "probs": np.array(p, order="C"),
-            "costs": np.array(c),
-        }
-        for a in arrays.values():
-            a.setflags(write=False)
-        inst.__dict__.update(arrays, names=tuple(map(str, names)))
+        inst._fill(r, np.array(p, order="C"), np.array(c), names)
         if validate:
             validate_instance(inst)
         return inst
@@ -283,6 +264,32 @@ class Instance:
         )
 
 
+def _misshapen(detail: str) -> InstanceValidationError:
+    return InstanceValidationError([Violation("bad-prob-shape", None, detail)])
+
+
+def _reward_vector(rewards) -> np.ndarray:
+    """A float copy of ``rewards``, refused unless it is a 1-d vector."""
+    r = np.array(rewards, dtype=float)
+    if r.ndim != 1:
+        raise _misshapen("rewards must be a 1-d vector")
+    return r
+
+
+def _refuse_misshapen(k: int, names: Sequence[str], shapes) -> None:
+    """Refuse the channels whose distribution shape is not ``(k,)``,
+    one violation each, in channel order."""
+    bad = [
+        Violation(
+            "bad-prob-shape", name, f"expected {k} state probabilities, got shape {shape}"
+        )
+        for name, shape in zip(names, shapes)
+        if shape != (k,)
+    ]
+    if bad:
+        raise InstanceValidationError(bad)
+
+
 def validate_instance(
     instance: Instance,
     *,
@@ -302,7 +309,6 @@ def validate_instance(
     * "non-increasing-rewards": rewards must be strictly increasing.
     * "reward-out-of-range": rewards outside ``[0, 1]``.
     * "negative-cost".
-    * "bad-prob-shape": a channel's vector length differs from K.
     * "prob-out-of-range": an entry outside ``[0, 1]``.
     * "probs-not-normalized": mass differs from 1 beyond ``PROB_TOL``.
     * "certain-top-state": all mass on the top state, so probing that
@@ -310,13 +316,13 @@ def validate_instance(
       by zero one level down.
     * "duplicate-name".
 
-    Violations are listed in this order: the instance-wide ones (shape
-    floor, non-finite rewards, base reward, increase, range), then each
-    channel's in channel order.  A channel lists "duplicate-name",
-    "non-finite" cost, "negative-cost", then either "bad-prob-shape"
-    alone or "non-finite" probabilities, "prob-out-of-range",
+    Violations are listed in this order: the instance-wide ones, as
+    above, then each channel's in channel order.  A channel lists
+    "duplicate-name", "non-finite" cost, "negative-cost", then
+    "non-finite" probabilities, "prob-out-of-range",
     "probs-not-normalized" and "certain-top-state" (judged after any
-    rescaling).
+    rescaling).  Array shapes are the constructors' check (see
+    :class:`Instance`).
     """
     violations: list[Violation] = []
     r = instance.rewards
@@ -351,30 +357,17 @@ def validate_instance(
             )
 
     # the per-channel checks, loosened to flags and taken at once over
-    # the (n, K) stack of the distributions with K entries; only the
-    # flagged channels walk the checks themselves, in channel order
+    # the (n, K) stack of the distributions; only the flagged channels
+    # walk the checks themselves, in channel order
     n = instance.n
     names, cost = instance.names, instance.costs
-    try:
-        # contiguous rows, so each sums in ch.probs.sum()'s order
-        own = np.ascontiguousarray(instance.probs.T)
-    except ValueError:  # channel distributions of different lengths
-        own = None
-    if own is not None and own.shape == (n, k):
-        shaped = np.ones(n, dtype=bool)
-        rows = own
-    else:  # some distribution has not K entries: take each channel's own
-        own = [ch.probs for ch in instance.channels]
-        shaped = np.array([p.shape == (k,) for p in own], dtype=bool)
-        rows = np.array([p for p, ok in zip(own, shaped) if ok], dtype=float)
-        rows = rows.reshape(int(shaped.sum()), k)
+    # contiguous rows, so each sums in ch.probs.sum()'s order
+    rows = np.ascontiguousarray(instance.probs.T)
     # a non-finite entry makes a non-finite sum
-    suspect = ~(np.abs(rows.sum(axis=1) - 1.0) <= PROB_TOL)
-    suspect |= ((rows < -PROB_TOL) | (rows > 1.0 + PROB_TOL)).any(axis=1)
-    if k >= 2:  # a rescaled row is suspect already
-        suspect |= rows[:, -1] >= 1.0 - PROB_TOL
-    flagged = np.ones(n, dtype=bool)  # wrong shapes always report
-    flagged[shaped] = suspect
+    flagged = ~(np.abs(rows.sum(axis=1) - 1.0) <= PROB_TOL)
+    flagged |= ((rows < -PROB_TOL) | (rows > 1.0 + PROB_TOL)).any(axis=1)
+    if k >= 2:  # a rescaled row is flagged already
+        flagged |= rows[:, -1] >= 1.0 - PROB_TOL
     flagged |= ~((cost >= 0.0) & (cost < math.inf))
     first: dict[str, int] = {}  # each name's first channel, once one repeats
     if len(set(names)) < n:
@@ -384,22 +377,13 @@ def validate_instance(
 
     repaired: dict[int, np.ndarray] = {}
     for j in np.flatnonzero(flagged).tolist():
-        name, c, p = names[j], float(cost[j]), own[j]
+        name, c, p = names[j], float(cost[j]), rows[j]
         if first.get(name, j) != j:
             violations.append(Violation("duplicate-name", name, "name reused"))
         if not math.isfinite(c):
             violations.append(Violation("non-finite", name, f"cost = {c!r}"))
         if c < 0.0:
             violations.append(Violation("negative-cost", name, f"cost = {c!r}"))
-        if not shaped[j]:
-            violations.append(
-                Violation(
-                    "bad-prob-shape",
-                    name,
-                    f"expected {k} state probabilities, got shape {p.shape}",
-                )
-            )
-            continue
         total = float(p.sum())
         # only a non-finite sum can hide a non-finite entry
         if not math.isfinite(total) and not np.all(np.isfinite(p)):
@@ -428,7 +412,7 @@ def validate_instance(
 
     if violations:
         raise InstanceValidationError(violations)
-    if repaired:  # no violation, so every row has K entries
+    if repaired:
         rows = rows.copy()
         for j, p in repaired.items():
             rows[j] = p

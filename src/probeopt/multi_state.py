@@ -339,6 +339,11 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
+def _require_object(data) -> None:
+    if not isinstance(data, dict):
+        raise ProbingError(f"a policy document must be an object, not {type(data).__name__}")
+
+
 def _levels_to_dict(levels, nm) -> list[dict]:
     return [{"level": u, "channels": [nm(j) for j in mem]} for u, mem in levels]
 
@@ -400,6 +405,7 @@ class ThresholdPolicy:
     def from_dict(cls, data: dict, instance: Instance | None = None) -> "ThresholdPolicy":
         """Load a document, checked against ``instance`` when one is
         given.  A ``floor``, when present, must be the last level."""
+        _require_object(data)
         idx = instance.index_of if instance is not None else (lambda s: int(s) - 1)
         backup = data.get("backup")
         threshold = data.get("threshold")

@@ -7,6 +7,9 @@ no install is needed; the sdist test checks that a build publishes
 that declaration.
 """
 
+import contextlib
+import copy
+import io
 import json
 import os
 import shutil
@@ -17,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import probeopt as po
 from probeopt.cli import INPUT_ERROR, _build_parser, main
@@ -122,6 +127,31 @@ class TestCheck:
 
     def test_missing_file(self, tmp_path):
         assert run("check", tmp_path / "ghost.json") == 2
+
+    @pytest.mark.parametrize(
+        "rewards", [[[0.0], [0.5], [1.0]], 0, None], ids=["column", "scalar", "null"]
+    )
+    def test_rewards_that_are_not_a_vector(self, tmp_path, capsys, rewards):
+        path = write_instance(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["rewards"] = rewards
+        path.write_text(json.dumps(doc))
+        assert run("check", path) == INPUT_ERROR
+        (result,) = json.loads(capsys.readouterr().out)
+        assert result["violations"] == [
+            {
+                "code": "bad-prob-shape",
+                "channel": None,
+                "detail": "rewards must be a 1-d vector",
+            }
+        ]
+        sol = write_instance(tmp_path, name="good.json")
+        for argv in (["solve"], ["oracle"], ["simulate", "--policy", sol]):
+            assert run(argv[0], path, *argv[1:]) == INPUT_ERROR
+            out, err = capsys.readouterr()
+            assert out == "" and err == (
+                f"error: {path}: bad-prob-shape: rewards must be a 1-d vector\n"
+            )
 
     def test_mixed_batch_still_reports_everything(self, tmp_path, capsys):
         good = write_instance(tmp_path, name="good.json")
@@ -492,6 +522,24 @@ class TestSimulate:
         assert "must be an object" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("side", ["policy_minus", "policy_plus"])
+    @pytest.mark.parametrize(
+        "value", [3, [1], None, "x"], ids=["number", "array", "null", "string"]
+    )
+    def test_mixed_side_that_is_not_an_object(self, tmp_path, capsys, side, value):
+        ipath = write_instance(tmp_path, seed=7)
+        mix = tmp_path / "mix.json"
+        run("solve", ipath, "--mode", "unsaturated", "--rate", 0.5, "-o", mix)
+        doc = json.loads(mix.read_text())
+        doc["policy"][side] = value
+        mix.write_text(json.dumps(doc))
+        assert run("simulate", ipath, "--policy", mix) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: {mix}: not a usable policy (a policy document must be an "
+            f"object, not {type(value).__name__})\n"
+        )
+
     @pytest.mark.parametrize("threads", [0, -2])
     def test_thread_count_must_be_positive(self, tmp_path, capsys, threads):
         ipath = write_instance(tmp_path, seed=3)
@@ -612,6 +660,104 @@ class TestFileErrors:
         (result,) = json.loads(capsys.readouterr().out)
         assert [v["code"] for v in result["violations"]] == ["bad-document"]
         self._fails_cleanly(capsys, "solve", path)
+
+
+# what a mutation puts in place of a document's value
+ODD_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 5),
+    st.floats(),  # NaN and the infinities among them
+    st.text(max_size=3),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=1),
+)
+# a short replay, for every simulate run below
+SIMULATE = ("--slots", 40, "--replications", 2, "--threads", 1)
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` with one value somewhere inside it deleted or replaced."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    while True:
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        key = draw(st.sampled_from(keys))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+            node = child
+        elif draw(st.integers(0, 7)) == 0:
+            del node[key]
+            return doc
+        else:
+            node[key] = draw(ODD_VALUES)
+            return doc
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    """A valid instance file and one valid document of each kind."""
+    tmp = tmp_path_factory.mktemp("documents")
+    ipath = write_instance(tmp, seed=7)
+    equal = write_instance(tmp, seed=7, name="equal.json", cost_regime="equal")
+    runs = {
+        "threshold": ["solve", ipath],
+        "decision-tree": ["oracle", ipath],
+        "prefix-tree": ["solve", equal, "--mode", "additive"],
+        "mixed": ["solve", ipath, "--mode", "unsaturated", "--rate", 0.5],
+    }
+    docs = {"instance": json.loads(ipath.read_text())}
+    for kind, argv in runs.items():
+        out = tmp / f"{kind}.json"
+        assert run(*argv, "-o", out) == 0
+        doc = json.loads(out.read_text())
+        docs[kind] = doc["tree" if kind == "decision-tree" else "policy"]
+        assert docs[kind]["kind"] == kind
+        out.write_text(json.dumps(docs[kind]))
+        assert run("simulate", ipath, "--policy", out, *SIMULATE, "-o", tmp / "sim.json") == 0
+    return tmp, ipath, docs
+
+
+def _exits_cleanly(*argv):
+    """Run one command: exit 0 or 2, with JSON out or a one-line error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(*argv)
+    assert code in (0, INPUT_ERROR)
+    if code == 0 or argv[0] == "check":
+        json.loads(out.getvalue())
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+class TestMutatedDocuments:
+    """A valid document with one value deleted or replaced by null, a
+    bool, a number, NaN, a string, a list or an object is either still
+    usable or refused with exit 2: never a traceback."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_instance(self, documents, data):
+        tmp, _, docs = documents
+        path = tmp / "mutated-instance.json"
+        path.write_text(json.dumps(data.draw(mutated(docs["instance"]))))
+        _exits_cleanly("check", path)
+        _exits_cleanly("solve", path)
+        _exits_cleanly("oracle", path)
+        _exits_cleanly("simulate", path, "--policy", tmp / "threshold.json", *SIMULATE)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(["threshold", "decision-tree", "prefix-tree", "mixed"]),
+        data=st.data(),
+    )
+    def test_policy(self, documents, kind, data):
+        tmp, ipath, docs = documents
+        path = tmp / "mutated-policy.json"
+        path.write_text(json.dumps(data.draw(mutated(docs[kind]))))
+        _exits_cleanly("simulate", ipath, "--policy", path, *SIMULATE)
 
 
 class TestParserReuse:

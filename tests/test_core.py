@@ -79,6 +79,36 @@ class TestInstance:
         assert (v.code, v.channel) == ("bad-prob-shape", None)
         assert "names" in v.detail
 
+    @pytest.mark.parametrize(
+        "rewards", [[[0.0], [0.5], [1.0]], 0.0, None], ids=["column", "scalar", "null"]
+    )
+    def test_rewards_must_be_a_vector(self, rewards):
+        channel = po.ChannelStats(name="a", cost=0.1, probs=(0.5, 0.3, 0.2))
+        for build in (
+            lambda: po.Instance(rewards=rewards, channels=[channel]),
+            lambda: po.Instance.from_arrays(rewards, [[0.5], [0.3], [0.2]], (0.1,)),
+        ):
+            with pytest.raises(po.InstanceValidationError) as err:
+                build()
+            (v,) = err.value.violations
+            assert (v.code, v.channel, v.detail) == (
+                "bad-prob-shape", None, "rewards must be a 1-d vector"
+            )
+
+    def test_channels_are_kept_and_stacked_at_once(self):
+        channels = [
+            po.ChannelStats(name="a", cost=0.1, probs=(0.5, 0.3, 0.2)),
+            po.ChannelStats(name="b", cost=0.2, probs=(0.1, 0.1, 0.8)),
+        ]
+        inst = po.Instance(rewards=(0.0, 0.5, 1.0), channels=channels)
+        assert inst.channels == tuple(channels) and "probs" in inst.__dict__
+        assert [f.name for f in dataclasses.fields(inst)] == [
+            "rewards", "probs", "costs", "names"
+        ]
+        assert po.instance_to_dict(inst) == po.instance_to_dict(
+            po.Instance.from_arrays(inst.rewards, inst.probs, inst.costs, inst.names)
+        )
+
     def test_from_arrays_keeps_frozen_copies(self):
         rewards, probs, costs = np.array([0.0, 1.0]), np.full((2, 3), 0.5), np.zeros(3)
         inst = po.Instance.from_arrays(rewards, probs, costs)
@@ -167,11 +197,10 @@ class TestValidation:
     @pytest.mark.parametrize("rewards", [(0.0, 0.5, 1.0), (0.0, 0.2, 0.5, 1.0)])
     def test_reward_count_other_than_prob_rows(self, rewards):
         # every channel's distribution has the wrong length, in channel order
-        inst = po.Instance.from_arrays(
-            rewards, [[0.5, 0.4, 0.3], [0.5, 0.6, 0.7]], (0.0, 0.1, 0.2), validate=False
-        )
         with pytest.raises(po.InstanceValidationError) as err:
-            po.validate_instance(inst)
+            po.Instance.from_arrays(
+                rewards, [[0.5, 0.4, 0.3], [0.5, 0.6, 0.7]], (0.0, 0.1, 0.2), validate=False
+            )
         assert [(v.code, v.channel, v.detail) for v in err.value.violations] == [
             (
                 "bad-prob-shape",
@@ -258,7 +287,8 @@ def _shift(p, d):
 
 
 @st.composite
-def corrupted_instances(draw):
+def corrupted_channels(draw):
+    """Rewards and channels, some corrupted; the channels may not stack."""
     k = draw(st.integers(2, 17))
     inst = po.generate(
         po.GenSpec(
@@ -286,7 +316,7 @@ def corrupted_instances(draw):
             [inst.rewards, np.linspace(0.1, 1.0, k), np.append(inst.rewards[:-1], np.nan)]
         )
     )
-    return po.Instance(rewards=rewards, channels=channels)
+    return rewards, channels
 
 
 def _validated(check, inst, **options):
@@ -301,23 +331,39 @@ class TestArrayValidation:
     """The array checks against the per-channel loop they replaced."""
 
     @settings(max_examples=300, deadline=None)
-    @given(corrupted_instances(), st.booleans(), st.booleans())
-    def test_matches_the_per_channel_loop(self, inst, renormalize, allow_base):
+    @given(corrupted_channels(), st.booleans(), st.booleans())
+    def test_matches_the_per_channel_loop(self, drawn, renormalize, allow_base):
+        rewards, channels = drawn
+        k = len(rewards)
+        misshapen = [
+            (
+                "bad-prob-shape",
+                ch.name,
+                f"expected {k} state probabilities, got shape {ch.probs.shape}",
+            )
+            for ch in channels
+            if ch.probs.shape != (k,)
+        ]
+        if misshapen:
+            # the constructor lists exactly the misshapen channels, in order
+            with pytest.raises(po.InstanceValidationError) as err:
+                po.Instance(rewards=rewards, channels=channels)
+            assert [(v.code, v.channel, v.detail) for v in err.value.violations] == misshapen
+            return
+        inst = po.Instance(rewards=rewards, channels=channels)
         options = dict(renormalize=renormalize, allow_positive_base_reward=allow_base)
         self.check_same_as_reference(inst, options)
-        # the same channels as arrays, where their distributions stack
-        shapes = {ch.probs.shape for ch in inst.channels}
-        if len(shapes) == 1 and len(shapes.pop()) == 1:
-            self.check_same_as_reference(
-                po.Instance.from_arrays(
-                    inst.rewards,
-                    np.column_stack([ch.probs for ch in inst.channels]),
-                    inst.costs,
-                    inst.names,
-                    validate=False,
-                ),
-                options,
-            )
+        # the same channels as arrays
+        self.check_same_as_reference(
+            po.Instance.from_arrays(
+                inst.rewards,
+                np.column_stack([ch.probs for ch in inst.channels]),
+                inst.costs,
+                inst.names,
+                validate=False,
+            ),
+            options,
+        )
 
     @staticmethod
     def check_same_as_reference(inst, options):
