@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -156,15 +157,8 @@ class Instance:
     names: tuple[str, ...]
 
     def __init__(self, rewards, channels: Sequence[ChannelStats]) -> None:
-        r = _reward_vector(rewards)
         channels = tuple(channels)
-        names = tuple(ch.name for ch in channels)
-        _refuse_misshapen(len(r), names, [ch.probs.shape for ch in channels])
-        # stacked by rows and copied, so the matrix is C-contiguous, as
-        # np.column_stack would give it
-        rows = np.array([ch.probs for ch in channels]).reshape(len(channels), len(r))
-        costs = np.array([ch.cost for ch in channels], dtype=float)
-        self._fill(r, rows.T.copy(), costs, names)
+        self._fill(*_stacked(rewards, [(ch.name, ch.cost, ch.probs) for ch in channels]))
         self.__dict__["channels"] = channels
 
     def _fill(self, rewards, probs, costs, names) -> None:
@@ -276,6 +270,19 @@ def _reward_vector(rewards) -> np.ndarray:
     return r
 
 
+def _stacked(rewards, channels):
+    """Rewards, ``(K, n)`` matrix, costs and names of (name, cost, probs)
+    triples; misshapen rewards, then distributions, are refused."""
+    rows = [np.asarray(p, dtype=float) for _, _, p in channels]
+    r = _reward_vector(rewards)
+    names = tuple(name for name, _, _ in channels)
+    _refuse_misshapen(len(r), names, [p.shape for p in rows])
+    # stacked by rows and copied, so the matrix is C-contiguous, as
+    # np.column_stack would give it
+    probs = np.array(rows).reshape(len(rows), len(r)).T.copy()
+    return r, probs, np.array([c for _, c, _ in channels], dtype=float), names
+
+
 def _refuse_misshapen(k: int, names: Sequence[str], shapes) -> None:
     """Refuse the channels whose distribution shape is not ``(k,)``,
     one violation each, in channel order."""
@@ -290,6 +297,8 @@ def _refuse_misshapen(k: int, names: Sequence[str], shapes) -> None:
         raise InstanceValidationError(bad)
 
 
+# non-finite values are what it looks for: inf - inf and inf / inf make NaN
+@np.errstate(invalid="ignore")
 def validate_instance(
     instance: Instance,
     *,
@@ -529,22 +538,53 @@ def instance_to_dict(instance: Instance) -> dict:
     }
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _numbers(value) -> bool:
+    """Whether a vector field holds numbers only (plain floats are
+    passed at once); its shape, a bare number or null included, is the
+    constructors' check."""
+    if isinstance(value, (list, tuple)):
+        return all(type(v) is float or (v is not None and _numbers(v)) for v in value)
+    return value is None or _is_number(value)
+
+
+def _mistyped(rewards, channels) -> list[Violation]:
+    """One "bad-document" violation per field of the wrong type, in
+    document order.  A channel whose name is not a string is named by
+    its position, as :meth:`Instance.from_arrays` names channels."""
+    fields = [(None, "rewards", _numbers(rewards), "numbers", rewards)]
+    for j, (name, cost, probs) in enumerate(channels):
+        label = name if isinstance(name, str) else str(j + 1)
+        fields += [
+            (label, "name", isinstance(name, str), "a string", name),
+            (label, "cost", _is_number(cost), "a number", cost),
+            (label, "probs", _numbers(probs), "numbers", probs),
+        ]
+    return [
+        Violation("bad-document", label, f"{field} must be {what}, got {value!r}")
+        for label, field, ok, what, value in fields
+        if not ok
+    ]
+
+
 def instance_from_dict(data: dict, *, validate: bool = True) -> Instance:
+    """Decode an instance document (see README): fields of the wrong
+    type are refused, then misshapen arrays as :class:`Instance` does."""
     try:
-        inst = Instance(
-            rewards=data["rewards"],
-            channels=[
-                ChannelStats(name=c["name"], cost=c["cost"], probs=c["probs"])
-                for c in data["channels"]
-            ],
-        )
+        rewards = data["rewards"]
+        channels = [(c["name"], c["cost"], c["probs"]) for c in data["channels"]]
+        bad = _mistyped(rewards, channels)
+        if bad:
+            raise InstanceValidationError(bad)
+        stacked = _stacked(rewards, channels)
     except (KeyError, TypeError, ValueError) as exc:
         raise InstanceValidationError(
             [Violation("bad-document", None, f"malformed instance document: {exc}")]
         ) from exc
-    if validate:
-        validate_instance(inst)
-    return inst
+    return Instance.from_arrays(*stacked, validate=validate)
 
 
 def _refuse_constant(token: str):

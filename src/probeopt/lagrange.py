@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import GainReport, Instance, ProbingError, evaluate_policy
-from .multi_state import ThresholdPolicy, best_reserve_backup
+from .multi_state import ThresholdPolicy, _number, best_reserve_backup
 
 __all__ = [
     "BracketNotFound",
@@ -289,7 +289,7 @@ class MixedPolicy:
 
     @classmethod
     def from_dict(cls, data: dict, instance: Instance | None = None) -> "MixedPolicy":
-        numbers = {name: float(data[name]) for name in _NUMBERS}
+        numbers = {name: _number(data[name], name) for name in _NUMBERS}
         if not 0.0 <= numbers["alpha"] <= 1.0:
             raise ProbingError(
                 f"mixing weight alpha must be in [0, 1], got {numbers['alpha']}"

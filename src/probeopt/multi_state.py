@@ -48,6 +48,7 @@ from .core import (
     ProbingError,
     RepeatedProbe,
     UnknownChannel,
+    _is_number,
     blind_backup_reward,
 )
 
@@ -142,11 +143,9 @@ def _workspace(instance: Instance) -> _Workspace:
 
 
 def _bar(instance: Instance, backup: int | None, threshold: float | None) -> float:
-    b = blind_backup_reward(instance, backup)
-    if backup is None:
-        # an empty-handed close is silence, worth 0, not the -1 sentinel;
-        # probing only pays if it can beat that
-        b = 0.0
+    # an empty-handed close is silence, worth 0, not the -1 sentinel;
+    # probing only pays if it can beat that
+    b = 0.0 if backup is None else blind_backup_reward(instance, backup)
     return b if threshold is None else max(b, float(threshold))
 
 
@@ -198,12 +197,9 @@ def reserve_backup_policy(
 ) -> "ThresholdPolicy":
     """The level-list policy that reserves ``backup`` (None for no
     fallback) under decision bar ``threshold`` (None for always-send)."""
-    if backup is not None and not 0 <= backup < instance.n:
-        raise UnknownChannel(f"backup index {backup} out of range")
-    _check_threshold(threshold)
     return ThresholdPolicy(
         backup=backup,
-        threshold=None if threshold is None else float(threshold),
+        threshold=None if threshold is None else _number(threshold, "threshold"),
         levels=probe_levels(instance, backup, threshold),
     )
 
@@ -252,46 +248,14 @@ def _stop_profile(ws: _Workspace, levels) -> tuple[float, np.ndarray, float]:
 
 def _selection_masks(instance: Instance, backup: int | None, threshold):
     """For each possible best observation (and for none at all), which
-    closing action the decision rule takes.  Returns boolean arrays
-    over states (send-probed, send-fallback) and the no-observation
-    action."""
+    closing action the decision rule takes: boolean arrays over states
+    (send-probed, send-fallback), and whether the fallback is sent when
+    nothing was probed (the -1 sentinel of no fallback never is)."""
     blind = blind_backup_reward(instance, backup)
     r = instance.rewards
-    if threshold is None:
-        gate = np.ones(instance.state_count, dtype=bool)
-        gate_none = True
-    else:
-        gate = np.maximum(r, blind) >= threshold
-        gate_none = blind >= threshold
-    send_probed = gate & (r >= blind)
-    send_blind = gate & (r < blind)
-    if backup is None:
-        none_action = "silent"
-    else:
-        none_action = "blind" if gate_none else "silent"
-    return send_probed, send_blind, none_action
-
-
-def _close_out(
-    instance: Instance,
-    backup: int | None,
-    threshold: float | None,
-    cost: float,
-    stopped: np.ndarray,
-    none: float,
-    altered_threshold,
-) -> GainReport:
-    """Fold a stop profile against the closing decision rule."""
-    send_probed, send_blind, none_action = _selection_masks(
-        instance, backup, threshold
-    )
-    mass = np.where(send_probed, stopped, 0.0)
-    blind_weight = float(stopped[send_blind].sum())
-    if none_action == "blind":
-        blind_weight += none
-    if blind_weight > 0.0 and backup is not None:
-        mass = mass + blind_weight * instance.probs[:, backup]
-    return GainReport.assemble(instance, mass, cost, altered_threshold)
+    gate = True if threshold is None else np.maximum(r, blind) >= threshold
+    blind_if_none = backup is not None and (threshold is None or blind >= threshold)
+    return gate & (r >= blind), gate & (r < blind), blind_if_none
 
 
 # -- level lists (their check, order and codec) and the policy object ---
@@ -339,6 +303,13 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
+def _number(value, what: str) -> float:
+    """A finite number: a bool, a string or an infinity is refused."""
+    if not (_is_number(value) and math.isfinite(value)):
+        raise PolicyStructureError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _require_object(data) -> None:
     if not isinstance(data, dict):
         raise ProbingError(f"a policy document must be an object, not {type(data).__name__}")
@@ -384,10 +355,14 @@ class ThresholdPolicy:
     def _gain_report(self, instance: Instance, altered_threshold=None) -> GainReport:
         check_policy_invariants(self, instance)
         cost, stopped, none = _stop_profile(_workspace(instance), self.levels)
-        return _close_out(
-            instance, self.backup, self.threshold, cost, stopped, none,
-            altered_threshold,
+        send_probed, send_blind, blind_if_none = _selection_masks(
+            instance, self.backup, self.threshold
         )
+        mass = np.where(send_probed, stopped, 0.0)
+        blind = float(stopped[send_blind].sum()) + (none if blind_if_none else 0.0)
+        if blind > 0.0:
+            mass = mass + blind * instance.probs[:, self.backup]
+        return GainReport.assemble(instance, mass, cost, altered_threshold)
 
     # -- serialization --------------------------------------------------
 
@@ -407,13 +382,10 @@ class ThresholdPolicy:
         given.  A ``floor``, when present, must be the last level."""
         _require_object(data)
         idx = instance.index_of if instance is not None else (lambda s: int(s) - 1)
-        backup = data.get("backup")
-        threshold = data.get("threshold")
-        threshold = None if threshold is None else float(threshold)
-        _check_threshold(threshold)
+        backup, threshold = data.get("backup"), data.get("threshold")
         policy = cls(
             backup=None if backup is None else idx(backup),
-            threshold=threshold,
+            threshold=None if threshold is None else _number(threshold, "threshold"),
             levels=_levels_from_dict(data.get("levels", ()), idx),
         )
         floor = data.get("floor", policy.floor)
@@ -443,41 +415,37 @@ def check_policy_invariants(
 # -- the fallback search -------------------------------------------------
 
 
-def _check_threshold(threshold: float | None) -> None:
-    if threshold is not None and not math.isfinite(threshold):
-        raise ProbingError(f"threshold must be a finite number, got {threshold}")
-
-
 def _fallback_scores(instance: Instance, threshold: float | None) -> np.ndarray:
     """The search objective of every fallback choice: no fallback
     first, then channels 0..n-1.
 
     By the Kleinberg-Waggoner-Weyl identity (EC 2016), fallback f
     earns E[max(a_f, max_{j != f} min(X_j, sigma_j))] - x at charge x,
-    with a_f = max(mu_f, x): max(a_f, R) - x less the integral over
-    [a_f, R] of G_f(t), the chance that every capped channel but f sits
-    at t or below (R tops every reward and score).  G over all channels
-    steps on the sorted rewards and scores, and the channels with
-    sigma > t are a prefix of ``seq``: one cumulative product per
-    reward band.  Leaving f out divides G by F_f(t) = P(X_f <= t) below
+    with a_f = max(mu_f, x); no fallback earns the same with a =
+    max(0, x), silence being worth 0, and no channel left out, or 0
+    when no sigma beats a, as that slot probes nothing.  That is
+    max(a_f, R) - x less the integral over [a_f, R] of G_f(t), the
+    chance that every capped channel but f sits at t or below (R tops
+    every reward and score).  G steps on the sorted rewards and
+    scores, and the channels with sigma > t are a prefix of ``seq``:
+    one cumulative product per reward band, the one below r[0]
+    included.  Leaving f out divides G by F_f(t) = P(X_f <= t) below
     sigma_f, which only bands inside [a_f, sigma_f) do: there
-    F_f >= P(X_f <= mu_f) > 0, elsewhere F_f may be 0.  With no fallback
-    a probed slot sends whatever it found even at a negative charge, so
-    that choice goes through the exact evaluator."""
+    F_f >= P(X_f <= mu_f) > 0, elsewhere F_f may be 0."""
+    x = 0.0 if threshold is None else _number(threshold, "threshold")
     ws = _workspace(instance)
     k = instance.state_count
-    x = 0.0 if threshold is None else float(threshold)
     r = instance.rewards
     seq, sigma, tail = ws.seq, ws.own_score, ws.tail
 
     # G on each stretch [grid[i], grid[i + 1]) and its running integral;
     # repeated points make empty stretches, so a plain sort serves
     # (np.unique's first call in a process raises its peak memory)
-    grid = np.sort(np.concatenate([r, np.maximum(sigma, r[0])]))
+    grid = np.sort(np.concatenate([r, sigma]))
     band = np.searchsorted(r, grid, side="right") - 1
     capped = np.searchsorted(-sigma, -grid, side="left")
     g = np.ones(grid.size)
-    for v in range(k - 1):
+    for v in range(-1, k - 1):
         here = np.flatnonzero(band == v)
         below = np.cumprod(np.append(1.0, 1.0 - tail[v + 1, seq]))
         g[here] = below[capped[here]]
@@ -488,33 +456,34 @@ def _fallback_scores(instance: Instance, threshold: float | None) -> np.ndarray:
         i = np.searchsorted(grid, t, side="right") - 1
         return run[i] + g[i] * (t - grid[i])
 
-    a = np.maximum(instance.blind_rewards, x)
+    # row i leaves channel i - 1 out; row 0 leaves none out
+    a = np.maximum(np.append(0.0, instance.blind_rewards), x)
     out = np.maximum(a, grid[-1]) - x - (run[-1] - integral(a))
+    if not (sigma > a[0]).any():
+        out[0] = 0.0
 
-    own = np.full(instance.n, -np.inf)
-    own[seq] = sigma
+    own = np.full(instance.n + 1, -np.inf)
+    own[seq + 1] = sigma
     lift = np.flatnonzero(own > a)
-    if lift.size:
-        lo, hi = a[lift], own[lift]
-        at_lo, at_hi, edges = integral(lo), integral(hi), integral(r)
-        drop = np.zeros(lift.size)
-        for v in range(k - 1):
-            inside = np.flatnonzero((lo < r[v + 1]) & (r[v] < hi))
-            p = tail[v + 1, lift[inside]]
-            # the integral rises with t, so clipping it to its values at
-            # a_f and sigma_f integrates over the band clipped to them
-            bounds = at_lo[inside], at_hi[inside]
-            span = np.clip(edges[v + 1], *bounds) - np.clip(edges[v], *bounds)
-            drop[inside] += span * p / (1.0 - p)
-        out[lift] -= drop
-
-    cost, stopped, none = _stop_profile(ws, probe_levels(instance, None, threshold))
-    silent = _close_out(instance, None, threshold, cost, stopped, none, threshold)
-    return np.concatenate([[silent.gain], out])
+    lo, hi = a[lift], own[lift]
+    at_lo, at_hi, edges = integral(lo), integral(hi), integral(r)
+    drop = np.zeros(lift.size)
+    for v in range(k - 1):
+        inside = np.flatnonzero((lo < r[v + 1]) & (r[v] < hi))
+        p = tail[v + 1, lift[inside] - 1]
+        # the integral rises with t, so clipping it to its values at
+        # a_f and sigma_f integrates over the band clipped to them
+        bounds = at_lo[inside], at_hi[inside]
+        span = np.clip(edges[v + 1], *bounds) - np.clip(edges[v], *bounds)
+        drop[inside] += span * p / (1.0 - p)
+    out[lift] -= drop
+    return out
 
 
-def _search(instance: Instance, threshold: float | None) -> int | None:
-    """Best fallback choice under one decision bar.
+def best_reserve_backup(
+    instance: Instance, threshold: float | None = None
+) -> ThresholdPolicy:
+    """Search all n + 1 fallback choices and return the winning policy.
 
     The objective charges the bar per transmission when one is set (the
     rate-limited pipeline's objective); with no bar it is the plain
@@ -525,17 +494,4 @@ def _search(instance: Instance, threshold: float | None) -> int | None:
     scores = _fallback_scores(instance, threshold)
     best = scores.max()
     i = int(np.argmax(scores >= best - 1e-12 * (1.0 + abs(best))))
-    return None if i == 0 else i - 1
-
-
-def best_reserve_backup(
-    instance: Instance, threshold: float | None = None
-) -> ThresholdPolicy:
-    """Search all n + 1 fallback choices and return the winning policy.
-
-    The comparison objective is the plain gain, or the gain net of
-    ``threshold`` per transmission when a bar is given, matching what
-    the rate-limited pipeline needs from this search.
-    """
-    _check_threshold(threshold)
-    return reserve_backup_policy(instance, _search(instance, threshold), threshold)
+    return reserve_backup_policy(instance, None if i == 0 else i - 1, threshold)

@@ -120,6 +120,9 @@ class OracleOptions:
         to within ``TIE_TOL``.  One of "default" (transmit probed, then
         backup, then silent, then probe), "prefer-backup",
         "prefer-silent", "prefer-transmit".
+    max_channels
+        The most channels :func:`exact_dp` takes (default 14); its
+        tables hold all 2^n probed sets, so a wider one raises TooLarge.
     """
 
     altered_threshold: float | None = None

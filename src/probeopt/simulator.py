@@ -334,14 +334,14 @@ def _threshold_outcomes(
     instance: Instance, policy: ThresholdPolicy, by_count: np.ndarray, states
 ):
     r = instance.rewards
-    send_probed, send_blind, none_action = _selection_masks(
+    send_probed, send_blind, blind_if_none = _selection_masks(
         instance, policy.backup, policy.threshold
     )
     executed, best = _level_walk(states, policy.levels)
     cost = by_count[executed.sum(axis=0)]
     # a best of -1 (nothing probed) reads the appended no-find action
     probed_tx = np.append(send_probed, False)[best]
-    blind_tx = np.append(send_blind, none_action == "blind")[best]
+    blind_tx = np.append(send_blind, blind_if_none)[best]
     reward = np.where(probed_tx, r[best], 0.0)
     success = probed_tx & (best >= 1)
     if policy.backup is not None:

@@ -1012,6 +1012,7 @@ def reference_generate(spec, rng=None) -> po.Instance:
     )
 
 
+@np.errstate(invalid="ignore")  # inf - inf and inf / inf make NaN
 def reference_validate(
     instance, *, allow_positive_base_reward=False, renormalize=False
 ) -> po.Instance:

@@ -759,6 +759,43 @@ class TestMutatedDocuments:
         path.write_text(json.dumps(data.draw(mutated(docs[kind]))))
         _exits_cleanly("simulate", ipath, "--policy", path, *SIMULATE)
 
+    # a bool or a numeric string where a number belongs used to be read
+    # as one; now it is refused
+    @pytest.mark.parametrize("value", [True, "0.25"])
+    @pytest.mark.parametrize(
+        "where", [("rewards", 1), ("channels", 0, "cost"), ("channels", 0, "probs", 0)]
+    )
+    def test_instance_numbers_are_strict(self, documents, tmp_path, capsys, where, value):
+        doc = copy.deepcopy(documents[2]["instance"])
+        node = doc
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(doc))
+        assert run("check", path) == INPUT_ERROR
+        (result,) = json.loads(capsys.readouterr().out)
+        assert [v["code"] for v in result["violations"]] == ["bad-document"]
+        assert run("solve", path) == INPUT_ERROR
+
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            ("threshold", "threshold", "0.5"),
+            ("threshold", "threshold", True),
+            ("mixed", "alpha", "0.25"),
+            ("mixed", "alpha", False),
+            ("mixed", "arrival_rate", "0.5"),
+        ],
+    )
+    def test_policy_numbers_are_strict(self, documents, capsys, kind, field, value):
+        tmp, ipath, docs = documents
+        path = tmp / "typed-policy.json"
+        path.write_text(json.dumps({**docs[kind], field: value}))
+        assert run("simulate", ipath, "--policy", path, *SIMULATE) == INPUT_ERROR
+        err = capsys.readouterr().err
+        assert f"{field} must be a finite number, got {value!r}" in err
+
 
 class TestParserReuse:
     """``main`` builds its parser once and keeps no state between calls."""

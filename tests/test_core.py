@@ -309,7 +309,8 @@ def corrupted_channels(draw):
         if what == "duplicate":
             name, cost, p = channels[int(x * inst.n)].name, ch.cost, ch.probs
         else:
-            name, cost, p = CORRUPTIONS[what](ch.name, ch.cost, ch.probs, x)
+            with np.errstate(invalid="ignore"):  # inf * 0 zeroing a corrupted row
+                name, cost, p = CORRUPTIONS[what](ch.name, ch.cost, ch.probs, x)
         channels[j] = po.ChannelStats(name=name, cost=cost, probs=p)
     rewards = draw(
         st.sampled_from(
@@ -466,6 +467,44 @@ class TestSerialization:
         with pytest.raises(po.InstanceValidationError) as err:
             po.instance_from_dict({"rewards": [0, 1]})
         assert "bad-document" in err.value.codes()
+
+    def test_bools_strings_and_unnamed_channels_refused(self):
+        # every one of these used to be coerced: float("0.1"), str(7),
+        # and True read as 1.0
+        doc = {
+            "rewards": [0, True],
+            "channels": [
+                {"name": 7, "cost": "0.1", "probs": [True, False]},
+                {"name": "b", "cost": "1e-1", "probs": [0.5, 0.5]},
+            ],
+        }
+        for validate in (True, False):
+            with pytest.raises(po.InstanceValidationError) as err:
+                po.instance_from_dict(doc, validate=validate)
+            assert [(v.code, v.channel, v.detail) for v in err.value.violations] == [
+                ("bad-document", None, "rewards must be numbers, got [0, True]"),
+                ("bad-document", "1", "name must be a string, got 7"),
+                ("bad-document", "1", "cost must be a number, got '0.1'"),
+                ("bad-document", "1", "probs must be numbers, got [True, False]"),
+                ("bad-document", "b", "cost must be a number, got '1e-1'"),
+            ]
+
+    @pytest.mark.parametrize("value", [True, "0.5", None, {"x": 1}])
+    @pytest.mark.parametrize("field", ["reward", "cost", "prob"])
+    def test_one_violation_per_mistyped_number(self, field, value):
+        doc = po.instance_to_dict(small_instance())
+        channel = doc["channels"][1]
+        if field == "reward":
+            doc["rewards"][1] = value
+        elif field == "cost":
+            channel["cost"] = value
+        else:
+            channel["probs"][0] = value
+        with pytest.raises(po.InstanceValidationError) as err:
+            po.instance_from_dict(doc, validate=False)
+        (v,) = err.value.violations
+        assert v.code == "bad-document"
+        assert v.channel == (None if field == "reward" else channel["name"])
 
     def test_from_dict_validates_by_default(self):
         doc = {

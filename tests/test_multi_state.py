@@ -295,6 +295,18 @@ class TestFastSearch:
         inst = draw_instance(seed, n_hi=10, k_hi=6)
         assert_search_matches_reference(inst, search_prices(inst, extra))
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_positive_base_reward(self, seed):
+        # with rewards lifted off 0 a costly channel's score can sit
+        # below r[0], where the no-fallback slot still probes it at
+        # charges under r[0] and gets r[0] or more for it
+        drawn = draw_instance(seed, n_hi=5, k_hi=5, cost_range=(0.2, 0.8))
+        lifted = po.Instance.from_arrays(
+            0.15 + 0.85 * drawn.rewards, drawn.probs, drawn.costs, validate=False
+        )
+        inst = po.validate_instance(lifted, allow_positive_base_reward=True)
+        assert_search_matches_reference(inst, search_prices(inst, 0.05))
+
     def test_channels_never_at_the_low_states(self):
         # channel 1 is never at state 0 and channel 4 never below state
         # 2, so their tails are 1 at levels 1 and 2, and every chance
