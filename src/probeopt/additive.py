@@ -26,10 +26,10 @@ Some optimal policy has exactly this backbone-plus-escapes shape for
 the right fallback and escape state, so the best backbone of the best
 (fallback, escape state) pair loses only the coarsening and truncation
 budgets; each pair's search runs over probed sets, not orderings.
-Each escape subtree is cut from its escape state's no-fallback level
-lists, built once on the shifted scale over all channels: they keep
-the unprobed channels and are priced by their stop profile.  Subtrees
-share the threshold policies' level-list check, price, walk and codec.
+Escape subtrees are priced in closed form by the unprobed set (see
+``_Escape``); only the winner's are cut from their escape state's
+no-fallback level lists.  Subtrees share the threshold policies'
+level-list check, price, walk and codec.
 The winner is mapped back to the original reward scale before it is
 returned: decisions fire on the grid cell of each observation,
 transmitted rewards are the original ones, so the reported gain can
@@ -246,25 +246,28 @@ class PrefixTreePolicy:
 # -- escape subtrees ----------------------------------------------------
 
 
-def _escape_subtree(
-    instance: Instance, remaining: frozenset, escape_state: int, memo: dict
-) -> tuple[float, tuple[tuple[int, tuple[int, ...]], ...]]:
-    """Best no-fallback continuation after holding ``escape_state`` with
-    only ``remaining`` unprobed, scored on the shifted reward scale with
-    a zero decision bar (the end call is free to hold): its value and
-    its level lists (shifted levels, host channel ids).
+class _Escape:
+    """The no-fallback continuations after holding one escape state,
+    on the shifted scale with a zero bar (the end call is free to
+    hold), one per set of channels still unprobed.
 
-    One shifted instance over all n channels and its no-fallback level
-    lists are built per escape state (``memo[escape_state]``); a
-    remaining set's subtree is those lists cut to the set, priced by
-    their stop profile on that instance.  The cut is exact (see ``_Workspace``): a channel's level
+    A set's subtree is ``levels``, the no-fallback level lists of one
+    shifted instance over all n channels, cut to the set (host states
+    and ids).  The cut is exact (see ``_Workspace``): a channel's level
     ``top[j]`` depends only on its own column; with no fallback and a
     zero bar the floor on the shifted scale is always level 1; the
     floor's stretch of ``seq`` runs by descending score, so cutting it
     to a subset keeps the same channels before or after the cut; and
-    ties go by index, which a subset keeps."""
-    s = escape_state
-    if s not in memo:
+    ties go by index, which a subset keeps.  It is Weitzman's index
+    policy with outside option 0, so (Kleinberg-Waggoner-Weyl, EC 2016)
+    it earns E[max(0, max_{j in S} min(X_j, sigma_j))] over the set S:
+    ``worth`` sums w[b] (1 - prod_{j in S} cdf[b, j]) over the bands b
+    between the sorted shifted rewards and positive sigmas, with
+    cdf[b, j] = P(X_j <= t) on b below sigma_j and 1 from it up.  Holds
+    no reference to the instance it is kept on, so makes no cycle."""
+
+    def __init__(self, instance: Instance, escape_state: int):
+        s = self.state = escape_state
         probs = instance.probs
         sub = Instance.from_arrays(
             shifted_rewards(instance.rewards, s)[s:],
@@ -272,30 +275,106 @@ def _escape_subtree(
             instance.costs,
             validate=False,
         )
-        memo[s] = (sub, probe_levels(sub, None, 0.0), {})
-    sub, levels, cuts = memo[s]
-    hit = cuts.get(remaining)
-    if hit is None:
-        kept = ((u, tuple(c for c in mem if c in remaining)) for u, mem in levels)
-        kept = tuple((u, mem) for u, mem in kept if mem)
-        # with no fallback, a zero bar and no charge every stop is sent:
-        # the gain is the stopped reward less the probing cost
-        cost, stopped, _ = _stop_profile(_workspace(sub), kept)
-        hit = cuts[remaining] = (float(stopped @ sub.rewards) - float(cost), kept)
-    return hit
+        # shifted state u is host state s + u
+        self.levels = tuple((s + u, mem) for u, mem in probe_levels(sub, None, 0.0))
+        ws = _workspace(sub)
+        # the positive sigmas lead seq, which runs by descending sigma
+        sigma = ws.own_score[ws.own_score > 0.0]
+        self.probed = ws.seq[: sigma.size]
+        grid = np.sort(np.concatenate([sub.rewards, sigma]))
+        # P(X_j <= t) on a band is 1 less the tail one state past it
+        past = np.searchsorted(sub.rewards, grid[:-1], side="right")
+        below = grid[:-1, None] < sigma
+        self.cdf = np.where(below, 1.0 - ws.tail[past][:, self.probed], 1.0)
+        self.w = np.diff(grid)
+        self.values: dict[int, float] = {}
+
+    def worth(self, remaining: int) -> float:
+        if remaining not in self.values:
+            keep = [q for q, j in enumerate(self.probed) if remaining >> j & 1]
+            out = 1.0 - self.cdf[:, keep].prod(axis=1)
+            self.values[remaining] = float(self.w @ out)
+        return self.values[remaining]
+
+    def subtree(self, remaining: int):
+        """(send_min, the level lists cut to a set): any find beats the hold."""
+        kept = ((u, [j for j in mem if remaining >> j & 1]) for u, mem in self.levels)
+        return self.state + 1, tuple((u, tuple(mem)) for u, mem in kept if mem)
 
 
 # -- backbone search over probed sets -----------------------------------
 
 
+def _best_prefix(
+    instance: Instance, backup: int, escape_state: int, max_length: int | None
+) -> tuple[PrefixTreePolicy, float, int]:
+    """:func:`best_prefix_policy`, plus the count of probed sets it
+    solved."""
+    if not 0 <= backup < instance.n:
+        raise UnknownChannel(f"backup index {backup} out of range")
+    if not 0 <= escape_state < instance.state_count:
+        raise IndexError(f"escape state {escape_state} out of range")
+    if max_length is not None and max_length < 0:
+        raise ValueError(f"max_length must be >= 0, got {max_length}")
+    k = instance.state_count
+    probs = instance.probs
+    r = instance.rewards
+    costs = instance.costs
+    blind_l = float(probs[:, backup] @ r)
+    cont = probs[: escape_state + 1].sum(axis=0)
+    pool = [j for j in range(instance.n) if j != backup]
+    cap = len(pool) if max_length is None else min(max_length, len(pool))
+    everything = (1 << instance.n) - 1
+    # built on first use and kept on the instance, as its workspace is
+    built = instance.__dict__.setdefault("_escapes", {})
+    for s in range(escape_state + 1, k):
+        if s not in built:
+            built[s] = _Escape(instance, s)
+    escapes = [built[s] for s in range(escape_state + 1, k)]
+    table: dict = {}
+
+    def escape_value(m: int, remaining: int) -> float:
+        total = 0.0
+        for s, esc in enumerate(escapes, escape_state + 1):
+            p = probs[s, m]
+            if p > 0.0:
+                total += p * (r[s] + esc.worth(remaining))
+        return total
+
+    def best_from(used: int) -> tuple[float, tuple[int, ...]]:
+        if used in table:
+            return table[used]
+        best = (blind_l, ())
+        for m in (pool if used.bit_count() < cap else ()):
+            if used >> m & 1:
+                continue
+            taken = used | 1 << m
+            val, tail = escape_value(m, everything & ~taken) - costs[m], ()
+            if cont[m] > 0.0:  # a probe nothing passes ends the backbone
+                w, tail = best_from(taken)
+                val += cont[m] * w
+            if val > best[0]:
+                best = (val, (m,) + tail)
+        table[used] = best
+        return best
+
+    best_val, best_pi = best_from(0)
+
+    subtrees, rest = [], everything
+    for m in best_pi:
+        rest &= ~(1 << m)
+        subtrees.append(tuple(esc.subtree(rest) for esc in escapes))
+    policy = PrefixTreePolicy(
+        backup=backup,
+        escape_min=escape_state + 1,
+        backbone=best_pi,
+        subtrees=tuple(subtrees),
+    )
+    return policy, float(best_val), len(table)
+
+
 def best_prefix_policy(
-    instance: Instance,
-    backup: int,
-    escape_state: int,
-    max_length: int | None = None,
-    *,
-    _memo: dict | None = None,
-    _counter: list | None = None,
+    instance: Instance, backup: int, escape_state: int, max_length: int | None = None
 ) -> tuple[PrefixTreePolicy, float]:
     """Best backbone-plus-escapes policy for one (fallback, escape
     state) pair, over backbones of up to ``max_length`` probes (all
@@ -305,70 +384,7 @@ def best_prefix_policy(
     W(used) = max(blind, max_m [esc(m, rest) - c + cont[m] W(used + m)]).
     Ties go to stopping, then to the lowest channel: the first backbone
     in lexicographic order among equals."""
-    if not 0 <= backup < instance.n:
-        raise UnknownChannel(f"backup index {backup} out of range")
-    if not 0 <= escape_state < instance.state_count:
-        raise IndexError(f"escape state {escape_state} out of range")
-    if max_length is not None and max_length < 0:
-        raise ValueError(f"max_length must be >= 0, got {max_length}")
-    memo = {} if _memo is None else _memo
-    counter = [0] if _counter is None else _counter
-    k = instance.state_count
-    probs = instance.probs
-    r = instance.rewards
-    costs = instance.costs
-    blind_l = float(probs[:, backup] @ r)
-    cont = probs[: escape_state + 1].sum(axis=0)
-    pool = [j for j in range(instance.n) if j != backup]
-    cap = len(pool) if max_length is None else min(max_length, len(pool))
-    everything = frozenset(range(instance.n))
-    escapes = range(escape_state + 1, k)
-    table: dict = {}
-
-    def escape_value(m: int, remaining: frozenset) -> float:
-        total = 0.0
-        for s in escapes:
-            p = probs[s, m]
-            if p > 0.0:
-                total += p * (r[s] + _escape_subtree(instance, remaining, s, memo)[0])
-        return total
-
-    def best_from(used: frozenset) -> tuple[float, tuple[int, ...]]:
-        if used in table:
-            return table[used]
-        counter[0] += 1
-        best = (blind_l, ())
-        for m in (pool if len(used) < cap else ()):
-            if m in used:
-                continue
-            taken = used | {m}
-            val, tail = escape_value(m, everything - taken) - costs[m], ()
-            if cont[m] > 0.0:  # a probe nothing passes ends the backbone
-                w, tail = best_from(taken)
-                val += cont[m] * w
-            if val > best[0]:
-                best = (val, (m,) + tail)
-        table[used] = best
-        return best
-
-    best_val, best_pi = best_from(frozenset())
-
-    def emit(rest: frozenset, s: int):
-        # shifted state u is host state s + u; any find beats the hold
-        levels = _escape_subtree(instance, rest, s, memo)[1]
-        return s + 1, tuple((s + u, mem) for u, mem in levels)
-
-    subtrees = tuple(
-        tuple(emit(everything - set(best_pi[: t + 1]), s) for s in escapes)
-        for t in range(len(best_pi))
-    )
-    policy = PrefixTreePolicy(
-        backup=backup,
-        escape_min=escape_state + 1,
-        backbone=best_pi,
-        subtrees=subtrees,
-    )
-    return policy, float(best_val)
+    return _best_prefix(instance, backup, escape_state, max_length)[:2]
 
 
 # -- reward coarsening --------------------------------------------------
@@ -460,6 +476,8 @@ def additive_approx(
     most n * cells * 2^(n - 1)."""
     if not 0.0 < epsilon <= 1.0:
         raise EpsilonOutOfRange(f"epsilon must be in (0, 1], got {epsilon}")
+    if max_candidates < 1:
+        raise ProbingError(f"max_candidates must be >= 1, got {max_candidates}")
     costs = instance.costs
     if not np.all(costs == costs[0]):
         raise UnequalCosts("the additive scheme needs equal probing costs")
@@ -499,15 +517,13 @@ def additive_approx(
             f"{count} probed-set candidates exceed the budget of {max_candidates}"
         )
 
-    memo: dict = {}
-    counter = [0]
+    solved = 0
     best = None
     best_val = -np.inf
     for backup in range(n):
         for i in range(kc):
-            policy, val = best_prefix_policy(
-                coarse, backup, i, h, _memo=memo, _counter=counter
-            )
+            policy, val, sets = _best_prefix(coarse, backup, i, h)
+            solved += sets
             if val > best_val:
                 best, best_val = (policy, backup, i), val
     policy_c, backup, i = best
@@ -521,7 +537,7 @@ def additive_approx(
             probe_cost=c,
             path_bound=h,
             cell_count=kc,
-            candidates=counter[0],
+            candidates=solved,
             budget=max_candidates,
             coarse_gain=float(best_val),
             backup=backup,

@@ -144,6 +144,10 @@ class OracleOptions:
                 "altered_threshold must be a finite number, "
                 f"got {self.altered_threshold}"
             )
+        if self.max_channels < 1:
+            raise InconsistentOptions(
+                f"max_channels must be >= 1, got {self.max_channels}"
+            )
         if self.allowed_backups is not None:
             object.__setattr__(
                 self, "allowed_backups", tuple(int(j) for j in self.allowed_backups)

@@ -649,6 +649,36 @@ def prefix_class_optimum(instance, backup: int, escape_state: int) -> float:
     return best
 
 
+def cut_escape_subtree(instance, remaining, escape_state: int, memo: dict):
+    """The escape subtree as the additive search once priced it: one
+    shifted instance over all n channels and its no-fallback level lists
+    per escape state (``memo[escape_state]``), cut to ``remaining`` and
+    priced by their stop profile under a zero bar.  Returns (value on
+    the shifted scale, level lists in shifted states and host channel
+    ids), and must agree exactly with ``reference_escape_subtree``."""
+    ms = importlib.import_module("probeopt.multi_state")
+    s = escape_state
+    if s not in memo:
+        probs = instance.probs
+        sub = po.Instance.from_arrays(
+            po.shifted_rewards(instance.rewards, s)[s:],
+            np.vstack([probs[: s + 1].sum(axis=0), probs[s + 1 :]]),
+            instance.costs,
+            validate=False,
+        )
+        memo[s] = (sub, po.probe_levels(sub, None, 0.0), {})
+    sub, levels, cuts = memo[s]
+    hit = cuts.get(remaining)
+    if hit is None:
+        kept = ((u, tuple(c for c in mem if c in remaining)) for u, mem in levels)
+        kept = tuple((u, mem) for u, mem in kept if mem)
+        # with no fallback, a zero bar and no charge every stop is sent:
+        # the gain is the stopped reward less the probing cost
+        cost, stopped, _ = ms._stop_profile(ms._workspace(sub), kept)
+        hit = cuts[remaining] = (float(stopped @ sub.rewards) - float(cost), kept)
+    return hit
+
+
 def reference_escape_subtree(instance, remaining, escape_state: int, cache=None):
     """The escape subtree built the long way: a sub-instance over just
     the ``remaining`` channels (in index order) on the shifted reward

@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 
 import probeopt as po
 from helpers import (
+    cut_escape_subtree,
     draw_instance,
     permutation_prefix_policy,
     prefix_class_optimum,
     reference_escape_subtree,
     slow_report,
 )
-from probeopt.additive import _escape_subtree
+from probeopt.additive import _Escape
 
 
 def equal_cost_instance(seed, n_lo=2, n_hi=5, k_hi=4, cost_range=(0.05, 0.3)):
@@ -51,6 +52,16 @@ class TestInputChecks:
         inst = equal_cost_instance(3, n_lo=5, n_hi=5, cost_range=(0.25, 0.3))
         with pytest.raises(po.CandidateBudgetExceeded):
             po.additive_approx(inst, 0.25, max_candidates=1)
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    @pytest.mark.parametrize("eps, branch", [(0.25, "coarsened"), (1.0, "cheap-probes")])
+    def test_nonpositive_budget_is_an_input_error(self, cap, eps, branch):
+        # refused in both branches, and not as a budget give-up
+        inst = equal_cost_instance(3, n_lo=5, n_hi=5, cost_range=(0.25, 0.3))
+        assert po.additive_approx(inst, eps).certificate.branch == branch
+        with pytest.raises(po.ProbingError, match="max_candidates") as caught:
+            po.additive_approx(inst, eps, max_candidates=cap)
+        assert not isinstance(caught.value, po.CandidateBudgetExceeded)
 
     def test_candidate_budget_counts_probed_sets(self):
         inst = equal_cost_instance(3, n_lo=5, n_hi=5, cost_range=(0.25, 0.3))
@@ -289,15 +300,12 @@ class TestPrefixSearch:
         inst = po.Instance.from_arrays(
             base.rewards, probs, base.costs, validate=False
         )
-        # each side keeps its own subtree cache, so a wrong subtree in
-        # the package cannot price the reference's escapes too
-        memo: dict = {}
+        # the reference keeps its own subtree cache, so a wrong subtree
+        # in the package cannot price the reference's escapes too
         ref_cache: dict = {}
         for backup in range(n):
             for i in range(k):
-                pol, val = po.best_prefix_policy(
-                    inst, backup, i, max_length, _memo=memo
-                )
+                pol, val = po.best_prefix_policy(inst, backup, i, max_length)
                 ref, want = permutation_prefix_policy(
                     inst, backup, i, max_length, ref_cache
                 )
@@ -341,11 +349,16 @@ class TestPrefixSearch:
         inst = po.Instance.from_arrays(
             base.rewards, probs, base.costs, validate=False
         )
+        # the cut priced by its stop profile must equal the per-set
+        # reference exactly, and so must the package's cut; its closed
+        # form sums in another order, so its price gets a tolerance
         memo: dict = {}
+        escapes = [_Escape(inst, s) for s in range(k)]
         for size in range(1, n + 1):
             for remaining in map(frozenset, itertools.combinations(range(n), size)):
-                for s in range(k):
-                    val, levels = _escape_subtree(inst, remaining, s, memo)
+                mask = sum(1 << j for j in remaining)
+                for s, esc in enumerate(escapes):
+                    val, levels = cut_escape_subtree(inst, remaining, s, memo)
                     want, reference = reference_escape_subtree(
                         inst, remaining, s
                     )
@@ -353,6 +366,8 @@ class TestPrefixSearch:
                     where = f"remaining {sorted(remaining)}, escape state {s}"
                     assert host == reference, where
                     assert val == want, where
+                    assert esc.subtree(mask) == reference, where
+                    assert abs(esc.worth(mask) - want) <= 1e-15, where
 
     def test_top_escape_floor_degenerates_to_blind(self):
         inst = equal_cost_instance(2, n_lo=3, n_hi=4)

@@ -211,6 +211,23 @@ class TestSolve:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("cap", [0, -5])
+    @pytest.mark.parametrize("eps", [0.2, 1.0])
+    def test_additive_nonpositive_budget_is_an_input_error(
+        self, tmp_path, capsys, cap, eps
+    ):
+        # eps 0.2 runs the coarsened branch here, eps 1.0 the cheap one
+        ipath = write_instance(
+            tmp_path, seed=6, n=5, state_count=4, cost_regime="equal",
+            cost_range=(0.25, 0.3),
+        )
+        code = run(
+            "solve", ipath, "--mode", "additive",
+            "--epsilon", eps, "--max-candidates", cap,
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: max_candidates")
+
     def test_unsaturated(self, tmp_path):
         ipath = write_instance(tmp_path, seed=7)
         out = tmp_path / "mix.json"
@@ -275,6 +292,12 @@ class TestOracle:
     def test_too_many_channels_gives_up(self, tmp_path):
         ipath = write_instance(tmp_path, seed=9, n=15, state_count=2)
         assert run("oracle", ipath) == 3
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_nonpositive_channel_cap_is_an_input_error(self, tmp_path, capsys, cap):
+        ipath = write_instance(tmp_path, seed=9, n=3)
+        assert run("oracle", ipath, "--max-channels", cap) == 2
+        assert capsys.readouterr().err.startswith("error: max_channels")
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_threshold_must_be_finite(self, tmp_path, capsys, bad):

@@ -86,6 +86,11 @@ class TestExactDP:
             po.exact_dp(inst)
         po.exact_dp(inst, po.OracleOptions(max_channels=15))  # opt-in works
 
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_nonpositive_channel_cap_is_inconsistent(self, cap):
+        with pytest.raises(oracle_module.InconsistentOptions):
+            po.OracleOptions(max_channels=cap)
+
 
 class TestLayeredPass:
     @settings(max_examples=150, deadline=None)
