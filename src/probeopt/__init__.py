@@ -11,7 +11,8 @@ builds policies for that slot game and checks them:
   number of states (``best_reserve_backup``); at two states (on/off)
   the same search is exact, and ``two_state_opt`` is that search after
   a check that K = 2 (near-ties within 1e-12 go to no fallback, then
-  to the lowest channel index),
+  to the lowest channel index), and Weitzman's closed-form upper bound
+  on every policy at any n (``weitzman_bound``),
 * an equal-cost scheme that gets within an additive epsilon of the
   optimum (``additive_approx``),
 * price-gated mixtures that hit a target transmission rate for lightly
@@ -81,6 +82,7 @@ from .multi_state import (
     check_policy_invariants,
     probe_levels,
     reserve_backup_policy,
+    weitzman_bound,
 )
 from .oracle import (
     DecisionTree,

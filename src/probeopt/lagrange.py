@@ -11,7 +11,11 @@ least the target crosses one transmitting at most.  A cutting-plane
 search (Kelley's method, shared with the dual bound in
 :mod:`probeopt.oracle`) finds that price exactly, and the two policies
 optimal there are mixed with a coin flip per busy slot: by LP duality
-the best mixture the one-fallback family offers at that rate.
+the best mixture the one-fallback family offers at that rate.  The
+search opens at L* -/+ 1e-9, where L* minimizes Weitzman's closed-form
+dual ``weitzman_bound(L) + rate * L`` (a quantile read off the
+fallback search's own grid) and the kink usually sits; when those two
+cuts do not straddle the rate it opens from the prices -1 and 2.
 
 The queue is run a notch faster than the arrivals: the mixture is
 tuned to transmit at rate (1 + slack) * arrival rate whenever the
@@ -30,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import GainReport, Instance, ProbingError, evaluate_policy
-from .multi_state import ThresholdPolicy, _number, best_reserve_backup
+from .multi_state import ThresholdPolicy, _kink_price, _number, best_reserve_backup
 
 __all__ = [
     "BracketNotFound",
@@ -63,10 +67,13 @@ class CutSearchStalled(ProbingError):
     """The cut search did not close within ``MAX_CUTS`` cuts."""
 
 
-# Cap on the solves between the end cuts.  The most seen is 7 (n up to
-# 2000, K up to 16), so reaching it means a wrong cut, not a hard case.
+# Cap on the solves between the opening cuts, whether the seeds at the
+# closed-form kink or the ends at -1 and 2.  The most seen from the ends
+# is 7 (n up to 2000, K up to 16), so reaching it means a wrong cut, not
+# a hard case.
 MAX_CUTS = 64
 CUT_TOL = 1e-12  # a new cut this close to the model closes the search
+SEED_GAP = 1e-9  # the seed cuts sit this far either side of the kink guess
 
 
 class _Cut(NamedTuple):
@@ -317,8 +324,12 @@ def solve_unsaturated(
     The mixture transmits at rate arrival_rate * (1 + slack) while
     busy, so the queue drains faster than it fills and the server
     settles near a 1 / (1 + slack) busy fraction.  Its two policies are
-    both optimal at the kink price, found by the cut search from end
-    cuts at the prices -1 (every slot transmits) and 2 (none does).
+    both optimal at the kink price, found by the cut search.  The search
+    opens from seed cuts at L* -/+ 1e-9, where L* minimizes the
+    closed-form dual ``weitzman_bound(instance, L) + rate * L``, and
+    falls back to end cuts at the prices -1 (every slot transmits) and
+    2 (none does) when the seeds do not straddle the rate.  Each side's
+    policy carries the price it was found at as its ``threshold``.
     Raises RateOutOfRange when the effective rate leaves (0, 1) and
     BracketNotFound when the end cuts do not straddle it."""
     if slack <= 0.0:
@@ -330,13 +341,17 @@ def solve_unsaturated(
             f"got {arrival_rate} at slack {slack}"
         )
     solve = functools.partial(_gated, instance)
-    hi = _Cut(-1.0, *solve(-1.0))
-    lo = _Cut(2.0, *solve(2.0))
-    if hi.transmit < effective or lo.transmit > effective:
-        raise BracketNotFound(
-            f"rate {effective} outside the achievable range "
-            f"[{lo.transmit}, {hi.transmit}]"
-        )
+    guess = _kink_price(instance, effective)
+    hi = _Cut(guess - SEED_GAP, *solve(guess - SEED_GAP))
+    lo = _Cut(guess + SEED_GAP, *solve(guess + SEED_GAP))
+    if not hi.transmit > effective > lo.transmit:
+        hi = _Cut(-1.0, *solve(-1.0))
+        lo = _Cut(2.0, *solve(2.0))
+        if hi.transmit < effective or lo.transmit > effective:
+            raise BracketNotFound(
+                f"rate {effective} outside the achievable range "
+                f"[{lo.transmit}, {hi.transmit}]"
+            )
     price, hi, lo = _kink(solve, effective, hi, lo)
     alpha = 1.0 if hi is lo else (hi.transmit - effective) / (hi.transmit - lo.transmit)
     return MixedPolicy(

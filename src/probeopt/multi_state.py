@@ -33,6 +33,7 @@ goes to no fallback first, then to the lowest channel index.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -58,6 +59,7 @@ __all__ = [
     "reserve_backup_policy",
     "best_reserve_backup",
     "check_policy_invariants",
+    "weitzman_bound",
 ]
 
 
@@ -127,6 +129,37 @@ class _Workspace:
         self.start = np.append(end - count, 0)
         self.end = np.append(end, 0)
         self.own_score = score[level, seq]
+        self.rewards = rewards
+
+    @functools.cached_property
+    def grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The charge-free half of :func:`_fallback_scores`: the sorted
+        rewards and scores, G on each stretch ``[grid[i], grid[i + 1])``
+        (the chance every capped channel sits at its left end or below)
+        and G's running integral from ``grid[0]``.  G steps on those
+        points, and the channels with sigma > t are a prefix of
+        ``seq``: one cumulative product per reward band, the one below
+        r[0] included.  Repeated points make empty stretches, so a
+        plain sort serves (np.unique's first call in a process raises
+        its peak memory)."""
+        r, sigma, tail, seq = self.rewards, self.own_score, self.tail, self.seq
+        grid = np.sort(np.concatenate([r, sigma]))
+        band = np.searchsorted(r, grid, side="right") - 1
+        capped = np.searchsorted(-sigma, -grid, side="left")
+        g = np.ones(grid.size)
+        for v in range(-1, r.size - 1):
+            here = np.flatnonzero(band == v)
+            below = np.cumprod(np.append(1.0, 1.0 - tail[v + 1, seq]))
+            g[here] = below[capped[here]]
+        run = np.append(0.0, np.cumsum(g[:-1] * np.diff(grid)))
+        return grid, g, run
+
+    def integral(self, t):
+        """G's integral from ``grid[0]`` to t (clipped to the grid)."""
+        grid, g, run = self.grid
+        t = np.clip(t, grid[0], grid[-1])
+        i = np.searchsorted(grid, t, side="right") - 1
+        return run[i] + g[i] * (t - grid[i])
 
 
 def _workspace(instance: Instance) -> _Workspace:
@@ -426,39 +459,22 @@ def _fallback_scores(instance: Instance, threshold: float | None) -> np.ndarray:
     when no sigma beats a, as that slot probes nothing.  That is
     max(a_f, R) - x less the integral over [a_f, R] of G_f(t), the
     chance that every capped channel but f sits at t or below (R tops
-    every reward and score).  G steps on the sorted rewards and
-    scores, and the channels with sigma > t are a prefix of ``seq``:
-    one cumulative product per reward band, the one below r[0]
-    included.  Leaving f out divides G by F_f(t) = P(X_f <= t) below
-    sigma_f, which only bands inside [a_f, sigma_f) do: there
-    F_f >= P(X_f <= mu_f) > 0, elsewhere F_f may be 0."""
+    every reward and score).  G and its integral do not depend on the
+    charge, so they are built once per instance and kept with the
+    workspace (:attr:`_Workspace.grid`).  Leaving f out divides G by
+    F_f(t) = P(X_f <= t) below sigma_f, which only bands inside
+    [a_f, sigma_f) do: there F_f >= P(X_f <= mu_f) > 0, elsewhere F_f
+    may be 0."""
     x = 0.0 if threshold is None else _number(threshold, "threshold")
     ws = _workspace(instance)
     k = instance.state_count
     r = instance.rewards
     seq, sigma, tail = ws.seq, ws.own_score, ws.tail
-
-    # G on each stretch [grid[i], grid[i + 1]) and its running integral;
-    # repeated points make empty stretches, so a plain sort serves
-    # (np.unique's first call in a process raises its peak memory)
-    grid = np.sort(np.concatenate([r, sigma]))
-    band = np.searchsorted(r, grid, side="right") - 1
-    capped = np.searchsorted(-sigma, -grid, side="left")
-    g = np.ones(grid.size)
-    for v in range(-1, k - 1):
-        here = np.flatnonzero(band == v)
-        below = np.cumprod(np.append(1.0, 1.0 - tail[v + 1, seq]))
-        g[here] = below[capped[here]]
-    run = np.append(0.0, np.cumsum(g[:-1] * np.diff(grid)))
-
-    def integral(t):
-        t = np.clip(t, grid[0], grid[-1])
-        i = np.searchsorted(grid, t, side="right") - 1
-        return run[i] + g[i] * (t - grid[i])
+    grid, _, run = ws.grid
 
     # row i leaves channel i - 1 out; row 0 leaves none out
     a = np.maximum(np.append(0.0, instance.blind_rewards), x)
-    out = np.maximum(a, grid[-1]) - x - (run[-1] - integral(a))
+    out = np.maximum(a, grid[-1]) - x - (run[-1] - ws.integral(a))
     if not (sigma > a[0]).any():
         out[0] = 0.0
 
@@ -466,7 +482,7 @@ def _fallback_scores(instance: Instance, threshold: float | None) -> np.ndarray:
     own[seq + 1] = sigma
     lift = np.flatnonzero(own > a)
     lo, hi = a[lift], own[lift]
-    at_lo, at_hi, edges = integral(lo), integral(hi), integral(r)
+    at_lo, at_hi, edges = ws.integral(lo), ws.integral(hi), ws.integral(r)
     drop = np.zeros(lift.size)
     for v in range(k - 1):
         inside = np.flatnonzero((lo < r[v + 1]) & (r[v] < hi))
@@ -478,6 +494,37 @@ def _fallback_scores(instance: Instance, threshold: float | None) -> np.ndarray:
         drop[inside] += span * p / (1.0 - p)
     out[lift] -= drop
     return out
+
+
+def weitzman_bound(instance: Instance, charge: float | None = None) -> float:
+    """An upper bound on the charged gain ``gain - charge * transmit``
+    of every policy, adaptive ones included, at any n: E[max(a, max_j
+    min(X_j, sigma_j))] - x with a = max(x, max_j mu_j), x the charge
+    (0 for None).  It is row 0 of :func:`_fallback_scores` with the
+    best blind mean as outside option (and no nothing-probed zeroing),
+    so its excess over the best fallback's score is the price of
+    fixing the outside option in advance.  Sound by the
+    Kleinberg-Waggoner-Weyl amortization: a probe of j costs at least
+    its expected (X_j - sigma_j)^+ on the sends it enables, and a blind
+    send earns mu_j."""
+    x = 0.0 if charge is None else _number(charge, "charge")
+    ws = _workspace(instance)
+    grid, _, run = ws.grid
+    a = max(x, float(instance.blind_rewards.max()))
+    return float(max(a, grid[-1]) - x - (run[-1] - ws.integral(a)))
+
+
+def _kink_price(instance: Instance, rate: float) -> float:
+    """The price L >= 0 minimizing ``weitzman_bound(instance, L) +
+    rate * L``: the (1 - rate)-quantile of Z = max(max_j mu_j, max_j
+    min(X_j, sigma_j)), clipped at 0.  Above max mu the bound falls at
+    slope P(Z <= L) - 1, so the sum turns up where G reaches 1 - rate;
+    below max mu it falls at slope -1.  The queue's cut search opens
+    here, where the charged optimum usually has its kink."""
+    ws = _workspace(instance)
+    grid, g, _ = ws.grid
+    left = grid[np.argmax(g >= 1.0 - rate)]
+    return float(max(left, instance.blind_rewards.max(), 0.0))
 
 
 def best_reserve_backup(

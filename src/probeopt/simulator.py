@@ -462,10 +462,11 @@ def _replicate(instance: Instance, policy, config: SimConfig, arrivals) -> SimRe
         states = _draw_states(instance, rng, config.slots, read)
         transmit, reward, cost, success = play(states, rng)
         if arrivals is None:
+            mean_cost = cost.mean()
             return (
-                float(reward.mean() - cost.mean()),
+                float(reward.mean() - mean_cost),
                 float(transmit.mean()),
-                float(cost.mean()),
+                float(mean_cost),
                 float(success.mean()),
                 1.0,
                 0.0,

@@ -12,6 +12,7 @@ so agreement is evidence rather than tautology.
 
 from __future__ import annotations
 
+import functools
 import importlib
 import itertools
 import math
@@ -452,16 +453,10 @@ def reservation_values(instance):
     return out
 
 
-def weitzman_value(instance, backup: int, threshold=None) -> float:
-    """The objective of Weitzman's index policy with ``backup``'s blind
-    mean as outside option, at charge ``threshold`` per transmission:
-    ``E[max(a, max_{j != backup} min(X_j, σ_j))] - x`` with
-    ``a = max(mean, x)``, summed over the sorted support of the capped
-    maximum (Kleinberg, Waggoner and Weyl's identity)."""
-    x = 0.0 if threshold is None else float(threshold)
-    a = max(float(instance.blind_rewards[backup]), x)
-    sigma = np.array(reservation_values(instance))
-    sigma[backup] = -math.inf
+def _capped_mean(instance, a: float, sigma) -> float:
+    """``E[max(a, max_j min(X_j, σ_j))]``, summed over the sorted
+    support of the capped maximum (a channel with σ = -inf never
+    counts)."""
     r = instance.rewards
     cdf = np.cumsum(instance.probs, axis=0)
     points = sorted({a, *(t for t in r.tolist() if t > a), *(s for s in sigma if s > a)})
@@ -473,7 +468,28 @@ def weitzman_value(instance, backup: int, threshold=None) -> float:
         at_most = float(np.prod(np.where(sigma <= t, 1.0, f)))
         total += t * (at_most - below)
         below = at_most
-    return total - x
+    return total
+
+
+def weitzman_value(instance, backup: int, threshold=None) -> float:
+    """The objective of Weitzman's index policy with ``backup``'s blind
+    mean as outside option, at charge ``threshold`` per transmission:
+    ``E[max(a, max_{j != backup} min(X_j, σ_j))] - x`` with
+    ``a = max(mean, x)`` (Kleinberg, Waggoner and Weyl's identity)."""
+    x = 0.0 if threshold is None else float(threshold)
+    a = max(float(instance.blind_rewards[backup]), x)
+    sigma = np.array(reservation_values(instance))
+    sigma[backup] = -math.inf
+    return _capped_mean(instance, a, sigma) - x
+
+
+def reference_weitzman_bound(instance, charge=None) -> float:
+    """Weitzman's upper bound on any policy's charged gain, channel by
+    channel: ``E[max(a, max_j min(X_j, σ_j))] - x`` with
+    ``a = max(x, max_j mean_j)`` and no channel left out."""
+    x = 0.0 if charge is None else float(charge)
+    a = max(float(instance.blind_rewards.max()), x)
+    return _capped_mean(instance, a, np.array(reservation_values(instance))) - x
 
 
 # -- the level lists from a dense membership mask -----------------------
@@ -952,6 +968,39 @@ def three_stage_unsaturated(instance, arrival_rate, slack=0.05):
         gain_minus=pair.gain_minus,
         gain_plus=pair.gain_plus,
         construction=pair.construction,
+    )
+
+
+def end_cut_unsaturated(instance, arrival_rate, slack=0.05):
+    """The queue mixture by the cut search opened from end cuts at the
+    prices -1 (every slot transmits) and 2 (none does), as it ran
+    before the search was seeded at the closed-form dual's kink.
+    Searches go through ``lagrange._gated`` and so through
+    ``lagrange.best_reserve_backup``, where a patched counter sees
+    them."""
+    lagrange = po.lagrange
+    effective = arrival_rate * (1.0 + slack)
+    solve = functools.partial(lagrange._gated, instance)
+    hi = lagrange._Cut(-1.0, *solve(-1.0))
+    lo = lagrange._Cut(2.0, *solve(2.0))
+    if hi.transmit < effective or lo.transmit > effective:
+        raise po.BracketNotFound(f"rate {effective} outside the achievable range")
+    price, hi, lo = lagrange._kink(solve, effective, hi, lo)
+    alpha = 1.0 if hi is lo else (hi.transmit - effective) / (hi.transmit - lo.transmit)
+    return po.MixedPolicy(
+        policy_minus=hi.payload,
+        policy_plus=lo.payload,
+        alpha=float(alpha),
+        arrival_rate=float(arrival_rate),
+        slack=float(slack),
+        effective_rate=float(effective),
+        multiplier_low=float(price),
+        multiplier_high=float(price),
+        s_minus=hi.transmit,
+        s_plus=lo.transmit,
+        gain_minus=hi.gain,
+        gain_plus=lo.gain,
+        construction="exact" if hi is lo else "kink",
     )
 
 

@@ -3,7 +3,10 @@
 Under test: the cut search for the kink price and the two-policy mix
 built there with its busy-slot guarantee, pinned against the older
 three-stage route (candidate price grid, bracket search on the
-monotone transmission rate, close-pair selection), which stays public.
+monotone transmission rate, close-pair selection), which stays public,
+and against the cut search opened from the end prices -1 and 2, which
+the seeds at the closed-form dual's kink replaced
+(``helpers.end_cut_unsaturated``).
 """
 
 import numpy as np
@@ -12,8 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import probeopt as po
-from probeopt import lagrange
-from helpers import draw_instance, slow_report, three_stage_unsaturated
+from probeopt import lagrange, multi_state
+from helpers import (
+    draw_instance,
+    end_cut_unsaturated,
+    slow_report,
+    three_stage_unsaturated,
+)
 
 
 def counted_searches(mp):
@@ -196,6 +204,75 @@ class TestKinkSearch:
         with pytest.raises(po.CutSearchStalled):
             po.solve_unsaturated(inst, 0.5, 0.05)
         assert len(calls) == 2 + lagrange.MAX_CUTS
+
+
+def corpus_instance(n, k, s):
+    spec = po.GenSpec(
+        n,
+        k,
+        prob_shape=po.PROB_SHAPES[s % 3],
+        cost_regime=po.COST_REGIMES[s % len(po.COST_REGIMES)],
+        cost_range=(0.0, 0.3),
+    )
+    return po.generate(spec, np.random.default_rng([s, n, k]))
+
+
+# Zero-cost uniform draws whose kink sits at the top reward, 1.0.  The
+# end-cut search closes 7e-14 to 6e-13 short of it, on the cut from -1,
+# which also sends the lower rewards; the seeds land on the kink itself.
+KINK_AT_THE_TOP = {(200, 8, s) for s in (0, 3, 6, 9, 12)}
+
+
+class TestSeededSearch:
+    @pytest.mark.parametrize(
+        "n, k", [(500, 8), (200, 8), (30, 4), (8, 3), (2000, 16), (5, 2)]
+    )
+    def test_matches_the_end_cut_search(self, n, k):
+        for s in range(15):
+            inst = corpus_instance(n, k, s)
+            for lam in (0.1, 0.3, 0.5, 0.6, 0.85):
+                mix = po.solve_unsaturated(inst, lam, 0.05)
+                ref = end_cut_unsaturated(inst, lam, 0.05)
+                where = f"n={n} K={k} s={s} lambda={lam}"
+                assert mix.construction == ref.construction, where
+                for side in ("policy_minus", "policy_plus"):
+                    got, want = getattr(mix, side), getattr(ref, side)
+                    assert got.backup == want.backup, where
+                    assert got.levels == want.levels, where
+                if (n, k, s) in KINK_AT_THE_TOP:
+                    # the minus sides differ by up to 7e-12 in gain and
+                    # transmit probability; the mixtures agree closer
+                    assert mix.multiplier_low == inst.max_reward > ref.multiplier_low
+                    for name in ("multiplier_low", "busy_slot_gain", "transmit_prob"):
+                        assert getattr(mix, name) == pytest.approx(
+                            getattr(ref, name), abs=1e-12
+                        ), where
+                else:
+                    for name in ("alpha", "multiplier_low", "multiplier_high",
+                                 "s_minus", "s_plus", "gain_minus", "gain_plus"):
+                        assert getattr(mix, name) == getattr(ref, name), where
+
+    @pytest.mark.parametrize("s", [6, 9])
+    def test_seeds_that_miss_fall_back_to_the_end_cuts(self, s, monkeypatch):
+        inst = corpus_instance(8, 3, s)
+        prices = counted_searches(monkeypatch)
+        mix = po.solve_unsaturated(inst, 0.85, 0.05)
+        assert len(prices) == 7
+        assert prices[2:4] == [-1.0, 2.0]
+        ref = end_cut_unsaturated(inst, 0.85, 0.05)
+        assert mix.to_dict() == ref.to_dict()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_three_searches_per_solve_at_scale(self, seed, monkeypatch):
+        inst = po.generate(po.GenSpec(500, 8), seed)
+        prices = counted_searches(monkeypatch)
+        mix = po.solve_unsaturated(inst, 0.5, 0.05)
+        assert len(prices) == 3
+        # both seeds straddle, and each side keeps the price it was found at
+        x = multi_state._kink_price(inst, mix.effective_rate)
+        seeds = [x - lagrange.SEED_GAP, x + lagrange.SEED_GAP]
+        assert prices[:2] == seeds
+        assert [mix.policy_minus.threshold, mix.policy_plus.threshold] == seeds
 
 
 class TestSolveUnsaturated:

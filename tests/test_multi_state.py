@@ -10,7 +10,10 @@ building and evaluating each of the n + 1 policies
 and stops over composed stretches of the probe sequence
 (``helpers.reference_fallback_scores``), and against Weitzman's index
 value with reservation values solved channel by channel from the
-instance arrays (``helpers.weitzman_value``).
+instance arrays (``helpers.weitzman_value``).  ``weitzman_bound``, the
+same form with the best blind mean as outside option, is checked
+against that loop (``helpers.reference_weitzman_bound``) and against
+the oracle, which it must never fall below.
 """
 
 import gc
@@ -29,6 +32,7 @@ from helpers import (
     draw_instance,
     mask_levels,
     reference_fallback_scores,
+    reference_weitzman_bound,
     reference_search,
     restricted_oracle_value,
     slow_report,
@@ -456,6 +460,49 @@ class TestFastSearch:
             po.best_reserve_backup(inst, bad)
         with pytest.raises(po.ProbingError):
             po.reserve_backup_policy(inst, 0, bad)
+
+
+class TestWeitzmanBound:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_bounds_the_oracle(self, seed):
+        inst = draw_instance(seed, n_hi=7, k_hi=5)
+        top = float(inst.blind_rewards.max())
+        for x in (None, 0.1, 0.3, 0.7, top):
+            bound = po.weitzman_bound(inst, x)
+            assert bound == pytest.approx(reference_weitzman_bound(inst, x), abs=1e-12)
+            # the best fallback fixes its outside option in advance
+            assert bound >= multi_state._fallback_scores(inst, x).max() - 1e-12
+            if x is None:
+                assert bound >= po.exact_dp(inst).value - 1e-12
+                continue
+            opt = po.altered_optimum(inst, x).value
+            assert bound >= opt - 1e-12
+            if x >= top:
+                # blind sends never pay: the problem is Weitzman's own
+                assert bound == pytest.approx(opt, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from([0.2, 0.5, 0.8]))
+    def test_the_kink_price_minimizes_the_rate_dual(self, seed, rate):
+        inst = draw_instance(seed, n_hi=7, k_hi=5)
+        x = multi_state._kink_price(inst, rate)
+        dual = po.weitzman_bound(inst, x) + rate * x
+        assert dual >= po.rate_constrained_optimum(inst, rate).value - 1e-12
+        for other in np.linspace(0.0, inst.max_reward, 41):
+            assert dual <= po.weitzman_bound(inst, other) + rate * other + 1e-12
+
+    def test_large_instance_matches_the_loop_reference(self):
+        inst = po.generate(po.GenSpec(n=2000, state_count=16), 1)
+        for x in (None, 0.4):
+            assert po.weitzman_bound(inst, x) == pytest.approx(
+                reference_weitzman_bound(inst, x), abs=1e-12
+            )
+
+    def test_non_finite_charge_refused(self):
+        inst = draw_instance(4, n_lo=2, n_hi=4)
+        with pytest.raises(po.ProbingError):
+            po.weitzman_bound(inst, float("nan"))
 
 
 class TestRateMonotonicity:
