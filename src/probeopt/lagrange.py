@@ -8,14 +8,16 @@ lines ``gain - x * transmit`` of the policies it picks, so it is convex
 in x and its transmission rate only falls as x rises.  A target rate in
 (0, 1) is usually met only at a kink, where a line transmitting at
 least the target crosses one transmitting at most.  A cutting-plane
-search (Kelley's method, shared with the dual bound in
-:mod:`probeopt.oracle`) finds that price exactly, and the two policies
-optimal there are mixed with a coin flip per busy slot: by LP duality
-the best mixture the one-fallback family offers at that rate.  The
-search opens at L* -/+ 1e-9, where L* minimizes Weitzman's closed-form
-dual ``weitzman_bound(L) + rate * L`` (a quantile read off the
-fallback search's own grid) and the kink usually sits; when those two
-cuts do not straddle the rate it opens from the prices -1 and 2.
+search (Kelley's method, which the dual bound in :mod:`probeopt.oracle`
+runs too when its one pass at the same L* does not certify it) finds
+that price exactly, and the two policies optimal there are mixed with
+a coin flip per busy slot: by LP duality the best mixture the
+one-fallback family offers at that rate.  The search opens at L* -/+
+1e-9, where L* minimizes Weitzman's closed-form dual
+``weitzman_bound(L) + rate * L`` (a quantile read off the fallback
+search's own grid) and the kink usually sits; when those two cuts
+both send on one side of the rate, the one nearer it is kept and the
+other side opens from the price -1 or 2.
 
 The queue is run a notch faster than the arrivals: the mixture is
 tuned to transmit at rate (1 + slack) * arrival rate whenever the
@@ -68,9 +70,9 @@ class CutSearchStalled(ProbingError):
 
 
 # Cap on the solves between the opening cuts, whether the seeds at the
-# closed-form kink or the ends at -1 and 2.  The most seen from the ends
-# is 7 (n up to 2000, K up to 16), so reaching it means a wrong cut, not
-# a hard case.
+# closed-form kink, the ends at -1 and 2, or one of each.  The most seen
+# from the ends is 7 (n up to 2000, K up to 16), so reaching it means a
+# wrong cut, not a hard case.
 MAX_CUTS = 64
 CUT_TOL = 1e-12  # a new cut this close to the model closes the search
 SEED_GAP = 1e-9  # the seed cuts sit this far either side of the kink guess
@@ -326,9 +328,12 @@ def solve_unsaturated(
     settles near a 1 / (1 + slack) busy fraction.  Its two policies are
     both optimal at the kink price, found by the cut search.  The search
     opens from seed cuts at L* -/+ 1e-9, where L* minimizes the
-    closed-form dual ``weitzman_bound(instance, L) + rate * L``, and
-    falls back to end cuts at the prices -1 (every slot transmits) and
-    2 (none does) when the seeds do not straddle the rate.  Each side's
+    closed-form dual ``weitzman_bound(instance, L) + rate * L``.  When
+    both seeds send above the rate, the upper one is kept and the end
+    cut at the price 2 (no slot transmits) is added; when both send
+    below, the lower one is kept with the end cut at -1 (every slot
+    transmits); a seed sending exactly at the rate falls back to both
+    end cuts.  Each side's
     policy carries the price it was found at as its ``threshold``.
     Raises RateOutOfRange when the effective rate leaves (0, 1) and
     BracketNotFound when the end cuts do not straddle it."""
@@ -345,8 +350,15 @@ def solve_unsaturated(
     hi = _Cut(guess - SEED_GAP, *solve(guess - SEED_GAP))
     lo = _Cut(guess + SEED_GAP, *solve(guess + SEED_GAP))
     if not hi.transmit > effective > lo.transmit:
-        hi = _Cut(-1.0, *solve(-1.0))
-        lo = _Cut(2.0, *solve(2.0))
+        # a seed that sends strictly on one side of the rate is that
+        # side's cut, and only the other end is solved
+        if lo.transmit > effective:
+            hi, lo = lo, _Cut(2.0, *solve(2.0))
+        elif hi.transmit < effective:
+            hi, lo = _Cut(-1.0, *solve(-1.0)), hi
+        else:
+            hi = _Cut(-1.0, *solve(-1.0))
+            lo = _Cut(2.0, *solve(2.0))
         if hi.transmit < effective or lo.transmit > effective:
             raise BracketNotFound(
                 f"rate {effective} outside the achievable range "

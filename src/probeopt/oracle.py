@@ -6,14 +6,15 @@ the best observation matters for what follows.  The solver tabulates the
 optimal continuation value over all ``2^n * (K + 1)`` such states,
 exactly, in one pass over popcount layers from the full mask down (a
 probe adds one channel, so a layer reads only the layer above, and each
-step of a layer is one numpy expression).  The same pass fills an
-action table, holding the action the tie preference takes in each
-state, and the probability that the tree it describes transmits; an
-explicit optimal decision tree is then built from the action table on
-demand, one node object per distinct subtree, and checked against the
-table's value.  Every use of a tree that follows its paths (evaluation,
-the rule check, depth, the simulator's node tables) reads one walk,
-``DecisionTree._walk``, which checks the game rules as it goes.
+step of a layer is one numpy expression).  The same pass fills, for
+each tie preference it is given, an action table holding the action
+that preference takes in each state, and the probability that the tree
+it describes transmits; an explicit optimal decision tree is then built
+from an action table on demand, one node object per distinct subtree,
+and checked against the table's value.  Every use of a tree that
+follows its paths (evaluation, the rule check, depth, the simulator's
+node tables) reads one walk, ``DecisionTree._walk``, which checks the
+game rules as it goes.
 Exponential in the channel count, so it refuses instances wider than
 ``OracleOptions.max_channels``.
 
@@ -45,7 +46,7 @@ from .core import (
     evaluate_policy,
 )
 from .lagrange import _Cut, _kink
-from .multi_state import _integer
+from .multi_state import _integer, _kink_price
 
 __all__ = [
     "TooLarge",
@@ -429,16 +430,14 @@ def _lattice(n: int, k: int):
     lattice takes under twice the memory of one result's tables.
 
     ``order`` lists the masks by popcount, ascending mask within a
-    popcount, and ``pos`` inverts it.  ``m_idx[b, s]`` is the child's
-    column after state s is seen with best column b, for the value
-    columns and then for the transmit-probability columns.  A step
-    ``(lo, hi, f, jj, kid, who, rows)`` covers the masks at
-    ``order[lo:hi]``, all with f free channels: ``jj`` lists those
-    channels ascending (flat, mask by mask), ``kid`` the ``order``
-    position of the child each of those probes leads to, ``who`` the
-    action code of each candidate column (the f probes, then transmit,
-    backup and silent) and ``rows`` the step's row numbers.  Steps run
-    from the full mask down to the empty one.
+    popcount, and ``pos`` inverts it.  A step ``(lo, hi, f, jj, kid,
+    who, rows)`` covers the masks at ``order[lo:hi]``, all with f free
+    channels: ``jj`` lists those channels ascending (flat, mask by
+    mask), ``kid`` the ``order`` position of the child each of those
+    probes leads to, ``who`` the action code of each candidate column
+    (the f probes, then transmit, backup and silent) and ``rows`` the
+    step's row numbers.  Steps run from the full mask down to the empty
+    one.
     """
     size = 1 << n
     free = (np.arange(size)[:, None] >> np.arange(n)) & 1 == 0
@@ -446,8 +445,6 @@ def _lattice(n: int, k: int):
     order = np.argsort(-nfree, kind="stable")
     pos = np.empty(size, dtype=np.intp)
     pos[order] = np.arange(size)
-    m_idx = np.maximum.outer(np.arange(-1, k), np.arange(k)) + 1
-    m_idx = np.concatenate([m_idx, m_idx + k + 1])
     # every (mask, free channel) pair, mask by mask in ``order``; ``who``
     # holds each mask's candidate codes (its free channels, then the
     # three closing codes), so a pair's code sits at the pair's own
@@ -461,7 +458,7 @@ def _lattice(n: int, k: int):
     who[ends[:, None] + np.arange(-3, 0)] = (_TRANSMIT, _BACKUP, _SILENT)
     rows = np.arange(min(size, _CHUNK))[:, None]
     # every caller shares these arrays and the views cut from them
-    for arr in (order, pos, m_idx, jj, kid, who, rows):
+    for arr in (order, pos, jj, kid, who, rows):
         arr.flags.writeable = False
     steps = []
     for c in range(n, -1, -1):
@@ -484,31 +481,59 @@ def _lattice(n: int, k: int):
                     rows[: hi - lo],
                 )
             )
-    return order, pos, m_idx, tuple(steps)
+    return order, pos, tuple(steps)
 
 
-def _tabulate(instance: Instance, options: OracleOptions):
+@cache
+def _columns(n: int, k: int, preferences: tuple):
+    """The column layout of a pass over n channels and K states that
+    reads the given tie preferences: K + 1 value columns, then a block
+    of K + 1 transmit-probability columns per preference.
+    ``m_idx[b, s]`` is the child's column after state s is seen with
+    best column b, in every block.  Per preference, ``reads`` holds its
+    rank of each candidate code (the n probes, then transmit, backup
+    and silent) and its block, as a slice and as column numbers."""
+    w = k + 1
+    child = np.maximum.outer(np.arange(-1, k), np.arange(k)) + 1
+    m_idx = np.concatenate([child + i * w for i in range(len(preferences) + 1)])
+    m_idx.flags.writeable = False
+    reads = []
+    for i, preference in enumerate(preferences, 1):
+        r = _RANKS[preference]
+        rank = np.array(
+            [r["probe"]] * n + [r["transmit"], r["backup"], r["silent"]], dtype=np.int8
+        )
+        rank.flags.writeable = False
+        reads.append((rank, slice(i * w, (i + 1) * w), np.arange(i * w, (i + 1) * w)))
+    return m_idx, tuple(reads)
+
+
+def _tabulate(instance: Instance, options: OracleOptions, preferences: tuple):
     """Fill the value and action tables in one pass over popcount
     layers, from the full mask down to the empty one.
 
     ``V[mask, bidx]`` is the best continuation value with ``mask``
     probed and best observation ``bidx - 1`` (index 0 means nothing
-    seen), ``A[mask, bidx]`` the action the tie preference takes there
-    and S (kept only during the pass) that action's transmit
-    probability: 1 on a send, 0 on silence, the children's average on
+    seen).  V does not depend on how ties break, so one pass serves
+    every tie preference in ``preferences``: for each, ``A[mask,
+    bidx]`` is the action that preference takes there and S (kept only
+    during the pass) that action's transmit probability: 1 on a send,
+    0 on silence, the children's average of that preference's own S on
     a probe.  Every child of a layer's mask lies in the layer above, so
     each step prices all of its (mask, free channel) pairs at once.
-    Returns ``(V, A, S[0, 0])``.
+    Returns ``(V, ((A, S[0, 0]), ...))``, one pair per preference.
     """
     n, k = instance.n, instance.state_count
     w = k + 1
+    cols = (len(preferences) + 1) * w  # V, then each preference's S
     probs = instance.probs  # (K, n)
     rewards = instance.rewards
     x = 0.0 if options.altered_threshold is None else float(options.altered_threshold)
     allowed = (
         tuple(range(n)) if options.allowed_backups is None else options.allowed_backups
     )
-    order, pos, m_idx, steps = _lattice(n, k)
+    order, pos, steps = _lattice(n, k)
+    m_idx, reads = _columns(n, k, preferences)
 
     # best blind reward among still-unprobed allowed backups, per mask
     bb = np.full(1, -np.inf)
@@ -518,48 +543,51 @@ def _tabulate(instance: Instance, options: OracleOptions):
     backup = (bb - x)[order][:, None]
 
     # the closing candidates: transmit, backup (filled per step), silent
-    closing = np.zeros((2 * w, 3))
+    closing = np.zeros((cols, 3))
     closing[0, 0] = -np.inf
     closing[1:w, 0] = rewards - x
     if not options.allow_no_transmit:
         closing[:w, 2] = -np.inf
     closing[w:, :2] = 1.0
-    ranks = _RANKS[options.tie_preference]
-    # a step with f free channels ranks its candidates by rank[n - f:]
-    rank = np.array(
-        [ranks["probe"]] * n + [ranks["transmit"], ranks["backup"], ranks["silent"]],
-        dtype=np.int8,
-    )
+    # a step with f free channels ranks its candidates by rank[n - f:];
+    # each preference reads and writes its own block of S columns and
+    # fills its own action table, rows in ``order``
+    reads = [(*read, np.empty((1 << n, w), dtype=np.int8)) for read in reads]
+    unranked = np.int8(len(_RANKS))
     # a barred probe costs infinitely much, so it is never picked
-    price = instance.costs.copy()
+    price = instance.costs
     if options.forbidden_probe is not None:
+        price = price.copy()
         price[options.forbidden_probe] = np.inf
-    send_cols = np.arange(w, 2 * w)
 
-    VS = np.empty((1 << n, 2 * w))  # V, then S, rows in ``order``
-    A = np.empty((1 << n, w), dtype=np.int8)
+    VS = np.empty((1 << n, cols))  # V, then the S blocks, rows in ``order``
     for lo, hi, f, jj, kid, who, rows in steps:
-        # (mask, bidx or its S column, candidate): f probes, then closing
-        cand = np.empty((hi - lo, 2 * w, f + 3))
+        # (mask, bidx or an S column, candidate): f probes, then closing
+        cand = np.empty((hi - lo, cols, f + 3))
         cand[:, :, f:] = closing
         cand[:, :w, f + 1] = backup[lo:hi]
         if f:
-            gath = VS[kid][:, m_idx]  # (pairs, 2(K+1), K)
+            gath = VS[kid][:, m_idx]  # (pairs, cols, K)
             vals = np.einsum("fbs,sf->fb", gath, probs[:, jj])
             vals[:, :w] -= price[jj][:, None]
-            cand[:, :, :f] = vals.reshape(-1, f, 2 * w).transpose(0, 2, 1)
+            cand[:, :, :f] = vals.reshape(-1, f, cols).transpose(0, 2, 1)
         best = cand[:, :w].max(axis=2)
         # the tied candidate of lowest rank; among probes the first,
         # which is the lowest channel
         tied = cand[:, :w] >= (best - TIE_TOL)[:, :, None]
-        pick = np.where(tied, rank[n - f :], np.int8(len(ranks))).argmin(axis=2)
         VS[lo:hi, :w] = best
-        VS[lo:hi, w:] = cand[rows, send_cols, pick]
-        A[lo:hi] = who[rows, pick]
+        for rank, block, send_cols, A in reads:
+            pick = np.where(tied, rank[n - f :], unranked).argmin(axis=2)
+            VS[lo:hi, block] = cand[rows, send_cols, pick]
+            A[lo:hi] = who[rows, pick]
     V = VS[pos, :w]
-    A = A[pos]
-    A[V == -np.inf] = _NONE
-    return V, A, float(VS[0, w])
+    dead = V == -np.inf
+    out = []
+    for _, block, _, A in reads:
+        A = A[pos]
+        A[dead] = _NONE
+        out.append((A, float(VS[0, block.start])))
+    return V, tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -642,7 +670,7 @@ def exact_dp(instance: Instance, options: OracleOptions | None = None) -> Oracle
     """
     opts = options or OracleOptions()
     _check_options(instance, opts)
-    V, A, transmit = _tabulate(instance, opts)
+    V, ((A, transmit),) = _tabulate(instance, opts, (opts.tie_preference,))
     return OracleResult(
         value=float(V[0, 0]),
         instance=instance,
@@ -682,7 +710,8 @@ class RateConstrainedBound:
     ``multiplier``.  ``tree_hi`` and ``tree_lo`` are optimal there and
     transmit at least and at most ``rate`` unless the minimum sits at
     an end of ``[0, max_reward]`` with no tree that reaches the rate.
-    ``evaluations`` counts DP solves.
+    ``evaluations`` counts DP passes; the pass at the closed-form
+    kink reads two tie preferences and counts once.
     """
 
     value: float
@@ -694,31 +723,56 @@ class RateConstrainedBound:
 
 
 def rate_constrained_optimum(instance: Instance, rate: float) -> RateConstrainedBound:
-    """Minimize the dual exactly by Kelley's cutting-plane method.
+    """Minimize the dual exactly, certified in one DP pass when it can.
 
     g is convex and piecewise linear with slope ``rate - transmit`` of
-    the optimal tree.  End cuts come from the prefer-transmit tree at 0
-    and the prefer-silent tree at ``max_reward``; a slope pointing out
-    of ``[0, max_reward]`` at an end marks a minimizer there, otherwise
-    the cut search of :mod:`probeopt.lagrange` (shared with
+    the optimal tree.  One pass at L*, the minimizer of the closed-form
+    dual ``weitzman_bound(L) + rate * L``, reads the prefer-transmit and
+    the prefer-silent tree off one value table.  When they send at
+    least and at most ``rate``, 0 lies in g's subdifferential at L*,
+    which is then the exact minimizer whatever the closed form's
+    accuracy.  Otherwise both send on one side of the rate: the minimum
+    lies on the other side, and the tree nearer the rate is this side's
+    cut.  The other side is cut by the prefer-transmit tree at 0 or the
+    prefer-silent tree at ``max_reward`` (both, when L* lies outside
+    ``[0, max_reward]``, as only unvalidated instances allow); a slope
+    pointing out of the interval there marks a minimizer at that end,
+    otherwise the cut search of :mod:`probeopt.lagrange` (shared with
     ``solve_unsaturated``) closes in on the kink.  Cuts come from the
-    solves' tables; only the two final trees are built.
+    passes' tables; only the two final trees are built.
     """
     if not 0.0 < rate < 1.0:
         raise InfeasibleRate(f"rate must lie in (0, 1), got {rate!r}")
+    # the passes below do not go through exact_dp, so its checks run here
+    _check_options(instance, OracleOptions())
     rmax = instance.max_reward
     evaluations = 0
     last: OracleResult | None = None
 
-    def solve(L: float, tie_preference: str = "default"):
-        # the plain gain is the charged value plus the charge it paid
+    def solve(L: float, *preferences: str) -> list:
+        # one pass at charge L; per preference the plain gain (the
+        # charged value plus the charge it paid), transmit probability
+        # and result, as the cut search takes them
         nonlocal evaluations, last
         evaluations += 1
-        last = altered_optimum(instance, L, tie_preference=tie_preference)
-        return last.value + L * last.transmit_prob, last.transmit_prob, last
+        L = float(L)
+        V, reads = _tabulate(instance, OracleOptions(altered_threshold=L), preferences)
+        out = []
+        for preference, (A, transmit) in zip(preferences, reads):
+            res = OracleResult(
+                value=float(V[0, 0]),
+                instance=instance,
+                options=OracleOptions(altered_threshold=L, tie_preference=preference),
+                table=V,
+                actions=A,
+                transmit_prob=transmit,
+            )
+            out.append((res.value + L * transmit, transmit, res))
+        last = out[0][2]
+        return out
 
     def finish(L: float, hi: _Cut, lo: _Cut) -> RateConstrainedBound:
-        # g at the final price is the last solve's value
+        # g at the final price is the last pass's value
         return RateConstrainedBound(
             value=float(L * rate + last.value),
             multiplier=float(L),
@@ -728,13 +782,28 @@ def rate_constrained_optimum(instance: Instance, rate: float) -> RateConstrained
             tree_lo=lo.payload.tree,
         )
 
-    hi = _Cut(0.0, *solve(0.0, "prefer-transmit"))
-    if hi.transmit <= rate:
-        return finish(0.0, hi, hi)
-    lo = _Cut(rmax, *solve(rmax, "prefer-silent"))
-    if lo.transmit >= rate:
-        return finish(rmax, lo, lo)
-    return finish(*_kink(solve, rate, hi, lo))
+    hi = lo = None
+    seed = _kink_price(instance, rate)
+    if 0.0 <= seed <= rmax:
+        up, down = (
+            _Cut(seed, *side)
+            for side in solve(seed, "prefer-transmit", "prefer-silent")
+        )
+        if up.transmit >= rate >= down.transmit:
+            return finish(seed, up, down)
+        if down.transmit > rate:
+            hi = down
+        else:
+            lo = up
+    if hi is None:
+        hi = _Cut(0.0, *solve(0.0, "prefer-transmit")[0])
+        if hi.transmit <= rate:
+            return finish(0.0, hi, hi)
+    if lo is None:
+        lo = _Cut(rmax, *solve(rmax, "prefer-silent")[0])
+        if lo.transmit >= rate:
+            return finish(rmax, lo, lo)
+    return finish(*_kink(lambda x: solve(x, "default")[0], rate, hi, lo))
 
 
 @dataclass(frozen=True, eq=False)

@@ -922,6 +922,42 @@ def grid_dual_bound(instance, rate: float) -> float:
     )
 
 
+def end_cut_rate_constrained_optimum(instance, rate: float):
+    """The dual bound by Kelley's cut search opened from end cuts, as it
+    ran before the bound was certified at the closed-form kink: the
+    prefer-transmit tree at charge 0, the prefer-silent tree at the top
+    reward, then ``lagrange._kink`` between them, one
+    ``oracle.altered_optimum`` solve per cut."""
+    if not 0.0 < rate < 1.0:
+        raise po.oracle.InfeasibleRate(f"rate must lie in (0, 1), got {rate!r}")
+    oracle, lagrange = po.oracle, po.lagrange
+    rmax = instance.max_reward
+    solves = []
+
+    def solve(L, tie_preference="default"):
+        solves.append(oracle.altered_optimum(instance, L, tie_preference=tie_preference))
+        res = solves[-1]
+        return res.value + L * res.transmit_prob, res.transmit_prob, res
+
+    def finish(L, hi, lo):
+        return po.RateConstrainedBound(
+            value=float(L * rate + solves[-1].value),
+            multiplier=float(L),
+            rate=float(rate),
+            evaluations=len(solves),
+            tree_hi=hi.payload.tree,
+            tree_lo=lo.payload.tree,
+        )
+
+    hi = lagrange._Cut(0.0, *solve(0.0, "prefer-transmit"))
+    if hi.transmit <= rate:
+        return finish(0.0, hi, hi)
+    lo = lagrange._Cut(rmax, *solve(rmax, "prefer-silent"))
+    if lo.transmit >= rate:
+        return finish(rmax, lo, lo)
+    return finish(*lagrange._kink(solve, rate, hi, lo))
+
+
 # -- three-stage reference for the queue mixture --------------------------
 
 

@@ -254,13 +254,42 @@ class TestSeededSearch:
 
     @pytest.mark.parametrize("s", [6, 9])
     def test_seeds_that_miss_fall_back_to_the_end_cuts(self, s, monkeypatch):
+        # L* is clipped up to max mu, above the kink, so both seeds send
+        # below the rate: the lower seed, at L* - 1e-9, is the plus
+        # side's cut, and only the end at -1 is solved
         inst = corpus_instance(8, 3, s)
         prices = counted_searches(monkeypatch)
         mix = po.solve_unsaturated(inst, 0.85, 0.05)
-        assert len(prices) == 7
-        assert prices[2:4] == [-1.0, 2.0]
+        x = multi_state._kink_price(inst, mix.effective_rate)
+        assert len(prices) == 5
+        assert prices[:3] == [x - lagrange.SEED_GAP, x + lagrange.SEED_GAP, -1.0]
+        assert mix.policy_plus.threshold == x - lagrange.SEED_GAP
         ref = end_cut_unsaturated(inst, 0.85, 0.05)
-        assert mix.to_dict() == ref.to_dict()
+        for name in ("alpha", "multiplier_low", "multiplier_high", "s_minus",
+                     "s_plus", "gain_minus", "gain_plus", "construction"):
+            assert getattr(mix, name) == getattr(ref, name), name
+        for side in ("policy_minus", "policy_plus"):
+            got, want = getattr(mix, side), getattr(ref, side)
+            assert (got.levels, got.backup) == (want.levels, want.backup)
+        assert mix.policy_minus.threshold == ref.policy_minus.threshold
+
+    @pytest.mark.parametrize("shift, solved, skipped", [(-0.2, 2.0, -1.0), (0.2, -1.0, 2.0)])
+    def test_a_wrong_guess_keeps_the_seed_on_its_side(
+        self, shift, solved, skipped, monkeypatch
+    ):
+        # both seeds send on one side of the rate: the one nearer it is
+        # that side's cut, and only the end on the other side is solved
+        inst = corpus_instance(30, 4, 2)
+        guess = multi_state._kink_price(inst, 0.5 * 1.05) + shift
+        monkeypatch.setattr(lagrange, "_kink_price", lambda instance, rate: guess)
+        prices = counted_searches(monkeypatch)
+        mix = po.solve_unsaturated(inst, 0.5, 0.05)
+        seeds = [guess - lagrange.SEED_GAP, guess + lagrange.SEED_GAP]
+        assert prices[:3] == [*seeds, solved] and skipped not in prices
+        ref = end_cut_unsaturated(inst, 0.5, 0.05)
+        for name in ("alpha", "multiplier_low", "s_minus", "s_plus",
+                     "gain_minus", "gain_plus", "construction"):
+            assert getattr(mix, name) == getattr(ref, name), name
 
     @pytest.mark.parametrize("seed", range(3))
     def test_three_searches_per_solve_at_scale(self, seed, monkeypatch):

@@ -3,8 +3,11 @@ restrictions, structural diagnostics, and the rate-capped benchmark.
 
 The layered pass is pinned against the mask-by-mask table and the
 re-pricing tree extraction kept in ``helpers`` (``reference_table``,
-``reference_tree``)."""
+``reference_tree``), and the dual bound certified at the closed-form
+kink against the cut search opened from both ends
+(``end_cut_rate_constrained_optimum``)."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -20,8 +23,10 @@ from hypothesis import strategies as st
 
 import probeopt as po
 import probeopt.oracle as oracle_module
+from probeopt import multi_state
 from helpers import (
     draw_instance,
+    end_cut_rate_constrained_optimum,
     grid_dual_bound,
     reference_table,
     reference_tree,
@@ -92,38 +97,48 @@ class TestExactDP:
             po.OracleOptions(max_channels=cap)
 
 
+CHARGES = st.sampled_from([None, 0.0, 0.3, "r_max"])
+RESTRICTIONS = st.sampled_from(
+    [
+        {},
+        {"allow_no_transmit": False},
+        {"forbidden_probe": 0},
+        {"allowed_backups": ()},
+        {"allowed_backups": (1,)},
+    ]
+)
+
+
+def layered_case(seed, charge, restriction, negative_base, preference="default"):
+    """The instance and options one layered-pass example runs on."""
+    inst = draw_instance(seed, n_lo=2, n_hi=8, k_hi=5)
+    if negative_base:
+        # the oracle takes an unvalidated instance with a negative
+        # base reward, where silence can beat every send
+        inst = po.Instance.from_arrays(
+            (-0.5, *inst.rewards[1:]), inst.probs, inst.costs, validate=False
+        )
+    opts = po.OracleOptions(
+        altered_threshold=inst.max_reward if charge == "r_max" else charge,
+        tie_preference=preference,
+        **restriction,
+    )
+    return inst, opts
+
+
 class TestLayeredPass:
     @settings(max_examples=150, deadline=None)
     @given(
         st.integers(0, 10**6),
         st.sampled_from(TIE_PREFERENCES),
-        st.sampled_from([None, 0.0, 0.3, "r_max"]),
-        st.sampled_from(
-            [
-                {},
-                {"allow_no_transmit": False},
-                {"forbidden_probe": 0},
-                {"allowed_backups": ()},
-                {"allowed_backups": (1,)},
-            ]
-        ),
+        CHARGES,
+        RESTRICTIONS,
         st.booleans(),
     )
     def test_matches_the_mask_by_mask_reference(
         self, seed, preference, charge, restriction, negative_base
     ):
-        inst = draw_instance(seed, n_lo=2, n_hi=8, k_hi=5)
-        if negative_base:
-            # the oracle takes an unvalidated instance with a negative
-            # base reward, where silence can beat every send
-            inst = po.Instance.from_arrays(
-                (-0.5, *inst.rewards[1:]), inst.probs, inst.costs, validate=False
-            )
-        opts = po.OracleOptions(
-            altered_threshold=inst.max_reward if charge == "r_max" else charge,
-            tie_preference=preference,
-            **restriction,
-        )
+        inst, opts = layered_case(seed, charge, restriction, negative_base, preference)
         res = po.exact_dp(inst, opts)
         V = reference_table(inst, opts)
         assert np.array_equal(np.isneginf(res.table), np.isneginf(V))
@@ -133,6 +148,35 @@ class TestLayeredPass:
         assert res.tree.to_dict() == reference_tree(inst, opts, V).to_dict()
         sends = po.evaluate_policy(inst, res.tree).transmit_prob
         assert abs(res.transmit_prob - sends) <= 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(0, 10**6),
+        st.lists(st.sampled_from(TIE_PREFERENCES), min_size=2, max_size=3),
+        CHARGES,
+        RESTRICTIONS,
+        st.booleans(),
+    )
+    def test_one_pass_reads_several_tie_preferences(
+        self, seed, preferences, charge, restriction, negative_base
+    ):
+        # V does not depend on how ties break: a pass that reads several
+        # preferences gives each one's table, actions and transmit
+        # probability exactly as its own pass does
+        inst, opts = layered_case(seed, charge, restriction, negative_base)
+        V, reads = oracle_module._tabulate(inst, opts, tuple(preferences))
+        ref = reference_table(inst, opts)
+        live = np.isfinite(ref)
+        assert np.array_equal(np.isneginf(V), np.isneginf(ref))
+        assert np.abs(V[live] - ref[live]).max() <= 1e-15 * max(1.0, inst.max_reward)
+        for preference, (A, transmit) in zip(preferences, reads):
+            single = dataclasses.replace(opts, tie_preference=preference)
+            res = po.exact_dp(inst, single)
+            assert np.array_equal(V, res.table)
+            assert np.array_equal(A, res.actions)
+            assert transmit == res.transmit_prob
+            pair = dataclasses.replace(res, actions=A, transmit_prob=transmit)
+            assert pair.tree.to_dict() == reference_tree(inst, single, ref).to_dict()
 
     def test_single_channel(self):
         inst = po.Instance.from_arrays((0.0, 1.0), [[0.4], [0.6]], (0.1,))
@@ -400,6 +444,20 @@ class TestTreeChecks:
         )
 
 
+def counted_passes(mp):
+    """Record the charge and tie preferences of every DP pass made
+    while ``mp`` is active."""
+    passes = []
+    tabulate = oracle_module._tabulate
+
+    def counted(instance, options, preferences):
+        passes.append((options.altered_threshold, preferences))
+        return tabulate(instance, options, preferences)
+
+    mp.setattr(oracle_module, "_tabulate", counted)
+    return passes
+
+
 class TestRateCappedBenchmark:
     def test_bound_and_certificate(self):
         for seed in (0, 3, 9):
@@ -459,21 +517,92 @@ class TestRateCappedBenchmark:
         assert cert.ok is False
         assert np.isnan(cert.alpha)
 
+    def test_matches_the_end_cut_reference(self):
+        # the certified pass, and the cut search it opens on a miss,
+        # against the search opened from the ends 0 and r_max
+        for seed in range(150):
+            inst = draw_instance(seed)
+            for rate in (0.2, 0.5, 0.8):
+                bound = po.rate_constrained_optimum(inst, rate)
+                ref = end_cut_rate_constrained_optimum(inst, rate)
+                where = f"seed {seed} rate {rate}"
+                assert abs(bound.value - ref.value) <= 1e-12, where
+                assert abs(bound.multiplier - ref.multiplier) <= 1e-12, where
+                cert = po.dual_certificate(inst, rate, bound)
+                if po.dual_certificate(inst, rate, ref).ok:
+                    assert cert.ok, where
+                    assert cert.gap <= 1e-9, where
+
+    @pytest.mark.parametrize("scale, end", [(0.5, "prefer-silent"), (1.5, "prefer-transmit")])
+    def test_a_wrong_seed_still_gives_the_exact_bound(self, scale, end, monkeypatch):
+        # the certificate does not trust the closed form: from a seed
+        # off the minimizer the pass misses, both trees sending on one
+        # side of the rate, and serves as that side's cut, so only the
+        # end on the other side is solved (r_max when the seed is low)
+        kink = multi_state._kink_price
+        monkeypatch.setattr(
+            oracle_module,
+            "_kink_price",
+            lambda inst, rate: min(scale * kink(inst, rate), inst.max_reward),
+        )
+        passes = counted_passes(monkeypatch)
+        ends = []
+        for seed in range(20):
+            inst = draw_instance(seed)
+            for rate in (0.2, 0.5, 0.8):
+                passes.clear()
+                bound = po.rate_constrained_optimum(inst, rate)
+                ref = end_cut_rate_constrained_optimum(inst, rate)
+                where = f"seed {seed} rate {rate}"
+                assert abs(bound.value - ref.value) <= 1e-12, where
+                assert abs(bound.multiplier - ref.multiplier) <= 1e-12, where
+                if bound.evaluations > 1:
+                    solved = [p for _, (p, *more) in passes[1:bound.evaluations]
+                              if p != "default"]
+                    assert len(solved) == 1, where
+                    ends += solved
+        assert ends.count(end) >= 10
+
+    def test_kink_outside_the_range_skips_the_pass(self, monkeypatch):
+        # every reward below 0 puts r_max below L* >= 0; the unvalidated
+        # instance is solved from the ends alone, as the reference does
+        inst = po.Instance.from_arrays(
+            (-0.5, -0.1), [[0.5, 0.6], [0.5, 0.4]], (0.05, 0.0), validate=False
+        )
+        assert not 0.0 <= multi_state._kink_price(inst, 0.5) <= inst.max_reward
+        passes = counted_passes(monkeypatch)
+        bound = po.rate_constrained_optimum(inst, 0.5)
+        assert passes == [(0.0, ("prefer-transmit",))]
+        ref = end_cut_rate_constrained_optimum(inst, 0.5)
+        assert (bound.value, bound.multiplier, bound.evaluations) == (
+            ref.value, ref.multiplier, ref.evaluations
+        )
+        assert bound.tree_hi.to_dict() == ref.tree_hi.to_dict()
+
     def test_evaluations_count_dp_solves(self, monkeypatch):
-        calls = []
-        solve = oracle_module.altered_optimum
-
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(oracle_module, "altered_optimum", counted)
+        passes = counted_passes(monkeypatch)
         inst = draw_instance(11, n_lo=4, n_hi=6, k_lo=3, k_hi=4)
         bound = po.rate_constrained_optimum(inst, 0.5)
-        assert len(calls) == bound.evaluations >= 2
-        calls.clear()
+        # certified at L*: one pass reads both tie preferences
+        x = multi_state._kink_price(inst, 0.5)
+        assert passes == [(x, ("prefer-transmit", "prefer-silent"))]
+        assert bound.evaluations == 1 and bound.multiplier == x
+        passes.clear()
         po.dual_certificate(inst, 0.5, bound)
-        assert calls == []
+        assert passes == []
+        # both trees at L* send below the rate: the prefer-transmit one
+        # is the cut on the right, so the pass at 0 and one cut-search
+        # step follow, and r_max is never solved
+        inst = draw_instance(5, n_lo=2, n_hi=6, k_lo=2, k_hi=4)
+        bound = po.rate_constrained_optimum(inst, 0.5)
+        x = multi_state._kink_price(inst, 0.5)
+        assert [p[1] for p in passes] == [
+            ("prefer-transmit", "prefer-silent"), ("prefer-transmit",), ("default",)
+        ]
+        assert [p[0] for p in passes[:2]] == [x, 0.0]
+        assert 0.0 < bound.multiplier < x
+        assert bound.evaluations == 3 == len(passes)
+        assert end_cut_rate_constrained_optimum(inst, 0.5).evaluations == 4
 
 
 def test_bound_and_certificate_need_no_scipy():
