@@ -9,15 +9,10 @@ in x and its transmission rate only falls as x rises.  A target rate in
 (0, 1) is usually met only at a kink, where a line transmitting at
 least the target crosses one transmitting at most.  A cutting-plane
 search (Kelley's method, which the dual bound in :mod:`probeopt.oracle`
-runs too when its one pass at the same L* does not certify it) finds
-that price exactly, and the two policies optimal there are mixed with
-a coin flip per busy slot: by LP duality the best mixture the
-one-fallback family offers at that rate.  The search opens at L* -/+
-1e-9, where L* minimizes Weitzman's closed-form dual
-``weitzman_bound(L) + rate * L`` (a quantile read off the fallback
-search's own grid) and the kink usually sits; when those two cuts
-both send on one side of the rate, the one nearer it is kept and the
-other side opens from the price -1 or 2.
+runs too; ``_search`` says how it opens) finds that price exactly, and
+the two policies optimal there are mixed with a coin flip per busy
+slot: by LP duality the best mixture the one-fallback family offers at
+that rate.
 
 The queue is run a notch faster than the arrivals: the mixture is
 tuned to transmit at rate (1 + slack) * arrival rate whenever the
@@ -69,10 +64,10 @@ class CutSearchStalled(ProbingError):
     """The cut search did not close within ``MAX_CUTS`` cuts."""
 
 
-# Cap on the solves between the opening cuts, whether the seeds at the
-# closed-form kink, the ends at -1 and 2, or one of each.  The most seen
-# from the ends is 7 (n up to 2000, K up to 16), so reaching it means a
-# wrong cut, not a hard case.
+# Cap on the cut steps after ``_search``'s opening, for the queue mixture
+# and the dual bound alike.  The most the queue has taken from the ends
+# is 7 (n up to 2000, K up to 16), so reaching it means a wrong cut, not
+# a hard case.
 MAX_CUTS = 64
 CUT_TOL = 1e-12  # a new cut this close to the model closes the search
 SEED_GAP = 1e-9  # the seed cuts sit this far either side of the kink guess
@@ -90,7 +85,7 @@ class _Cut(NamedTuple):
 
 def _kink(solve, rate: float, hi: _Cut, lo: _Cut) -> tuple[float, _Cut, _Cut]:
     """Kelley's cut search for the price where the charged optimum's
-    rate crosses ``rate``, from end cuts with ``hi.transmit > rate >
+    rate crosses ``rate``, from cuts with ``hi.transmit > rate >
     lo.transmit``.  ``solve(x)`` gives the gain, transmit probability
     and payload of a policy optimal at price x.  Each step solves where
     ``hi`` and ``lo`` cross; if the new cut is no higher there, both
@@ -110,6 +105,42 @@ def _kink(solve, rate: float, hi: _Cut, lo: _Cut) -> tuple[float, _Cut, _Cut]:
         else:
             lo = cut
     raise CutSearchStalled(f"no kink for rate {rate} within {MAX_CUTS} cuts")
+
+
+def _search(solve, rate: float, seeds, low: float, high: float) -> tuple[float, _Cut, _Cut]:
+    """Kelley's cut search from its opening, shared by the queue mixture
+    and the dual bound: the price and the cuts optimal there that send
+    at least and at most ``rate``.  ``solve(x, preference)`` gives the
+    gain, transmit probability and payload of a policy optimal at price
+    x under a tie preference.  ``seeds`` is None or two cuts ``(up,
+    down)`` at a guess of the kink, ``up`` at the lower price or the
+    same one.  Seeds at one price with ``up.transmit >= rate >=
+    down.transmit`` are the answer; seeds at two prices that straddle
+    ``rate`` strictly open ``_kink``; otherwise a seed sending strictly
+    on one side of ``rate`` is that side's cut.  Missing sides come from
+    the ends, ``low`` solved with ``"prefer-transmit"`` and ``high``
+    with ``"prefer-silent"``; an end that does not pass ``rate`` is
+    returned as both sides at its price."""
+    hi = lo = None
+    if seeds is not None:
+        up, down = seeds
+        if up.price == down.price and up.transmit >= rate >= down.transmit:
+            return up.price, up, down
+        if up.transmit > rate > down.transmit:
+            hi, lo = up, down
+        elif down.transmit > rate:
+            hi = down
+        elif up.transmit < rate:
+            lo = up
+    if hi is None:
+        hi = _Cut(low, *solve(low, "prefer-transmit"))
+        if hi.transmit <= rate:
+            return low, hi, hi
+    if lo is None:
+        lo = _Cut(high, *solve(high, "prefer-silent"))
+        if lo.transmit >= rate:
+            return high, lo, lo
+    return _kink(lambda x: solve(x, "default"), rate, hi, lo)
 
 
 def candidate_thresholds(instance: Instance) -> np.ndarray:
@@ -326,17 +357,13 @@ def solve_unsaturated(
     The mixture transmits at rate arrival_rate * (1 + slack) while
     busy, so the queue drains faster than it fills and the server
     settles near a 1 / (1 + slack) busy fraction.  Its two policies are
-    both optimal at the kink price, found by the cut search.  The search
-    opens from seed cuts at L* -/+ 1e-9, where L* minimizes the
-    closed-form dual ``weitzman_bound(instance, L) + rate * L``.  When
-    both seeds send above the rate, the upper one is kept and the end
-    cut at the price 2 (no slot transmits) is added; when both send
-    below, the lower one is kept with the end cut at -1 (every slot
-    transmits); a seed sending exactly at the rate falls back to both
-    end cuts.  Each side's
+    both optimal at the kink price, found by ``_search`` from seed cuts
+    at L* -/+ 1e-9, where L* minimizes the closed-form dual
+    ``weitzman_bound(instance, L) + rate * L``, and end cuts at the
+    prices -1 (every slot transmits) and 2 (none does).  Each side's
     policy carries the price it was found at as its ``threshold``.
     Raises RateOutOfRange when the effective rate leaves (0, 1) and
-    BracketNotFound when the end cuts do not straddle it."""
+    BracketNotFound when the end cuts do not reach it."""
     if slack <= 0.0:
         raise RateOutOfRange(f"slack must be positive, got {slack}")
     effective = arrival_rate * (1.0 + slack)
@@ -345,26 +372,17 @@ def solve_unsaturated(
             f"need 0 < arrival_rate and arrival_rate * (1 + slack) < 1, "
             f"got {arrival_rate} at slack {slack}"
         )
-    solve = functools.partial(_gated, instance)
     guess = _kink_price(instance, effective)
-    hi = _Cut(guess - SEED_GAP, *solve(guess - SEED_GAP))
-    lo = _Cut(guess + SEED_GAP, *solve(guess + SEED_GAP))
-    if not hi.transmit > effective > lo.transmit:
-        # a seed that sends strictly on one side of the rate is that
-        # side's cut, and only the other end is solved
-        if lo.transmit > effective:
-            hi, lo = lo, _Cut(2.0, *solve(2.0))
-        elif hi.transmit < effective:
-            hi, lo = _Cut(-1.0, *solve(-1.0)), hi
-        else:
-            hi = _Cut(-1.0, *solve(-1.0))
-            lo = _Cut(2.0, *solve(2.0))
-        if hi.transmit < effective or lo.transmit > effective:
-            raise BracketNotFound(
-                f"rate {effective} outside the achievable range "
-                f"[{lo.transmit}, {hi.transmit}]"
-            )
-    price, hi, lo = _kink(solve, effective, hi, lo)
+    seeds = [_Cut(x, *_gated(instance, x)) for x in (guess - SEED_GAP, guess + SEED_GAP)]
+    # the fallback search has one tie rule, so the preference is moot
+    price, hi, lo = _search(
+        lambda x, _: _gated(instance, x), effective, seeds, -1.0, 2.0
+    )
+    if hi is lo and hi.transmit != effective:
+        raise BracketNotFound(
+            f"rate {effective} outside the achievable range "
+            f"[{lo.transmit}, {hi.transmit}]"
+        )
     alpha = 1.0 if hi is lo else (hi.transmit - effective) / (hi.transmit - lo.transmit)
     return MixedPolicy(
         policy_minus=hi.payload,

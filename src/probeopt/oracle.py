@@ -45,7 +45,7 @@ from .core import (
     UnknownChannel,
     evaluate_policy,
 )
-from .lagrange import _Cut, _kink
+from .lagrange import _Cut, _search
 from .multi_state import _integer, _kink_price
 
 __all__ = [
@@ -728,18 +728,13 @@ def rate_constrained_optimum(instance: Instance, rate: float) -> RateConstrained
     g is convex and piecewise linear with slope ``rate - transmit`` of
     the optimal tree.  One pass at L*, the minimizer of the closed-form
     dual ``weitzman_bound(L) + rate * L``, reads the prefer-transmit and
-    the prefer-silent tree off one value table.  When they send at
-    least and at most ``rate``, 0 lies in g's subdifferential at L*,
-    which is then the exact minimizer whatever the closed form's
-    accuracy.  Otherwise both send on one side of the rate: the minimum
-    lies on the other side, and the tree nearer the rate is this side's
-    cut.  The other side is cut by the prefer-transmit tree at 0 or the
-    prefer-silent tree at ``max_reward`` (both, when L* lies outside
-    ``[0, max_reward]``, as only unvalidated instances allow); a slope
-    pointing out of the interval there marks a minimizer at that end,
-    otherwise the cut search of :mod:`probeopt.lagrange` (shared with
-    ``solve_unsaturated``) closes in on the kink.  Cuts come from the
-    passes' tables; only the two final trees are built.
+    the prefer-silent tree off one value table; trees that send at least
+    and at most ``rate`` put 0 in g's subdifferential, so L* is then the
+    exact minimizer whatever the closed form's accuracy.  The two trees
+    seed ``lagrange._search`` (shared with ``solve_unsaturated``), with
+    ends at 0 and ``max_reward``; there is no pass at L* when it lies
+    outside them, as only unvalidated instances allow.  Cuts come from
+    the passes' tables; only the two final trees are built.
     """
     if not 0.0 < rate < 1.0:
         raise InfeasibleRate(f"rate must lie in (0, 1), got {rate!r}")
@@ -749,7 +744,7 @@ def rate_constrained_optimum(instance: Instance, rate: float) -> RateConstrained
     evaluations = 0
     last: OracleResult | None = None
 
-    def solve(L: float, *preferences: str) -> list:
+    def tabulate(L: float, *preferences: str) -> list:
         # one pass at charge L; per preference the plain gain (the
         # charged value plus the charge it paid), transmit probability
         # and result, as the cut search takes them
@@ -771,39 +766,20 @@ def rate_constrained_optimum(instance: Instance, rate: float) -> RateConstrained
         last = out[0][2]
         return out
 
-    def finish(L: float, hi: _Cut, lo: _Cut) -> RateConstrainedBound:
-        # g at the final price is the last pass's value
-        return RateConstrainedBound(
-            value=float(L * rate + last.value),
-            multiplier=float(L),
-            rate=float(rate),
-            evaluations=evaluations,
-            tree_hi=hi.payload.tree,
-            tree_lo=lo.payload.tree,
-        )
-
-    hi = lo = None
-    seed = _kink_price(instance, rate)
-    if 0.0 <= seed <= rmax:
-        up, down = (
-            _Cut(seed, *side)
-            for side in solve(seed, "prefer-transmit", "prefer-silent")
-        )
-        if up.transmit >= rate >= down.transmit:
-            return finish(seed, up, down)
-        if down.transmit > rate:
-            hi = down
-        else:
-            lo = up
-    if hi is None:
-        hi = _Cut(0.0, *solve(0.0, "prefer-transmit")[0])
-        if hi.transmit <= rate:
-            return finish(0.0, hi, hi)
-    if lo is None:
-        lo = _Cut(rmax, *solve(rmax, "prefer-silent")[0])
-        if lo.transmit >= rate:
-            return finish(rmax, lo, lo)
-    return finish(*_kink(lambda x: solve(x, "default")[0], rate, hi, lo))
+    seeds = None
+    if 0.0 <= (seed := _kink_price(instance, rate)) <= rmax:
+        pair = tabulate(seed, "prefer-transmit", "prefer-silent")
+        seeds = [_Cut(seed, *side) for side in pair]
+    L, hi, lo = _search(lambda x, p: tabulate(x, p)[0], rate, seeds, 0.0, rmax)
+    # g at the final price is the last pass's value
+    return RateConstrainedBound(
+        value=float(L * rate + last.value),
+        multiplier=float(L),
+        rate=float(rate),
+        evaluations=evaluations,
+        tree_hi=hi.payload.tree,
+        tree_lo=lo.payload.tree,
+    )
 
 
 @dataclass(frozen=True, eq=False)

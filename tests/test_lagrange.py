@@ -174,6 +174,11 @@ class TestKinkSearch:
         assert mix.alpha == 1.0
         assert mix.policy_minus is mix.policy_plus
         assert mix.s_minus == mix.s_plus == 0.5
+        # the whole document, prices and side thresholds included, is
+        # the one the end-cut search gives (the kink at exactly 0.5)
+        ref = end_cut_unsaturated(coin_instance(), lam, 0.05)
+        assert mix.to_dict() == ref.to_dict()
+        assert mix.multiplier_low == mix.policy_minus.threshold == 0.5
 
     def test_cut_that_never_closes_raises(self):
         # every doctored cut sits far above the model, so the search
@@ -190,6 +195,16 @@ class TestKinkSearch:
             lagrange._kink(solve, 0.5, hi, lo)
         assert len(calls) == lagrange.MAX_CUTS
 
+    def test_rate_out_of_reach_raises(self):
+        # both rewards sit below -1, so no price down to -1 makes a slot
+        # send; the seeds and the end at -1 all transmit with probability 0
+        inst = po.Instance.from_arrays(
+            (-3.0, -2.0), [[0.5, 0.6], [0.5, 0.4]], (0.05, 0.0), validate=False
+        )
+        with pytest.raises(po.BracketNotFound) as err:
+            po.solve_unsaturated(inst, 0.5, 0.05)
+        assert str(err.value) == "rate 0.525 outside the achievable range [0.0, 0.0]"
+
     def test_solve_unsaturated_gives_up_on_a_doctored_cut(self, monkeypatch):
         inst = draw_instance(3, n_lo=3, n_hi=5, k_hi=3)
         calls = []
@@ -204,6 +219,112 @@ class TestKinkSearch:
         with pytest.raises(po.CutSearchStalled):
             po.solve_unsaturated(inst, 0.5, 0.05)
         assert len(calls) == 2 + lagrange.MAX_CUTS
+
+
+# The lines ``gain - x * transmit`` a synthetic charged optimum picks
+# from: it switches from always sending to 0.6 at x = 0.5, to 0.3 at
+# x = 1 and to never at x = 5/3.
+LINES = ((1.0, 1.0), (0.8, 0.6), (0.5, 0.3), (0.0, 0.0))
+
+
+def scripted(lines=LINES):
+    """A ``_search`` solve over ``lines`` that records the ``(price,
+    preference)`` of every call; "prefer-silent" breaks a tie toward the
+    lower transmit probability, every other preference toward the
+    higher.  The payload is the line."""
+    calls = []
+
+    def solve(x, preference):
+        calls.append((x, preference))
+        best = max(g - x * t for g, t in lines)
+        tied = [line for line in lines if line[0] - x * line[1] >= best - 1e-12]
+        pick = min if preference == "prefer-silent" else max
+        gain, transmit = pick(tied, key=lambda line: line[1])
+        return gain, transmit, (gain, transmit)
+
+    return solve, calls
+
+
+def seed_cuts(solve, calls, x, gap=lagrange.SEED_GAP):
+    """The seeds ``(up, down)`` at x -/+ gap, the calls they made cleared."""
+    up, down = (lagrange._Cut(p, *solve(p, "default")) for p in (x - gap, x + gap))
+    calls.clear()
+    return up, down
+
+
+class TestSearchOpening:
+    def test_seeds_at_one_price_that_straddle_are_the_answer(self):
+        solve, calls = scripted()
+        up = lagrange._Cut(1.0, *solve(1.0, "prefer-transmit"))
+        down = lagrange._Cut(1.0, *solve(1.0, "prefer-silent"))
+        calls.clear()
+        for rate in (0.6, 0.45, 0.3):  # >= on both sides
+            assert lagrange._search(solve, rate, (up, down), 0.0, 2.0) == (1.0, up, down)
+        assert calls == []
+
+    def test_seeds_at_two_prices_that_straddle_go_straight_to_the_kink(self):
+        solve, calls = scripted()
+        up, down = seed_cuts(solve, calls, 1.0)
+        assert up.transmit > 0.45 > down.transmit
+        price, hi, lo = lagrange._search(solve, 0.45, (up, down), 0.0, 2.0)
+        assert price == pytest.approx(1.0, abs=1e-12)
+        assert (hi, lo) == (up, down)
+        assert len(calls) == 1 and calls[0][1] == "default"
+
+    def test_seeds_above_the_rate_keep_down_and_solve_only_high(self):
+        solve, calls = scripted()
+        up, down = seed_cuts(solve, calls, 0.7)
+        assert up.transmit == down.transmit == 0.6
+        price, hi, lo = lagrange._search(solve, 0.45, (up, down), 0.0, 2.0)
+        assert calls[0] == (2.0, "prefer-silent")
+        assert all(x != 0.0 for x, _ in calls)
+        assert {p for _, p in calls[1:]} == {"default"}
+        assert hi is down and lo.payload == (0.5, 0.3)
+        assert price == pytest.approx(1.0, abs=1e-12)
+
+    def test_seeds_below_the_rate_keep_up_and_solve_only_low(self):
+        solve, calls = scripted()
+        up, down = seed_cuts(solve, calls, 1.2)
+        assert up.transmit == down.transmit == 0.3
+        price, hi, lo = lagrange._search(solve, 0.45, (up, down), 0.0, 2.0)
+        assert calls[0] == (0.0, "prefer-transmit")
+        assert all(x != 2.0 for x, _ in calls)
+        assert {p for _, p in calls[1:]} == {"default"}
+        assert lo is up and hi.payload == (0.8, 0.6)
+        assert price == pytest.approx(1.0, abs=1e-12)
+
+    def test_an_end_that_does_not_pass_the_rate_is_both_sides(self):
+        # only the lines sending at most 0.3: the low end cannot reach 0.45
+        solve, calls = scripted(LINES[2:])
+        price, hi, lo = lagrange._search(solve, 0.45, None, 0.0, 2.0)
+        assert calls == [(0.0, "prefer-transmit")]
+        assert price == 0.0 and hi is lo and hi.transmit == 0.3
+        # only the lines sending at least 0.6: the high end stays above
+        solve, calls = scripted(LINES[:2])
+        price, hi, lo = lagrange._search(solve, 0.45, None, 0.0, 2.0)
+        assert calls == [(0.0, "prefer-transmit"), (2.0, "prefer-silent")]
+        assert price == 2.0 and hi is lo and hi.transmit == 0.6
+        # an end sending exactly at the rate is both sides too
+        solve, calls = scripted(LINES[2:])
+        price, hi, lo = lagrange._search(solve, 0.3, None, 0.0, 2.0)
+        assert calls == [(0.0, "prefer-transmit")]
+        assert price == 0.0 and hi is lo and hi.transmit == 0.3
+
+    def test_a_two_price_seed_at_the_rate_solves_both_ends(self):
+        solve, calls = scripted()
+        up, down = seed_cuts(solve, calls, 0.7)
+        price, hi, lo = lagrange._search(solve, 0.6, (up, down), 0.0, 2.0)
+        assert calls[:2] == [(0.0, "prefer-transmit"), (2.0, "prefer-silent")]
+        assert {p for _, p in calls[2:]} == {"default"}
+        assert 0.6 in (hi.transmit, lo.transmit)
+
+    def test_no_seeds_solve_both_ends(self):
+        solve, calls = scripted()
+        price, hi, lo = lagrange._search(solve, 0.45, None, 0.0, 2.0)
+        assert calls[:2] == [(0.0, "prefer-transmit"), (2.0, "prefer-silent")]
+        assert {p for _, p in calls[2:]} == {"default"}
+        assert price == pytest.approx(1.0, abs=1e-12)
+        assert (hi.payload, lo.payload) == ((0.8, 0.6), (0.5, 0.3))
 
 
 def corpus_instance(n, k, s):
