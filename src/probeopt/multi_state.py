@@ -15,12 +15,13 @@ whichever the decision rule picks.  Prefix-tree escape subtrees are
 level lists too, checked, priced and serialized by the same code here
 (and walked by the simulator's one routine).  The evaluators here are
 exact and O(n K) per policy; the search scores all n + 1 fallback
-choices by Weitzman's closed form in O(n (K + log n)) per price (see
-:func:`_fallback_scores`).  The best choice lands within four fifths of
-the unrestricted optimum, the price of fixing the outside option in
-advance.  Choosing adaptively when to send blind is Pandora's box with
-nonobligatory inspection (Doval, JET 2018), which the oracle and the
-additive scheme handle.
+choices by Weitzman's closed form (see :func:`_fallback_scores`): once
+per instance an O(n (K + log n)) build, then per price one integral
+lookup and one (K - 1) x n array pass.  The best choice lands within
+four fifths of the unrestricted optimum, the price of fixing the
+outside option in advance.  Choosing adaptively when to send blind is
+Pandora's box with nonobligatory inspection (Doval, JET 2018), which
+the oracle and the additive scheme handle.
 
 With two states (on/off) the family holds the optimum: keep one
 channel blind (or none), probe the others that pay for themselves by
@@ -91,45 +92,36 @@ class _Workspace:
     """
 
     def __init__(self, instance: Instance):
-        probs = instance.probs
+        probs, rewards, costs = instance.probs, instance.rewards, instance.costs
         k, n = probs.shape
-        rewards = instance.rewards
-        costs = instance.costs
-
-        tail = np.vstack(
-            [np.cumsum(probs[::-1], axis=0)[::-1], np.zeros((1, n))]
-        )
-        num = np.cumsum((probs * rewards[:, None])[::-1], axis=0)[::-1]
-        body = tail[:k]
-        safe = np.where(body > 0.0, body, 1.0)
-        score = np.where(
-            body > 0.0, num / safe - costs[None, :] / safe, -np.inf
-        )
-
-        self.probs = probs
-        self.costs = costs
-        self.tail = tail
+        # suffix sums a row at a time (cumsum down axis 0 loops per column)
+        tail = np.zeros((k + 1, n))
+        tail[:k], num = probs, probs * rewards[:, None]
+        for v in range(k - 2, -1, -1):
+            tail[v] += tail[v + 1]
+            num[v] += num[v + 1]
+        held = tail[:k] > 0.0
+        safe = np.where(held, tail[:k], 1.0)
+        score = np.where(held, num / safe - costs / safe, -np.inf)
+        self.probs, self.costs, self.rewards, self.tail = probs, costs, rewards, tail
         # the reward one level down (sentinel below the bottom)
         reward_below = np.concatenate([[-1.0], rewards[:-1]])
         clears = score > reward_below[:, None]
-        top = np.where(
-            clears.any(axis=0), (k - 1) - np.argmax(clears[::-1], axis=0), -1
-        )
+        top = np.where(clears.any(axis=0), (k - 1) - clears[::-1].argmax(axis=0), -1)
         # each channel sits at one level: levels top first, each by
         # descending score there, ties by index
-        placed = np.flatnonzero(top >= 0)
-        seq = placed[
-            np.lexsort((placed, -score[top[placed], placed], -top[placed]))
-        ]
+        placed = (top >= 0).nonzero()[0]
+        # (a stable sort keeps ``placed``'s ascending order on ties)
+        seq = placed[np.lexsort((-score[top[placed], placed], -top[placed]))]
         level = top[seq]
         count = np.bincount(level, minlength=k)
-        end = np.cumsum(count[::-1])[::-1]
-        self.top = top
-        self.seq = seq
-        self.start = np.append(end - count, 0)
-        self.end = np.append(end, 0)
+        end = count[::-1].cumsum()[::-1]
+        self.top, self.seq = top, seq
+        self.start = np.concatenate((end - count, [0]))
+        self.end = np.concatenate((end, [0]))
         self.own_score = score[level, seq]
-        self.rewards = rewards
+        # each fallback choice's outside option at charge 0 (row 0: silence)
+        self.outside = np.concatenate(([0.0], instance.blind_rewards))
 
     @functools.cached_property
     def grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -138,27 +130,36 @@ class _Workspace:
         (the chance every capped channel sits at its left end or below)
         and G's running integral from ``grid[0]``.  G steps on those
         points, and the channels with sigma > t are a prefix of
-        ``seq``: one cumulative product per reward band, the one below
-        r[0] included.  Repeated points make empty stretches, so a
-        plain sort serves (np.unique's first call in a process raises
-        its peak memory)."""
-        r, sigma, tail, seq = self.rewards, self.own_score, self.tail, self.seq
-        grid = np.sort(np.concatenate([r, sigma]))
-        band = np.searchsorted(r, grid, side="right") - 1
-        capped = np.searchsorted(-sigma, -grid, side="left")
-        g = np.ones(grid.size)
-        for v in range(-1, r.size - 1):
-            here = np.flatnonzero(band == v)
-            below = np.cumprod(np.append(1.0, 1.0 - tail[v + 1, seq]))
-            g[here] = below[capped[here]]
-        run = np.append(0.0, np.cumsum(g[:-1] * np.diff(grid)))
+        ``seq``: one cumulative product along ``seq`` of every band's
+        row of ``1 - tail`` (row v for [r[v - 1], r[v]), row 0 below
+        r[0]), read at each point's band and prefix.
+        Repeated points make empty stretches, so a plain sort serves
+        (np.unique's first call in a process raises its peak memory)."""
+        r, seq = self.rewards, self.seq
+        grid = np.sort(np.concatenate((r, self.own_score)))
+        band = r.searchsorted(grid, side="right")
+        capped = (-self.own_score).searchsorted(-grid, side="left")
+        below = np.ones((r.size + 1, seq.size + 1))
+        np.cumprod(1.0 - self.tail[:, seq], axis=1, out=below[:, 1:])
+        g = below[band, capped]
+        run = np.zeros(grid.size)
+        np.cumsum(g[:-1] * (grid[1:] - grid[:-1]), out=run[1:])
         return grid, g, run
+
+    @functools.cached_property
+    def lifts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """G's integral at each probe's own score (in ``seq`` order), at
+        each fallback choice's outside option and at each reward, in one
+        lookup (sigma ascending, which binary search favours)."""
+        sigma, m, rows = self.own_score, self.seq.size, self.outside.size
+        at = self.integral(np.concatenate((sigma[::-1], self.outside, self.rewards)))
+        return at[:m][::-1], at[m : m + rows], at[m + rows :]
 
     def integral(self, t):
         """G's integral from ``grid[0]`` to t (clipped to the grid)."""
         grid, g, run = self.grid
-        t = np.clip(t, grid[0], grid[-1])
-        i = np.searchsorted(grid, t, side="right") - 1
+        t = np.minimum(np.maximum(t, grid[0]), grid[-1])
+        i = grid.searchsorted(t, side="right") - 1
         return run[i] + g[i] * (t - grid[i])
 
 
@@ -193,7 +194,7 @@ def _cut(ws: _Workspace, floor: int, bar):
     probes ``seq[:cut]`` less its fallback.  A floor of K cuts at 0."""
     lo = ws.start[floor]
     scores = ws.own_score[lo : ws.end[floor]]
-    return lo + np.searchsorted(-scores, -bar, side="left")
+    return lo + (-scores).searchsorted(-bar, side="left")
 
 
 def _probe_lists(
@@ -204,18 +205,16 @@ def _probe_lists(
     reward beats the bar, and the lists are ``seq`` up to the floor's
     cut, without the fallback, grouped by level."""
     ws = _workspace(instance)
-    floor = int(np.searchsorted(instance.rewards, bar, side="right"))
-    chans = ws.seq[: _cut(ws, floor, bar)]
-    if backup is not None:
-        chans = chans[chans != backup]
-    if not chans.size:
-        return floor, ()
-    level = ws.top[chans]
-    edges = [0, *(np.flatnonzero(level[1:] != level[:-1]) + 1).tolist(), chans.size]
-    return floor, tuple(
-        (int(level[a]), tuple(chans[a:b].tolist()))
-        for a, b in zip(edges[:-1], edges[1:])
-    )
+    floor = int(instance.rewards.searchsorted(bar, side="right"))
+    chans = ws.seq[: _cut(ws, floor, bar)].tolist()
+    lists = []
+    for u in range(instance.state_count - 1, floor - 1, -1):
+        mem = chans[ws.start[u] : ws.end[u]]
+        if backup in mem:
+            mem.remove(backup)
+        if mem:
+            lists.append((u, tuple(mem)))
+    return floor, tuple(lists)
 
 
 def probe_levels(
@@ -250,8 +249,7 @@ def _stop_profile(ws: _Workspace, levels) -> tuple[float, np.ndarray, float]:
     The closing decision is NOT applied here; callers fold ``stopped``
     against whatever end rule their policy uses.
     """
-    tail = ws.tail
-    probs = ws.probs
+    tail, probs = ws.tail, ws.probs
     k = probs.shape[0]
 
     stopped = np.zeros(k)
@@ -266,9 +264,7 @@ def _stop_profile(ws: _Workspace, levels) -> tuple[float, np.ndarray, float]:
         stopped[u:prev_u] += prods[1:] - prods[:-1]
         # probes inside the level; each is reached only while all
         # observations so far sit strictly below u
-        reach = prods[0] * np.concatenate(
-            [[1.0], np.cumprod(1.0 - tail[u, mem])[:-1]]
-        )
+        reach = prods[0] * np.concatenate(([1.0], np.cumprod(1.0 - tail[u, mem])[:-1]))
         cost += float(reach @ ws.costs[mem])
         stopped[u:] += probs[u:, mem] @ reach
         above = np.concatenate([above, mem])
@@ -283,11 +279,14 @@ def _selection_masks(instance: Instance, backup: int | None, threshold):
     """For each possible best observation (and for none at all), which
     closing action the decision rule takes: boolean arrays over states
     (send-probed, send-fallback), and whether the fallback is sent when
-    nothing was probed (the -1 sentinel of no fallback never is)."""
-    blind = blind_backup_reward(instance, backup)
+    nothing was probed; with no fallback the last two never hold."""
     r = instance.rewards
+    if backup is None:
+        send = np.ones(r.size, bool) if threshold is None else r >= threshold
+        return send, np.zeros(r.size, bool), False
+    blind = blind_backup_reward(instance, backup)
     gate = True if threshold is None else np.maximum(r, blind) >= threshold
-    blind_if_none = backup is not None and (threshold is None or blind >= threshold)
+    blind_if_none = threshold is None or blind >= threshold
     return gate & (r >= blind), gate & (r < blind), blind_if_none
 
 
@@ -295,7 +294,7 @@ def _selection_masks(instance: Instance, backup: int | None, threshold):
 
 
 def _frozen_levels(levels) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    return tuple((int(u), tuple(int(j) for j in mem)) for u, mem in levels)
+    return tuple((int(u), tuple(map(int, mem))) for u, mem in levels)
 
 
 def _probe_order(levels) -> list[int]:
@@ -459,40 +458,40 @@ def _fallback_scores(instance: Instance, threshold: float | None) -> np.ndarray:
     when no sigma beats a, as that slot probes nothing.  That is
     max(a_f, R) - x less the integral over [a_f, R] of G_f(t), the
     chance that every capped channel but f sits at t or below (R tops
-    every reward and score).  G and its integral do not depend on the
-    charge, so they are built once per instance and kept with the
-    workspace (:attr:`_Workspace.grid`).  Leaving f out divides G by
-    F_f(t) = P(X_f <= t) below sigma_f, which only bands inside
-    [a_f, sigma_f) do: there F_f >= P(X_f <= mu_f) > 0, elsewhere F_f
-    may be 0."""
+    every reward and score).  G and its integral at every sigma, mean
+    and reward do not depend on the charge and are kept with the
+    workspace (:attr:`_Workspace.grid`, :attr:`_Workspace.lifts`), so a
+    price costs one lookup, at x, and one (K - 1) x |lift| array pass.
+    Leaving f out divides G by F_f(t) = P(X_f <= t) below sigma_f, which
+    only bands inside [a_f, sigma_f) do: there F_f >= P(X_f <= mu_f) >
+    0, elsewhere F_f may be 0."""
     x = 0.0 if threshold is None else _number(threshold, "threshold")
     ws = _workspace(instance)
-    k = instance.state_count
     r = instance.rewards
-    seq, sigma, tail = ws.seq, ws.own_score, ws.tail
     grid, _, run = ws.grid
+    at_sigma, at_outside, edges = ws.lifts
 
     # row i leaves channel i - 1 out; row 0 leaves none out
-    a = np.maximum(np.append(0.0, instance.blind_rewards), x)
-    out = np.maximum(a, grid[-1]) - x - (run[-1] - ws.integral(a))
-    if not (sigma > a[0]).any():
+    a = np.maximum(ws.outside, x)
+    at_a = np.where(ws.outside >= x, at_outside, ws.integral(x))
+    out = np.maximum(a, grid[-1]) - x - (run[-1] - at_a)
+    if not (ws.own_score > a[0]).any():
         out[0] = 0.0
 
-    own = np.full(instance.n + 1, -np.inf)
-    own[seq + 1] = sigma
-    lift = np.flatnonzero(own > a)
-    lo, hi = a[lift], own[lift]
-    at_lo, at_hi, edges = ws.integral(lo), ws.integral(hi), ws.integral(r)
-    drop = np.zeros(lift.size)
-    for v in range(k - 1):
-        inside = np.flatnonzero((lo < r[v + 1]) & (r[v] < hi))
-        p = tail[v + 1, lift[inside] - 1]
-        # the integral rises with t, so clipping it to its values at
-        # a_f and sigma_f integrates over the band clipped to them
-        bounds = at_lo[inside], at_hi[inside]
-        span = np.clip(edges[v + 1], *bounds) - np.clip(edges[v], *bounds)
-        drop[inside] += span * p / (1.0 - p)
-    out[lift] -= drop
+    # the lifted choices, sigma_f > a_f, in probe-sequence order
+    hit = ws.own_score > a[ws.seq + 1]
+    lift = ws.seq[hit] + 1
+    inside = (a[lift] < r[1:, None]) & (r[:-1, None] < ws.own_score[hit])
+    p = ws.tail[1:-1, lift - 1]
+    # the integral rises with t, so clipping it to its values at a_f and
+    # sigma_f integrates over the band clipped to them
+    clipped = np.minimum(np.maximum(edges[:, None], at_a[lift]), at_sigma[hit])
+    # row v + 1 of ``drop`` is band [r[v], r[v + 1]), row 0 zero, so the
+    # rows summed in band order are bit for bit a loop's ``drop[inside] +=``;
+    # lanes outside a band may have p = 1 (F_f = 0): they are never divided
+    drop = np.zeros((r.size, lift.size))
+    np.divide((clipped[1:] - clipped[:-1]) * p, 1.0 - p, out=drop[1:], where=inside)
+    out[lift] -= np.add.accumulate(drop, axis=0, out=drop)[-1]
     return out
 
 
@@ -521,8 +520,7 @@ def _kink_price(instance: Instance, rate: float) -> float:
     slope P(Z <= L) - 1, so the sum turns up where G reaches 1 - rate;
     below max mu it falls at slope -1.  The queue's cut search opens
     here, where the charged optimum usually has its kink."""
-    ws = _workspace(instance)
-    grid, g, _ = ws.grid
+    grid, g, _ = _workspace(instance).grid
     left = grid[np.argmax(g >= 1.0 - rate)]
     return float(max(left, instance.blind_rewards.max(), 0.0))
 
@@ -540,5 +538,5 @@ def best_reserve_backup(
     """
     scores = _fallback_scores(instance, threshold)
     best = scores.max()
-    i = int(np.argmax(scores >= best - 1e-12 * (1.0 + abs(best))))
+    i = int((scores >= best - 1e-12 * (1.0 + abs(best))).argmax())
     return reserve_backup_policy(instance, None if i == 0 else i - 1, threshold)

@@ -421,6 +421,65 @@ def reference_fallback_scores(instance, threshold=None):
     return np.concatenate([[silent.gain], out])
 
 
+# -- the fallback search's band loops -------------------------------------
+
+
+def reference_grid(ws):
+    """The workspace's fallback grid built one reward band at a time:
+    for each band (the one below r[0] included), the cumulative product
+    of ``1 - tail`` along ``seq``, read at the band's points."""
+    r, sigma, tail, seq = ws.rewards, ws.own_score, ws.tail, ws.seq
+    grid = np.sort(np.concatenate([r, sigma]))
+    band = np.searchsorted(r, grid, side="right") - 1
+    capped = np.searchsorted(-sigma, -grid, side="left")
+    g = np.ones(grid.size)
+    for v in range(-1, r.size - 1):
+        here = np.flatnonzero(band == v)
+        below = np.cumprod(np.append(1.0, 1.0 - tail[v + 1, seq]))
+        g[here] = below[capped[here]]
+    run = np.append(0.0, np.cumsum(g[:-1] * np.diff(grid)))
+    return grid, g, run
+
+
+def reference_band_scores(instance, threshold=None):
+    """Every fallback's search objective by the closed form with a loop
+    over the reward bands: G's integral looked up afresh at the outside
+    options, the own scores and the rewards, on :func:`reference_grid`,
+    and each band's lanes added into the lifted choices' drop in band
+    order."""
+    ms = importlib.import_module("probeopt.multi_state")
+    x = 0.0 if threshold is None else float(threshold)
+    ws = ms._workspace(instance)
+    k = instance.state_count
+    r = instance.rewards
+    seq, sigma, tail = ws.seq, ws.own_score, ws.tail
+    grid, g, run = reference_grid(ws)
+
+    def integral(t):
+        t = np.clip(t, grid[0], grid[-1])
+        i = np.searchsorted(grid, t, side="right") - 1
+        return run[i] + g[i] * (t - grid[i])
+
+    a = np.maximum(np.append(0.0, instance.blind_rewards), x)
+    out = np.maximum(a, grid[-1]) - x - (run[-1] - integral(a))
+    if not (sigma > a[0]).any():
+        out[0] = 0.0
+    own = np.full(instance.n + 1, -np.inf)
+    own[seq + 1] = sigma
+    lift = np.flatnonzero(own > a)
+    lo, hi = a[lift], own[lift]
+    at_lo, at_hi, edges = integral(lo), integral(hi), integral(r)
+    drop = np.zeros(lift.size)
+    for v in range(k - 1):
+        inside = np.flatnonzero((lo < r[v + 1]) & (r[v] < hi))
+        p = tail[v + 1, lift[inside] - 1]
+        bounds = at_lo[inside], at_hi[inside]
+        span = np.clip(edges[v + 1], *bounds) - np.clip(edges[v], *bounds)
+        drop[inside] += span * p / (1.0 - p)
+    out[lift] -= drop
+    return out
+
+
 # -- Weitzman's reservation values, straight from the instance ----------
 
 
@@ -495,6 +554,19 @@ def reference_weitzman_bound(instance, charge=None) -> float:
 # -- the level lists from a dense membership mask -----------------------
 
 
+def level_scores(instance):
+    """Each channel's tail ``tail[v, j]`` (its chance of sitting at
+    state v or higher) and its score at each level, by cumulative sums
+    down the states: the expected reward given the tail, less the cost
+    spread over it, and minus infinity where the tail is empty."""
+    probs, rewards, costs = instance.probs, instance.rewards, instance.costs
+    tail = np.cumsum(probs[::-1], axis=0)[::-1]
+    num = np.cumsum((probs * rewards[:, None])[::-1], axis=0)[::-1]
+    safe = np.where(tail > 0.0, tail, 1.0)
+    return tail, np.where(tail > 0.0, num / safe - costs[None, :] / safe, -np.inf)
+
+
+
 def mask_levels(instance, backup, threshold=None):
     """The probe lists of ``reserve_backup_policy``, built level by
     level from a K x n membership mask: channel j is a member at level
@@ -502,12 +574,9 @@ def mask_levels(instance, backup, threshold=None):
     down and the bar (the larger of the fallback mean, 0 without one,
     and the threshold); it probes at its highest such level, and each
     level lists its members by descending score, ties by index."""
-    probs, rewards, costs = instance.probs, instance.rewards, instance.costs
+    rewards = instance.rewards
     k = instance.state_count
-    tail = np.cumsum(probs[::-1], axis=0)[::-1]
-    num = np.cumsum((probs * rewards[:, None])[::-1], axis=0)[::-1]
-    safe = np.where(tail > 0.0, tail, 1.0)
-    score = np.where(tail > 0.0, num / safe - costs[None, :] / safe, -np.inf)
+    _, score = level_scores(instance)
     order = np.argsort(-score, axis=1, kind="stable")
     blind = 0.0 if backup is None else float(instance.blind_rewards[backup])
     bar = blind if threshold is None else max(blind, float(threshold))
@@ -531,12 +600,9 @@ def argsort_sequence(instance):
     those whose top level (highest level whose score beats the reward
     one level down) it is; levels top first.  Returns (seq, start, end)
     with level u at ``seq[start[u]:end[u]]`` and an empty level K."""
-    probs, rewards, costs = instance.probs, instance.rewards, instance.costs
+    rewards = instance.rewards
     k = instance.state_count
-    tail = np.cumsum(probs[::-1], axis=0)[::-1]
-    num = np.cumsum((probs * rewards[:, None])[::-1], axis=0)[::-1]
-    safe = np.where(tail > 0.0, tail, 1.0)
-    score = np.where(tail > 0.0, num / safe - costs[None, :] / safe, -np.inf)
+    _, score = level_scores(instance)
     order = np.argsort(-score, axis=1, kind="stable")
     clears = score > np.concatenate([[-1.0], rewards[:-1]])[:, None]
     top = np.where(clears.any(axis=0), (k - 1) - np.argmax(clears[::-1], axis=0), -1)

@@ -13,9 +13,12 @@ value with reservation values solved channel by channel from the
 instance arrays (``helpers.weitzman_value``).  ``weitzman_bound``, the
 same form with the best blind mean as outside option, is checked
 against that loop (``helpers.reference_weitzman_bound``) and against
-the oracle, which it must never fall below.
+the oracle, which it must never fall below.  The search's array
+passes are pinned byte for byte against the band loops they replaced
+(``helpers.reference_grid`` and ``helpers.reference_band_scores``).
 """
 
+import collections
 import gc
 import tracemalloc
 import weakref
@@ -30,8 +33,11 @@ from probeopt import multi_state
 from helpers import (
     argsort_sequence,
     draw_instance,
+    level_scores,
     mask_levels,
+    reference_band_scores,
     reference_fallback_scores,
+    reference_grid,
     reference_weitzman_bound,
     reference_search,
     restricted_oracle_value,
@@ -98,6 +104,35 @@ class TestEvaluator:
         rep = po.evaluate_policy(inst, pol)
         assert rep.gain == 0.0
         assert rep.transmit_prob == 0.0
+
+
+class TestNoFallbackUnvalidated:
+    """A base reward below -1 on an unvalidated instance: a slot with no
+    fallback that finds the low state stays silent at charge -1; it
+    never sends a fallback it does not have."""
+
+    def setup_method(self):
+        self.inst = po.Instance.from_arrays(
+            (-3.0, 0.5), [[0.7], [0.3]], (0.0,), validate=False
+        )
+
+    def test_search_policy_evaluates_within_the_optimum(self):
+        pol = po.best_reserve_backup(self.inst, -1.0)
+        assert pol.backup is None
+        rep = po.evaluate_policy(self.inst, pol, altered_threshold=-1.0)
+        best = po.altered_optimum(self.inst, -1.0).value
+        assert best == pytest.approx(0.45, abs=1e-12)
+        assert rep.gain <= best + 1e-12
+        assert rep.state_mass.tolist() == pytest.approx([0.0, 0.3], abs=1e-15)
+
+    def test_queue_answers_or_refuses(self):
+        # the queue's end prices read "every slot sends" only for
+        # rewards in [0, 1], so rate 0.5 is out of its reach here
+        with pytest.raises(po.ProbingError):
+            po.solve_unsaturated(self.inst, 0.5)
+        mix = po.solve_unsaturated(self.inst, 0.2)
+        rep = po.evaluate_policy(self.inst, mix)
+        assert rep.transmit_prob == pytest.approx(mix.effective_rate, abs=1e-12)
 
 
 class TestStructureChecks:
@@ -381,6 +416,72 @@ class TestFastSearch:
                 inst, po.reserve_backup_policy(inst, int(b), 0.3), altered_threshold=0.3
             ).gain
             assert scores[b + 1] == pytest.approx(want, abs=1e-12), f"fallback {b}"
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 10**6),
+        st.integers(2, 16),
+        st.lists(st.tuples(st.integers(0, 11), st.integers(1, 15)), max_size=3),
+        st.lists(st.integers(0, 11), max_size=4),
+        st.sampled_from([None, 0.0, -0.05]),
+        st.floats(-0.5, 1.5),
+    )
+    def test_array_passes_match_the_band_loops_byte_for_byte(
+        self, seed, k, sure, copies, sure_cost, extra
+    ):
+        # a "sure" channel never sits below its chosen state, so every
+        # band under it has p = 1: outside [a_f, sigma_f), where the
+        # array pass must not divide; a rebate lifts even a channel
+        # certain of the top state above its own blind mean
+        base = draw_instance(seed, n_hi=12, k_lo=k, k_hi=k)
+        probs, costs = base.probs.copy(), base.costs.copy()
+        for j, low in {c % base.n: min(s, k - 1) for c, s in sure}.items():
+            probs[low, j] += probs[:low, j].sum()
+            probs[:low, j] = 0.0
+            if sure_cost is not None:
+                costs[j] = sure_cost
+        cols = list(range(base.n)) + [c % base.n for c in copies]
+        np.random.default_rng(seed).shuffle(cols)
+        inst = po.Instance.from_arrays(
+            base.rewards, probs[:, cols], costs[cols], validate=False
+        )
+        ws = multi_state._workspace(inst)
+        tail, score = level_scores(inst)
+        assert ws.tail[:k].tobytes() == tail.tobytes()
+        assert ws.own_score.tobytes() == score[ws.top[ws.seq], ws.seq].tobytes()
+        for got, want in zip(ws.grid, reference_grid(ws)):
+            assert got.tobytes() == want.tobytes()
+        top = float(inst.blind_rewards.max())
+        for x in (*search_prices(inst, extra), 0.0, -0.3, top + 0.25):
+            got = multi_state._fallback_scores(inst, x)
+            assert got.tobytes() == reference_band_scores(inst, x).tobytes(), f"x={x}"
+
+    def test_charge_free_arrays_built_once_per_instance(self, monkeypatch):
+        built = collections.Counter()
+
+        def counted(name, build):
+            def wrapper(*args):
+                built[name] += 1
+                return build(*args)
+
+            return wrapper
+
+        for name in ("grid", "lifts"):
+            prop = vars(multi_state._Workspace)[name]
+            monkeypatch.setattr(prop, "func", counted(name, prop.func))
+        for name in ("__init__", "integral"):
+            build = getattr(multi_state._Workspace, name)
+            monkeypatch.setattr(multi_state._Workspace, name, counted(name, build))
+
+        inst = draw_instance(17, n_lo=6, n_hi=9, k_lo=4)
+        po.best_reserve_backup(inst, 0.3)
+        assert built == {"__init__": 1, "grid": 1, "lifts": 1, "integral": 2}
+        # every later price is one lookup, whoever asks
+        for x in (None, -0.5, 0.0, 2.0):
+            po.best_reserve_backup(inst, x)
+            po.weitzman_bound(inst, x)
+            multi_state._kink_price(inst, 0.4)
+        assert built == {"__init__": 1, "grid": 1, "lifts": 1, "integral": 10}
 
     def test_repeat_search_memory(self):
         inst = po.generate(po.GenSpec(n=2000, state_count=16), 0)
