@@ -25,11 +25,12 @@ additive epsilon * (top reward):
 Some optimal policy has exactly this backbone-plus-escapes shape for
 the right fallback and escape state, so the best backbone of the best
 (fallback, escape state) pair loses only the coarsening and truncation
-budgets; each pair's search runs over probed sets, not orderings.
-Escape subtrees are priced in closed form by the unprobed set (see
-``_Escape``); only the winner's are cut from their escape state's
-no-fallback level lists.  Subtrees share the threshold policies'
-level-list check, price, walk and codec.
+budgets.  One table holds every pair's best value per probed set, filled
+by set size in one array pass per layer, escapes priced in closed form
+(see ``_Escape``); only the winner's backbone is read back and its
+subtrees cut from their escape state's no-fallback level lists.
+Subtrees share the threshold policies' level-list check, price, walk
+and codec.
 The winner is mapped back to the original reward scale before it is
 returned: decisions fire on the grid cell of each observation,
 transmitted rewards are the original ones, so the reported gain can
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -261,10 +263,9 @@ class _Escape:
     ties go by index, which a subset keeps.  It is Weitzman's index
     policy with outside option 0, so (Kleinberg-Waggoner-Weyl, EC 2016)
     it earns E[max(0, max_{j in S} min(X_j, sigma_j))] over the set S:
-    ``worth`` sums w[b] (1 - prod_{j in S} cdf[b, j]) over the bands b
+    ``worths`` sums w[b] (1 - prod_{j in S} cdf[b, j]) over the bands b
     between the sorted shifted rewards and positive sigmas, with
-    cdf[b, j] = P(X_j <= t) on b below sigma_j and 1 from it up.  Holds
-    no reference to the instance it is kept on, so makes no cycle."""
+    cdf[b, j] = P(X_j <= t) on b below sigma_j and 1 from it up."""
 
     def __init__(self, instance: Instance, escape_state: int):
         s = self.state = escape_state
@@ -287,14 +288,15 @@ class _Escape:
         below = grid[:-1, None] < sigma
         self.cdf = np.where(below, 1.0 - ws.tail[past][:, self.probed], 1.0)
         self.w = np.diff(grid)
-        self.values: dict[int, float] = {}
 
-    def worth(self, remaining: int) -> float:
-        if remaining not in self.values:
-            keep = [q for q, j in enumerate(self.probed) if remaining >> j & 1]
-            out = 1.0 - self.cdf[:, keep].prod(axis=1)
-            self.values[remaining] = float(self.w @ out)
-        return self.values[remaining]
+    def worths(self, probed: np.ndarray) -> np.ndarray:
+        """The worth over the channels outside each row's set (``probed[row,
+        j]``: j is in it).  A probed channel's factor is 1.0 and each row is
+        dotted on its own: the float operations of one set priced alone."""
+        prod = np.ones((len(probed), self.w.size))
+        for t, j in enumerate(self.probed):
+            prod *= np.where(probed[:, j, None], 1.0, self.cdf[:, t])
+        return ((1.0 - prod)[:, None] @ self.w[:, None])[:, 0, 0]
 
     def subtree(self, remaining: int):
         """(send_min, the level lists cut to a set): any find beats the hold."""
@@ -302,75 +304,88 @@ class _Escape:
         return self.state + 1, tuple((u, tuple(mem)) for u, mem in kept if mem)
 
 
-# -- backbone search over probed sets -----------------------------------
+# -- backbone search by popcount layers ---------------------------------
+
+_CHUNK = 1 << 16  # most values one step of a layer prices, whatever n is
 
 
-def _best_prefix(
-    instance: Instance, backup: int, escape_state: int, max_length: int | None
-) -> tuple[PrefixTreePolicy, float, int]:
-    """:func:`best_prefix_policy`, plus the count of probed sets it
-    solved."""
-    if not 0 <= backup < instance.n:
-        raise UnknownChannel(f"backup index {backup} out of range")
-    if not 0 <= escape_state < instance.state_count:
-        raise IndexError(f"escape state {escape_state} out of range")
-    if max_length is not None and max_length < 0:
-        raise ValueError(f"max_length must be >= 0, got {max_length}")
-    k = instance.state_count
-    probs = instance.probs
-    r = instance.rewards
-    costs = instance.costs
-    blind_l = float(probs[:, backup] @ r)
-    cont = probs[: escape_state + 1].sum(axis=0)
-    pool = [j for j in range(instance.n) if j != backup]
-    cap = len(pool) if max_length is None else min(max_length, len(pool))
-    everything = (1 << instance.n) - 1
-    # built on first use and kept on the instance, as its workspace is
-    built = instance.__dict__.setdefault("_escapes", {})
-    for s in range(escape_state + 1, k):
-        if s not in built:
-            built[s] = _Escape(instance, s)
-    escapes = [built[s] for s in range(escape_state + 1, k)]
-    table: dict = {}
+@lru_cache(maxsize=8)
+def _layers(n: int, cap: int):
+    """The sets of up to ``cap`` of n channels, one layer per size, by
+    ascending bitmask; nothing of size 2^n.  Layer c is ``(member, kid)``:
+    ``member[row, j]`` says whether channel j is in the row's set, ``kid[row,
+    m]`` is the row in layer c + 1 of the set plus m (0 where m is in it;
+    None on the top layer).  Kept per shape and shared, as ``oracle._lattice``."""
+    # past 63 channels the masks are Python ints
+    bits = np.array([1 << j for j in range(n)], dtype=np.int64 if n < 64 else object)
+    masks, layers = np.zeros(1, dtype=bits.dtype), []
+    for c in range(cap + 1):
+        member, kid = (masks[:, None] & bits) != 0, None
+        if c < cap:
+            grown = masks[:, None] | bits
+            # each set of c + 1 once: a set of c plus a channel above its top
+            masks = np.sort(grown[bits > masks[:, None]])
+            kid = np.where(member, 0, np.searchsorted(masks, grown))
+            kid.flags.writeable = False
+        member.flags.writeable = False
+        layers.append((member, kid))
+    return tuple(layers)
 
-    def escape_value(m: int, remaining: int) -> float:
-        total = 0.0
-        for s, esc in enumerate(escapes, escape_state + 1):
-            p = probs[s, m]
-            if p > 0.0:
-                total += p * (r[s] + esc.worth(remaining))
-        return total
 
-    def best_from(used: int) -> tuple[float, tuple[int, ...]]:
-        if used in table:
-            return table[used]
-        best = (blind_l, ())
-        for m in (pool if used.bit_count() < cap else ()):
-            if used >> m & 1:
-                continue
-            taken = used | 1 << m
-            val, tail = escape_value(m, everything & ~taken) - costs[m], ()
-            if cont[m] > 0.0:  # a probe nothing passes ends the backbone
-                w, tail = best_from(taken)
-                val += cont[m] * w
-            if val > best[0]:
-                best = (val, (m,) + tail)
-        table[used] = best
-        return best
+def _backbones(instance: Instance, backups, floors, cap: int):
+    """W(used), the most a backbone earns once ``used`` is probed, for
+    every fallback b in ``backups`` and escape floor i in ``floors``
+    (ascending), by set size from ``cap`` probes down:
+    W(used) = max(blind_b, max_m esc_i(m, rest) - c_m + cont_i[m] W(used + m))
+    over m outside ``used`` other than b, esc_i summed upward over the
+    states above i.  Ties go to stopping, then to the lowest channel.
+    Returns W(empty) as a (floors, backups) array and a function that
+    reads one pair's policy off, by its places in the two."""
+    n, k = instance.n, instance.state_count
+    probs, r, costs = instance.probs, instance.rewards, instance.costs
+    states = range(floors[0] + 1, k)
+    escapes = [_Escape(instance, s) for s in states]
+    blind = np.array([float(probs[:, b] @ r) for b in backups])
+    cont = np.array([probs[: i + 1].sum(axis=0) for i in floors])
+    # per escape state: its probabilities, its reward, the floors under it
+    by_state = list(zip(probs[states.start :], r[states.start :], np.searchsorted(floors, states)))
+    barred = np.arange(n) == np.asarray(backups)[:, None]
+    layers = _layers(n, cap)
+    step = max(1, _CHUNK // (n * (len(floors) * len(backups) + k)))
+    W = np.broadcast_to(blind, (len(layers[cap][0]), len(floors), len(backups)))
+    picks = [None] * cap
+    for c in range(cap - 1, -1, -1):
+        (member, kid), worths = layers[c], [e.worths(layers[c + 1][0]) for e in escapes]
+        W_up, W = W, np.empty((len(member), len(floors), len(backups)))
+        picks[c] = np.empty(W.shape, dtype=np.min_scalar_type(n))
+        for lo in range(0, len(member), step):
+            kids = kid[lo : lo + step]
+            esc = np.zeros((len(kids), len(floors), n))
+            for (p, r_s, under), worth in zip(by_state, worths):
+                esc[:, :under] += np.where(p > 0.0, p * (r_s + worth[kids]), 0.0)[:, None]
+            # (set, floor, fallback, probe); a zero cont_i[m] adds exactly 0
+            val = (esc - costs)[:, :, None] + cont[:, None] * W_up[kids].transpose(0, 2, 3, 1)
+            np.copyto(val, -np.inf, where=member[lo : lo + step, None, None] | barred)
+            best = val.max(axis=3)
+            go = best > blind
+            W[lo : lo + step] = np.where(go, best, blind)
+            picks[c][lo : lo + step] = np.where(go, val.argmax(axis=3), n)
 
-    best_val, best_pi = best_from(0)
+    def policy(fi: int, bi: int) -> PrefixTreePolicy:
+        row, backbone, rest, subtrees = 0, [], (1 << n) - 1, []
+        for c in range(cap):
+            m = int(picks[c][row, fi, bi])
+            if m == n:
+                break
+            backbone.append(m)
+            rest &= ~(1 << m)
+            subtrees.append(tuple(e.subtree(rest) for e in escapes[floors[fi] - floors[0] :]))
+            if not cont[fi, m] > 0.0:  # a probe nothing passes ends the backbone
+                break
+            row = layers[c][1][row, m]
+        return PrefixTreePolicy(backups[bi], floors[fi] + 1, tuple(backbone), tuple(subtrees))
 
-    subtrees, rest = [], everything
-    for m in best_pi:
-        rest &= ~(1 << m)
-        subtrees.append(tuple(esc.subtree(rest) for esc in escapes))
-    policy = PrefixTreePolicy(
-        backup=backup,
-        escape_min=escape_state + 1,
-        backbone=best_pi,
-        subtrees=tuple(subtrees),
-    )
-    return policy, float(best_val), len(table)
+    return W[0], policy
 
 
 def best_prefix_policy(
@@ -379,13 +394,18 @@ def best_prefix_policy(
     """Best backbone-plus-escapes policy for one (fallback, escape
     state) pair, over backbones of up to ``max_length`` probes (all
     lengths when None).  Returns the policy and its gain.  What a
-    backbone earns past its probed set depends only on that set, so the
-    search is one recursion over sets, each solved once:
-    W(used) = max(blind, max_m [esc(m, rest) - c + cont[m] W(used + m)]).
-    Ties go to stopping, then to the lowest channel: the first backbone
-    in lexicographic order among equals."""
-    return _best_prefix(instance, backup, escape_state, max_length)[:2]
-
+    backbone earns past its probed set depends only on that set, so
+    ``_backbones`` fills one value per set, here for this pair alone;
+    among equals the first backbone in lexicographic order wins."""
+    if not 0 <= backup < instance.n:
+        raise UnknownChannel(f"backup index {backup} out of range")
+    if not 0 <= escape_state < instance.state_count:
+        raise IndexError(f"escape state {escape_state} out of range")
+    if max_length is not None and max_length < 0:
+        raise ValueError(f"max_length must be >= 0, got {max_length}")
+    cap = instance.n - 1 if max_length is None else min(max_length, instance.n - 1)
+    top, policy = _backbones(instance, (backup,), (escape_state,), cap)
+    return policy(0, 0), float(top[0, 0])
 
 # -- reward coarsening --------------------------------------------------
 
@@ -440,10 +460,11 @@ def _lift(
 @dataclass(frozen=True)
 class AdditiveCertificate:
     """What the solver actually did: which branch ran, the coarsening
-    and search parameters (``candidates`` counts the probed sets the
-    backbone searches solved), and the winner's coarse-scale gain (the
-    quantity the guarantee is proved for; the reported original-scale
-    gain can only be higher)."""
+    and search parameters (``candidates`` counts the backbone table's
+    cells, one per (fallback, escape state) pair and set of at most
+    min(h, n - 1) other channels: the budget's count), and the winner's
+    coarse-scale gain (the quantity the guarantee is proved for; the
+    reported original-scale gain can only be higher)."""
 
     branch: str
     epsilon: float
@@ -472,7 +493,7 @@ def additive_approx(
     Requires every channel to charge the same probing cost.  Raises
     CandidateBudgetExceeded before searching when the probed-set count
     n * cells * sum over sizes t <= min(h, n - 1) of C(n - 1, t) would
-    pass ``max_candidates``; that count bounds ``candidates`` and is at
+    pass ``max_candidates``; that count is ``candidates`` and is at
     most n * cells * 2^(n - 1)."""
     if not 0.0 < epsilon <= 1.0:
         raise EpsilonOutOfRange(f"epsilon must be in (0, 1], got {epsilon}")
@@ -517,17 +538,10 @@ def additive_approx(
             f"{count} probed-set candidates exceed the budget of {max_candidates}"
         )
 
-    solved = 0
-    best = None
-    best_val = -np.inf
-    for backup in range(n):
-        for i in range(kc):
-            policy, val, sets = _best_prefix(coarse, backup, i, h)
-            solved += sets
-            if val > best_val:
-                best, best_val = (policy, backup, i), val
-    policy_c, backup, i = best
-    lifted = _lift(policy_c, cell_of, first_of, instance.state_count)
+    top, policy = _backbones(coarse, range(n), range(kc), cap)
+    # the first best pair in (fallback, escape state) order
+    backup, i = divmod(int(top.T.argmax()), kc)
+    lifted = _lift(policy(i, backup), cell_of, first_of, instance.state_count)
     return AdditiveResult(
         lifted,
         evaluate_policy(instance, lifted),
@@ -537,9 +551,9 @@ def additive_approx(
             probe_cost=c,
             path_bound=h,
             cell_count=kc,
-            candidates=solved,
+            candidates=count,
             budget=max_candidates,
-            coarse_gain=float(best_val),
+            coarse_gain=float(top[i, backup]),
             backup=backup,
             escape_state=i,
         ),

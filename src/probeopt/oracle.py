@@ -421,23 +421,19 @@ def _check_options(instance: Instance, options: OracleOptions) -> None:
         )
 
 
-@lru_cache(maxsize=1)
-def _lattice(n: int, k: int):
-    """The subset lattice of n channels, cut into the steps of the
-    layered pass over K states.  Only the last shape's lattice is kept:
-    the solves that reuse one are the repeated solves of one instance
-    (its exact optimum and each solve of its dual bound), and a
-    lattice takes under twice the memory of one result's tables.
+@lru_cache(maxsize=16)
+def _lattice(n: int):
+    """The subset lattice of n channels.  Kept per channel count, so
+    instances of different shapes take turns without rebuilding it; a
+    lattice doubles with every channel (0.84 MB at n = 14), so all the
+    counts kept take under twice the largest one's memory.
 
     ``order`` lists the masks by popcount, ascending mask within a
-    popcount, and ``pos`` inverts it.  A step ``(lo, hi, f, jj, kid,
-    who, rows)`` covers the masks at ``order[lo:hi]``, all with f free
-    channels: ``jj`` lists those channels ascending (flat, mask by
-    mask), ``kid`` the ``order`` position of the child each of those
-    probes leads to, ``who`` the action code of each candidate column
-    (the f probes, then transmit, backup and silent) and ``rows`` the
-    step's row numbers.  Steps run from the full mask down to the empty
-    one.
+    popcount, and ``pos`` inverts it.  For every (mask, free channel)
+    pair, mask by mask in ``order``, ``jj`` holds the channel and
+    ``kid`` the ``order`` position of the child the probe leads to.
+    ``who`` holds each mask's candidate codes (its free channels, then
+    transmit, backup and silent), and ``rows`` row numbers.
     """
     size = 1 << n
     free = (np.arange(size)[:, None] >> np.arange(n)) & 1 == 0
@@ -445,10 +441,8 @@ def _lattice(n: int, k: int):
     order = np.argsort(-nfree, kind="stable")
     pos = np.empty(size, dtype=np.intp)
     pos[order] = np.arange(size)
-    # every (mask, free channel) pair, mask by mask in ``order``; ``who``
-    # holds each mask's candidate codes (its free channels, then the
-    # three closing codes), so a pair's code sits at the pair's own
-    # index plus three places for every earlier mask
+    # a pair's code sits at the pair's own index plus three places for
+    # every earlier mask
     row, jj = np.nonzero(free[order])
     kid = pos[order[row] | (1 << jj)].astype(np.min_scalar_type(size))
     jj = jj.astype(np.int8)
@@ -460,6 +454,18 @@ def _lattice(n: int, k: int):
     # every caller shares these arrays and the views cut from them
     for arr in (order, pos, jj, kid, who, rows):
         arr.flags.writeable = False
+    return order, pos, jj, kid, who, rows
+
+
+@lru_cache(maxsize=64)
+def _steps(n: int, k: int):
+    """The lattice cut into the steps of a layered pass over K states,
+    from the full mask down to the empty one, kept per shape (views
+    into the lattice, so they take little memory).  A step ``(lo, hi,
+    f, jj, kid, who, rows)`` covers the masks at ``order[lo:hi]``, all
+    with f free channels: their slices of the lattice's arrays (``who``
+    one row per mask) and the step's row numbers."""
+    _, _, jj, kid, who, rows = _lattice(n)
     steps = []
     for c in range(n, -1, -1):
         f = n - c
@@ -470,18 +476,9 @@ def _lattice(n: int, k: int):
         for lo in range(start, start + math.comb(n, c), step):
             hi = min(lo + step, start + math.comb(n, c))
             a, b = first + lo * f, first + hi * f
-            steps.append(
-                (
-                    lo,
-                    hi,
-                    f,
-                    jj[a:b],
-                    kid[a:b],
-                    who[a + 3 * lo : b + 3 * hi].reshape(hi - lo, f + 3),
-                    rows[: hi - lo],
-                )
-            )
-    return order, pos, tuple(steps)
+            who_at = who[a + 3 * lo : b + 3 * hi].reshape(hi - lo, f + 3)
+            steps.append((lo, hi, f, jj[a:b], kid[a:b], who_at, rows[: hi - lo]))
+    return tuple(steps)
 
 
 @cache
@@ -532,7 +529,7 @@ def _tabulate(instance: Instance, options: OracleOptions, preferences: tuple):
     allowed = (
         tuple(range(n)) if options.allowed_backups is None else options.allowed_backups
     )
-    order, pos, steps = _lattice(n, k)
+    order, pos, *_ = _lattice(n)
     m_idx, reads = _columns(n, k, preferences)
 
     # best blind reward among still-unprobed allowed backups, per mask
@@ -561,7 +558,7 @@ def _tabulate(instance: Instance, options: OracleOptions, preferences: tuple):
         price[options.forbidden_probe] = np.inf
 
     VS = np.empty((1 << n, cols))  # V, then the S blocks, rows in ``order``
-    for lo, hi, f, jj, kid, who, rows in steps:
+    for lo, hi, f, jj, kid, who, rows in _steps(n, k):
         # (mask, bidx or an S column, candidate): f probes, then closing
         cand = np.empty((hi - lo, cols, f + 3))
         cand[:, :, f:] = closing

@@ -857,6 +857,74 @@ def permutation_prefix_policy(
     return policy, float(found.val)
 
 
+def reference_best_prefix(instance, backup: int, escape_state: int, max_length=None):
+    """The backbone search as a recursion over probed sets, each solved
+    once and memoized by bitmask:
+    W(used) = max(blind, max_m [esc(m, rest) - c + cont[m] W(used + m)]).
+    An escape subtree's worth over a set is priced on its own, from the
+    bands of a fresh ``additive._Escape``: the band widths dotted with 1
+    less the product of the set's cdf columns, in ``probed`` order.
+    Ties go to stopping, then to the lowest channel.  Returns (policy,
+    value, the count of sets solved)."""
+    additive = importlib.import_module("probeopt.additive")
+    k = instance.state_count
+    probs, r, costs = instance.probs, instance.rewards, instance.costs
+    blind_l = float(probs[:, backup] @ r)
+    cont = probs[: escape_state + 1].sum(axis=0)
+    pool = [j for j in range(instance.n) if j != backup]
+    cap = len(pool) if max_length is None else min(max_length, len(pool))
+    everything = (1 << instance.n) - 1
+    escapes = [additive._Escape(instance, s) for s in range(escape_state + 1, k)]
+    worths: dict = {}
+    table: dict = {}
+
+    def worth(esc, remaining: int) -> float:
+        key = (esc.state, remaining)
+        if key not in worths:
+            keep = [q for q, j in enumerate(esc.probed) if remaining >> j & 1]
+            out = 1.0 - esc.cdf[:, keep].prod(axis=1)
+            worths[key] = float(esc.w @ out)
+        return worths[key]
+
+    def escape_value(m: int, remaining: int) -> float:
+        total = 0.0
+        for s, esc in enumerate(escapes, escape_state + 1):
+            p = probs[s, m]
+            if p > 0.0:
+                total += p * (r[s] + worth(esc, remaining))
+        return total
+
+    def best_from(used: int) -> tuple[float, tuple[int, ...]]:
+        if used in table:
+            return table[used]
+        best = (blind_l, ())
+        for m in (pool if used.bit_count() < cap else ()):
+            if used >> m & 1:
+                continue
+            taken = used | 1 << m
+            val, tail = escape_value(m, everything & ~taken) - costs[m], ()
+            if cont[m] > 0.0:  # a probe nothing passes ends the backbone
+                w, tail = best_from(taken)
+                val += cont[m] * w
+            if val > best[0]:
+                best = (val, (m,) + tail)
+        table[used] = best
+        return best
+
+    best_val, best_pi = best_from(0)
+    subtrees, rest = [], everything
+    for m in best_pi:
+        rest &= ~(1 << m)
+        subtrees.append(tuple(esc.subtree(rest) for esc in escapes))
+    policy = po.PrefixTreePolicy(
+        backup=backup,
+        escape_min=escape_state + 1,
+        backbone=best_pi,
+        subtrees=tuple(subtrees),
+    )
+    return policy, float(best_val), len(table)
+
+
 # -- the oracle's table and tree, one mask at a time --------------------
 
 

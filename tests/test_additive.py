@@ -3,6 +3,7 @@ reward-bucketed backbone search, and the executable policies it emits."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,10 +16,11 @@ from helpers import (
     draw_instance,
     permutation_prefix_policy,
     prefix_class_optimum,
+    reference_best_prefix,
     reference_escape_subtree,
     slow_report,
 )
-from probeopt.additive import _Escape
+from probeopt.additive import _coarsen, _Escape, _layers, _lift
 
 
 def equal_cost_instance(seed, n_lo=2, n_hi=5, k_hi=4, cost_range=(0.05, 0.3)):
@@ -122,7 +124,7 @@ class TestCoarsenedBranch:
         assert cert.path_bound == 1 + math.ceil(math.log(half) / math.log(1 - half))
         assert cert.cell_count <= math.ceil(2 / eps) + 1
         assert 0 < cert.candidates <= cert.budget
-        assert cert.candidates <= probed_set_bound(inst.n, cert)
+        assert cert.candidates == probed_set_bound(inst.n, cert)
         assert 0 <= cert.backup < inst.n
 
     def test_additive_guarantee_small_sweep(self):
@@ -317,6 +319,77 @@ class TestPrefixSearch:
                     val, abs=1e-9
                 ), where
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 7),
+        st.integers(2, 5),
+        st.sampled_from(po.PROB_SHAPES),
+        st.sampled_from([None, 1, 2]),
+        st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=2),
+        st.booleans(),
+        st.lists(st.integers(1, 4), max_size=2),
+        st.booleans(),
+    )
+    def test_layers_match_the_set_recursion(
+        self, seed, n, k, shape, max_length, copies, sure_top, emptied, free
+    ):
+        # the layered table against the recursion it replaced, kept as
+        # a test reference: the same floats in the same order, so the
+        # same backbone, document and value bit for bit; free probes
+        # tie a probe with stopping exactly, at the top floor at least
+        base = draw_instance(
+            seed, n_lo=n, n_hi=n, k_lo=k, k_hi=k, prob_shape=shape,
+            cost_regime="equal",
+        )
+        probs = base.probs.copy()
+        for dst, src in copies:
+            probs[:, dst % n] = probs[:, src % n]
+        for v in emptied:
+            if v < k - 1:
+                probs[0] += probs[v]
+                probs[v] = 0.0
+        if sure_top:
+            probs[:, seed % n] = np.eye(k)[-1]
+        inst = po.Instance.from_arrays(
+            base.rewards, probs, base.costs * (not free), validate=False
+        )
+        for backup in range(n):
+            for i in range(k):
+                pol, val = po.best_prefix_policy(inst, backup, i, max_length)
+                ref, want, _ = reference_best_prefix(inst, backup, i, max_length)
+                where = f"fallback {backup}, floor {i}"
+                assert pol.backbone == ref.backbone, where
+                assert pol.to_dict() == ref.to_dict(), where
+                assert val.hex() == want.hex(), where
+
+    @pytest.mark.parametrize(
+        "n, caps", [(n, range(n)) for n in range(1, 8)] + [(64, range(3))]
+    )
+    def test_layer_rows_and_kids(self, n, caps):
+        # rows ascend by mask within a layer; a kid's row holds the
+        # set plus the probe (past 63 channels the masks are Python ints)
+        for cap in caps:
+            layers = _layers(n, cap)
+            masks = [
+                [sum(1 << int(j) for j in np.flatnonzero(row)) for row in member]
+                for member, _ in layers
+            ]
+            for c, (member, kid) in enumerate(layers):
+                assert masks[c] == sorted(
+                    sum(1 << j for j in combo)
+                    for combo in itertools.combinations(range(n), c)
+                )
+                assert not member.flags.writeable
+                if c == cap:
+                    assert kid is None
+                    continue
+                assert not kid.flags.writeable
+                for row, mask in enumerate(masks[c]):
+                    for m in range(n):
+                        if not mask >> m & 1:
+                            assert masks[c + 1][kid[row, m]] == mask | 1 << m
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.integers(0, 10**6),
@@ -357,6 +430,7 @@ class TestPrefixSearch:
         for size in range(1, n + 1):
             for remaining in map(frozenset, itertools.combinations(range(n), size)):
                 mask = sum(1 << j for j in remaining)
+                probed = np.array([[j not in remaining for j in range(n)]])
                 for s, esc in enumerate(escapes):
                     val, levels = cut_escape_subtree(inst, remaining, s, memo)
                     want, reference = reference_escape_subtree(
@@ -367,7 +441,43 @@ class TestPrefixSearch:
                     assert host == reference, where
                     assert val == want, where
                     assert esc.subtree(mask) == reference, where
-                    assert abs(esc.worth(mask) - want) <= 1e-15, where
+                    assert abs(esc.worths(probed)[0] - want) <= 1e-15, where
+
+    def test_large_n_short_backbones_build_no_dense_table(self):
+        # at epsilon 0.9 backbones stop at h = 3 probes, so only the
+        # sets of up to 3 of the 22 channels get cells: the search
+        # peaks far below one float per subset (32 MiB here).  A probe
+        # costs over 0.9 of the top reward here, so the best backbone
+        # is empty; the pin is on every cell's value and the winner
+        # pair
+        n, eps = 22, 0.9
+        inst = draw_instance(
+            1, n_lo=n, n_hi=n, k_lo=3, k_hi=3, cost_regime="equal",
+            cost_range=(0.92, 0.95),
+        )
+        tracemalloc.start()
+        try:
+            res = po.additive_approx(inst, eps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        cert = res.certificate
+        assert cert.branch == "coarsened" and cert.path_bound == 3
+        assert peak < (8 << n) // 8, peak
+        coarse, cell_of, first_of = _coarsen(inst, eps / 2)
+        best, best_val = None, -np.inf
+        for backup in range(n):
+            for i in range(coarse.state_count):
+                ref, want, _ = reference_best_prefix(coarse, backup, i, 3)
+                _, val = po.best_prefix_policy(coarse, backup, i, 3)
+                assert val.hex() == want.hex(), f"fallback {backup}, floor {i}"
+                if want > best_val:
+                    best, best_val = (ref, backup, i), want
+        ref, backup, i = best
+        assert (cert.backup, cert.escape_state) == (backup, i)
+        assert cert.coarse_gain == best_val
+        lifted = _lift(ref, cell_of, first_of, inst.state_count)
+        assert res.policy.to_dict() == lifted.to_dict()
 
     def test_top_escape_floor_degenerates_to_blind(self):
         inst = equal_cost_instance(2, n_lo=3, n_hi=4)

@@ -178,6 +178,32 @@ class TestLayeredPass:
             pair = dataclasses.replace(res, actions=A, transmit_prob=transmit)
             assert pair.tree.to_dict() == reference_tree(inst, single, ref).to_dict()
 
+    def test_shapes_taking_turns_share_one_lattice_per_channel_count(self):
+        # solves that alternate between shapes reuse each channel
+        # count's lattice, cut anew for each K, and give the tables a
+        # fresh build gives; no caller can write to the shared arrays
+        insts = [
+            draw_instance(seed, n_lo=n, n_hi=n, k_lo=k, k_hi=k)
+            for seed, (n, k) in enumerate([(5, 2), (5, 4), (7, 3), (5, 2), (3, 5), (7, 2)])
+        ]
+        fresh = []
+        for inst in insts:
+            oracle_module._lattice.cache_clear()
+            fresh.append(po.exact_dp(inst))
+        oracle_module._lattice.cache_clear()
+        for _ in range(2):
+            for inst, want in zip(insts, fresh):
+                res = po.exact_dp(inst)
+                assert res.value == want.value
+                assert np.array_equal(res.table, want.table)
+                assert np.array_equal(res.actions, want.actions)
+        assert oracle_module._lattice.cache_info().currsize == 3
+        for n in (3, 5, 7):
+            for arr in oracle_module._lattice(n):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = arr[0]
+
     def test_single_channel(self):
         inst = po.Instance.from_arrays((0.0, 1.0), [[0.4], [0.6]], (0.1,))
         for opts in (po.OracleOptions(), po.OracleOptions(allowed_backups=())):
